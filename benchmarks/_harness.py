@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import pathlib
+import sys
 
 from repro.experiments import default_scenario
 
@@ -31,6 +32,22 @@ def scenario_for_bench(pool_gb: float = 32.0):
         seed=BENCH_SEED,
         pool_gb=pool_gb,
     )
+
+
+def oracles():
+    """The sequential reference implementations in ``tests/oracles``.
+
+    The fleet-vs-sequential benches take their reference side from there
+    (the scheduler itself only ships the fleet); this puts the repo root
+    on ``sys.path`` so ``tests.oracles`` imports from any working
+    directory.
+    """
+    root = str(pathlib.Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    import tests.oracles
+
+    return tests.oracles
 
 
 def record(name: str, text: str) -> None:

@@ -5,12 +5,13 @@ figure benches, which time one full experiment).
 """
 
 import numpy as np
-from _harness import scenario_for_bench
+from _harness import oracles, scenario_for_bench
 
 from repro.baselines import new_only
 from repro.core import ArrivalEstimator, EcoLifeConfig, EcoLifeScheduler
 from repro.experiments.common import run_scheduler
-from repro.optimizers import DynamicPSO
+
+DynamicPSO = oracles().DynamicPSO
 
 
 def bench_engine_throughput_fixed_policy(benchmark):

@@ -4,7 +4,7 @@ Six measurements:
 
 1. **Step throughput** -- N live DPSO swarms advanced for one EcoLife
    decision (perceive + refresh + iterations) as N independent
-   ``DynamicPSO`` objects vs one ``SwarmFleet`` call, against the
+   ``DynamicPSO`` objects (``tests/oracles``) vs one ``SwarmFleet`` call, against the
    bit-identical sequential reference. This isolates the PR 2
    fused-kernel win (>=2x acceptance gate at 50 functions).
 2. **Fully-fused step** -- 256 swarms against the *real* batched
@@ -14,8 +14,9 @@ Six measurements:
    This isolates this PR's win: the last per-function Python loops
    inside the fused step (>=2x additional gate at 256 swarms).
 3. **End-to-end replay** -- a tick-quantised multi-function trace
-   through the full engine with ``batch_swarms`` on vs off, exercising
-   the same-tick ``keepalive_batch`` grouping path (bit-identical).
+   through the full engine, EcoLife (fleet) vs the sequential-DPSO
+   EcoLife oracle from ``tests/oracles``, exercising the same-tick
+   ``keepalive_batch`` fused path (bit-identical).
 4. **Continuous-trace replay** -- a Poisson (non-quantised) trace with
    ``decision_quantum_s`` on vs off. Decisions previously serialised on
    such traces; the quantum groups nearby instants while the
@@ -62,10 +63,15 @@ from repro.core import (
     ObjectiveBuilder,
 )
 from repro.hardware import PAIR_A
-from repro.optimizers import DPSOParams, DynamicPSO, SwarmFleet
+from repro.optimizers import DPSOParams, SwarmFleet
 from repro.simulator import SimulationConfig, SimulationEngine, WarmPool
 from repro.simulator.scheduler import SchedulerEnv
 from repro.workloads import FunctionProfile, InvocationTrace
+
+from _harness import oracles
+
+DynamicPSO = oracles().DynamicPSO
+sequential_ecolife = oracles().sequential_ecolife
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -247,7 +253,7 @@ def bench_fused_step(
 
 
 # ---------------------------------------------------------------------------
-# 3. End-to-end replay: batch_swarms on vs off.
+# 3. End-to-end replay: fleet vs the sequential-DPSO oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -266,7 +272,8 @@ def _quantized_trace(n_funcs: int, n_ticks: int, tick_s: float) -> InvocationTra
 
 
 def bench_replay(n_funcs: int, n_ticks: int, repeats: int) -> dict:
-    """Full engine replay of a tick-quantised trace, batching on vs off."""
+    """Full engine replay of a tick-quantised trace, fleet (batching on)
+    vs the sequential-DPSO oracle (batching off)."""
 
     def run(flag):
         engine = SimulationEngine(
@@ -282,8 +289,9 @@ def bench_replay(n_funcs: int, n_ticks: int, repeats: int) -> dict:
         t0 = time.perf_counter()
         # Stream RNG pinned: the bench asserts on/off bit-identity,
         # which is the stream contract.
+        config = EcoLifeConfig(rng_mode="stream")
         result = engine.run(
-            EcoLifeScheduler(EcoLifeConfig(batch_swarms=flag, rng_mode="stream"))
+            EcoLifeScheduler(config) if flag else sequential_ecolife(config)
         )
         return time.perf_counter() - t0, result
 

@@ -67,7 +67,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     config = EcoLifeConfig(
         seed=args.seed,
-        batch_swarms=not args.no_batch_swarms,
         decision_quantum_s=args.decision_quantum,
         adaptive_decision_quantum=args.adaptive_quantum,
         # None = keep the env-driven default (ECOLIFE_RNG_MODE).
@@ -124,10 +123,10 @@ def _simulate_sharded(args, scenario, factories, config) -> int:
     coordinator and wait for ``ecolife work ADDR --shard`` processes --
     the CI smoke mode).
     """
-    if not getattr(factories[args.scheduler](), "supports_sharding", False):
+    if not factories[args.scheduler]().supports_sharding:
         print(
             f"scheduler {args.scheduler!r} does not support sharded replay "
-            "(needs supports_sharding + place_foreign; see docs/sharding.md)"
+            "(needs a place_foreign override; see docs/sharding.md)"
         )
         return 2
     transport = args.shard_transport
@@ -251,7 +250,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         unsupported = [
             s
             for s in args.schedulers
-            if not getattr(make_scheduler(s), "supports_sharding", False)
+            if not make_scheduler(s).supports_sharding
         ]
         if unsupported:
             print(
@@ -597,15 +596,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim_p.add_argument("--pair", default="A")
     sim_p.add_argument("--pool-gb", type=float, default=32.0)
     sim_p.add_argument(
-        "--no-batch-swarms", action="store_true",
-        help="force the sequential per-function DPSO path "
-        "(bit-identical results; for debugging/benchmarks)",
-    )
-    sim_p.add_argument(
         "--rng-mode", choices=["stream", "counter"],
         default=None,
         help="fleet RNG: 'stream' = per-swarm Generator streams "
-        "(bit-identical to the sequential path), 'counter' = batched "
+        "(bit-identical to sequential per-function PSO), 'counter' = batched "
         "Philox counter draws (self-consistent, fastest; default "
         "honours ECOLIFE_RNG_MODE)",
     )

@@ -18,22 +18,6 @@ from repro.hardware.specs import GENERATIONS, Generation
 from repro.optimizers.dynamic_pso import DPSOParams
 
 
-def batch_swarms_default() -> bool:
-    """Default for :attr:`EcoLifeConfig.batch_swarms`.
-
-    Reads the ``ECOLIFE_BATCH_SWARMS`` environment variable (``0`` /
-    ``false`` / ``off`` disable batching) so the whole test/benchmark
-    suite can be driven down the sequential reference path without code
-    changes -- the CI matrix runs both settings. Unset means batched.
-    """
-    # ecolint: disable=ECO002 -- config-construction-time default, resolved once per process by the CI matrix; never read on a replay path
-    return os.environ.get("ECOLIFE_BATCH_SWARMS", "1").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-    )
-
-
 def rng_mode_default() -> str:
     """Default for :attr:`EcoLifeConfig.rng_mode`.
 
@@ -101,27 +85,17 @@ class EcoLifeConfig:
     keepalive_expectation: KeepAliveExpectation = KeepAliveExpectation.FULL_K
     # KDM optimizer backend (GA/SA exist for the in-text comparison).
     optimizer: OptimizerKind = OptimizerKind.PSO
-    #: Step per-function swarms through the batched
-    #: :class:`~repro.optimizers.batch.SwarmFleet` (grouping same-tick
-    #: decisions into fused kernels) instead of one optimizer object per
-    #: function. Bit-identical to the per-function path by construction
-    #: (see ``docs/optimizers.md``); only applies to the PSO backends --
-    #: GA/SA always use the per-function path. Turn off to force the
-    #: sequential reference implementation (default honours the
-    #: ``ECOLIFE_BATCH_SWARMS`` environment knob; see
-    #: :func:`batch_swarms_default`).
-    batch_swarms: bool = field(default_factory=batch_swarms_default)
     #: Which RNG feeds the fleet's per-iteration draws. ``"stream"``
-    #: (default) keeps per-swarm ``np.random.Generator`` streams and the
-    #: bit-identity contract with the sequential per-function path.
+    #: (default) keeps per-swarm ``np.random.Generator`` streams, bit
+    #: for bit the draws of one sequential optimizer per function.
     #: ``"counter"`` switches the fleet to the counter-based batched RNG
     #: (vectorised Philox keyed by each swarm's private ``(key, step)``
     #: counters): all swarms' ``r1``/``r2`` come out of one fused kernel,
     #: trading the stream contract for a *self-consistent* one -- results
     #: differ from ``"stream"`` but are deterministic and independent of
     #: batch composition, slot placement, and retire/rehydrate/compact.
-    #: Only the fleet path reads this knob; the sequential/GA/SA paths
-    #: always use their own streams. Default honours ``ECOLIFE_RNG_MODE``.
+    #: Only the PSO fleet reads this knob; GA/SA always use their own
+    #: streams. Default honours ``ECOLIFE_RNG_MODE``.
     rng_mode: str = field(default_factory=rng_mode_default)
     #: Group continuous-trace decision instants into shared ticks of this
     #: many seconds so ``decide_batch`` fires on non-quantised traces too

@@ -11,14 +11,15 @@ of a serverless function, EcoLife assigns a PSO optimizer and preserves it
 3. advances the optimizer a few iterations against the current objective;
 4. decodes the swarm's best position into (location, keep-alive period).
 
-With ``config.batch_swarms`` (the default) the per-function swarms live
-in one :class:`~repro.optimizers.batch.SwarmFleet` and same-tick
-decisions for distinct functions step together through fused kernels
-(:meth:`KeepAliveDecisionMaker.decide_batch`) -- bit-identical to the
-per-function path, see ``docs/optimizers.md``.
+The PSO backends keep every function's swarm in one
+:class:`~repro.optimizers.batch.SwarmFleet`, and same-tick decisions
+for distinct functions step together through fused kernels
+(:meth:`KeepAliveDecisionMaker.decide_batch`); see
+``docs/optimizers.md``.
 
 The GA/SA backends exist for the paper's in-text optimizer comparison and
-share the exact same objective; they always use the per-function path.
+share the exact same objective; they keep one optimizer object per
+function and decide one item at a time.
 
 Under function churn the per-function state (slots/optimizers, arrival
 estimators, perception scalars) grows without bound, so the KDM also
@@ -46,9 +47,7 @@ from repro.core.spill import ArchiveSpill
 from repro.optimizers.annealing import SimulatedAnnealing
 from repro.optimizers.base import ContinuousOptimizer
 from repro.optimizers.batch import SwarmArchive, SwarmFleet
-from repro.optimizers.dynamic_pso import DynamicPSO
 from repro.optimizers.genetic import GeneticOptimizer
-from repro.optimizers.pso import ParticleSwarm
 from repro.simulator.records import KeepAliveDecision
 from repro.simulator.scheduler import SchedulerEnv
 from repro.workloads.functions import FunctionProfile
@@ -66,9 +65,9 @@ class RetiredFunction:
     """Archived per-function scheduler state (state-retirement sweep).
 
     Everything the KDM must restore for the function's next decision to
-    be bit-identical to a never-retired run: the swarm archive (fleet
-    path) *or* the optimizer object (sequential/GA/SA path) and the
-    perception scalars. The arrival estimator is shelved inside the
+    be bit-identical to a never-retired run: the swarm archive (PSO)
+    *or* the optimizer object (GA/SA) and the perception scalars. The
+    arrival estimator is shelved inside the
     :class:`~repro.core.arrival.ArrivalRegistry` by the same sweep --
     readers such as the warm-pool adjuster may still need its history
     while the function is retired (a container can outlive its
@@ -102,9 +101,9 @@ class KeepAliveDecisionMaker:
         self._last_rate: dict[str, float] = {}
         self.decisions = 0
         self.redistributions = 0
-        # Batched path: one SwarmFleet slot per function instead of one
-        # optimizer object. Only the PSO backends vectorise this way.
-        self.use_fleet = config.batch_swarms and config.optimizer is OptimizerKind.PSO
+        # PSO: one SwarmFleet slot per function. GA/SA: one optimizer
+        # object per function in ``_optimizers``.
+        self.use_fleet = config.optimizer is OptimizerKind.PSO
         self._fleet: SwarmFleet | None = None
         self._slots: dict[str, int] = {}
         # State retirement (config.retire_after_s / max_live_swarms):
@@ -129,9 +128,9 @@ class KeepAliveDecisionMaker:
     # -- optimizer lifecycle -----------------------------------------------------
 
     def _new_optimizer(self, name: str) -> ContinuousOptimizer:
+        """The GA or SA optimizer of one function (PSO lives in the fleet)."""
         rng = _stable_seed(self.config.seed, name)
-        kind = self.config.optimizer
-        if kind is OptimizerKind.GENETIC:
+        if self.config.optimizer is OptimizerKind.GENETIC:
             return GeneticOptimizer(
                 dim=2,
                 rng=rng,
@@ -139,24 +138,7 @@ class KeepAliveDecisionMaker:
                 crossover_prob=0.6,
                 mutation_prob=0.01,
             )
-        if kind is OptimizerKind.ANNEALING:
-            return SimulatedAnnealing(dim=2, rng=rng)
-        if self.config.use_dynamic_pso:
-            return DynamicPSO(
-                dim=2,
-                rng=rng,
-                n_particles=self.config.n_particles,
-                params=self.config.dpso,
-            )
-        swarm = ParticleSwarm(
-            dim=2,
-            rng=rng,
-            n_particles=self.config.n_particles,
-            omega=self.config.vanilla_omega,
-            c1=self.config.vanilla_c,
-            c2=self.config.vanilla_c,
-        )
-        return swarm
+        return SimulatedAnnealing(dim=2, rng=rng)
 
     def optimizer_for(self, name: str) -> ContinuousOptimizer:
         opt = self._optimizers.get(name)
@@ -201,9 +183,8 @@ class KeepAliveDecisionMaker:
     def _slot_for(self, name: str) -> int:
         """The fleet slot of one function, seeding a new swarm on first use.
 
-        The swarm draws from the same stable per-function RNG stream the
-        per-function path seeds its optimizer with, which is what makes
-        the two paths bit-identical.
+        The swarm draws from a stable per-function RNG stream, so its
+        trajectory is independent of slot order and of the process.
         """
         slot = self._slots.get(name)
         if slot is None:
@@ -442,51 +423,21 @@ class KeepAliveDecisionMaker:
 
     def decide(self, func: FunctionProfile, t: float) -> KeepAliveDecision:
         """Choose (keep-alive location, keep-alive period) for ``func`` at ``t``."""
-        self.maybe_sweep(t)
-        if self.use_fleet:
-            return self._decide_fleet([(func, t)])[0]
-        opt = self.optimizer_for(func.name)
-
-        ci = self.env.ci_at(t)
-        rate = self.env.rate_per_minute(t)
-        if isinstance(opt, DynamicPSO):
-            delta_ci = abs(ci - self._last_ci.get(func.name, ci))
-            delta_f = abs(rate - self._last_rate.get(func.name, rate))
-            if opt.perceive(delta_f, delta_ci):
-                self.redistributions += 1
-        self._last_ci[func.name] = ci
-        self._last_rate[func.name] = rate
-
-        arrival = self.arrivals.get(func.name)
-        fitness = self.builder.fitness(func, t, arrival)
-        iterations = self._iterations_for(opt)
-        opt.step(fitness, iterations=iterations)
-
-        position = (
-            opt.gbest_position
-            if isinstance(opt, ParticleSwarm)
-            else opt.best_position
-        )
-        location, k_s = self.builder.decode_single(position)
-        self.decisions += 1
-        self._touch(func.name, t)
-        return KeepAliveDecision(location=location, duration_s=k_s)
+        return self.decide_batch([(func, t)])[0]
 
     def decide_batch(
         self, items: Sequence[tuple[FunctionProfile, float]]
     ) -> list[KeepAliveDecision]:
         """Decide for several (function, decision time) pairs at once.
 
-        With the fleet enabled, runs of *distinct* functions step through
-        the batched swarm engine in fused kernels; a repeated function
-        splits the batch (its second decision depends on its first, so
-        the sub-batches run in order). Without the fleet (or for the
-        GA/SA backends) this degrades to sequential :meth:`decide` calls.
-        Either way the decisions are identical to calling :meth:`decide`
-        item by item.
+        PSO: runs of *distinct* functions step through the fleet in fused
+        kernels; a repeated function splits the batch (its second
+        decision depends on its first, so the sub-batches run in order).
+        GA/SA: one optimizer step per item, in order. Either way the
+        decisions are identical to calling :meth:`decide` item by item.
         """
         if not self.use_fleet:
-            return [self.decide(func, t) for func, t in items]
+            return [self._step_optimizer(func, t) for func, t in items]
         if items:
             self.maybe_sweep(items[0][1])
         out: list[KeepAliveDecision] = []
@@ -501,6 +452,28 @@ class KeepAliveDecisionMaker:
         if batch:
             out.extend(self._decide_fleet(batch))
         return out
+
+    def _step_optimizer(self, func: FunctionProfile, t: float) -> KeepAliveDecision:
+        """One GA/SA decision: step the function's own optimizer.
+
+        SA evaluates a whole 100->1 cooling schedule (~44 candidates) per
+        iteration, so it gets a single schedule per decision; GA runs the
+        configured number of generations -- roughly matched evaluation
+        budgets across backends.
+        """
+        self.maybe_sweep(t)
+        opt = self.optimizer_for(func.name)
+        fitness = self.builder.fitness(func, t, self.arrivals.get(func.name))
+        iterations = (
+            1
+            if isinstance(opt, SimulatedAnnealing)
+            else self.config.iterations_per_invocation
+        )
+        opt.step(fitness, iterations=iterations)
+        location, k_s = self.builder.decode_single(opt.best_position)
+        self.decisions += 1
+        self._touch(func.name, t)
+        return KeepAliveDecision(location=location, duration_s=k_s)
 
     def _decide_fleet(
         self, batch: Sequence[tuple[FunctionProfile, float]]
@@ -550,14 +523,3 @@ class KeepAliveDecisionMaker:
         for func, t in batch:
             self._touch(func.name, t)
         return decisions
-
-    def _iterations_for(self, opt: ContinuousOptimizer) -> int:
-        """Roughly matched evaluation budgets across backends.
-
-        SA evaluates a whole 100->1 cooling schedule (~44 candidates) per
-        iteration, so it gets a single schedule per decision; PSO/GA run
-        the configured number of swarm/generation steps.
-        """
-        if isinstance(opt, SimulatedAnnealing):
-            return 1
-        return self.config.iterations_per_invocation

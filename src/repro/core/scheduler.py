@@ -52,34 +52,10 @@ class EcoLifeScheduler(BaseScheduler):
         super().__init__()
         self.config = config or EcoLifeConfig()
         self.allow_spill = self.config.use_warm_pool_adjustment
-        # Same-tick decision grouping only pays off on the fleet path.
-        self.supports_keepalive_batch = (
-            self.config.batch_swarms and self.config.optimizer is OptimizerKind.PSO
-        )
-        # Cross-tick batching on continuous traces (accuracy knob);
-        # meaningless without the batch path.
-        self.decision_quantum_s = (
-            self.config.decision_quantum_s
-            if self.supports_keepalive_batch
-            else 0.0
-        )
-        # Self-tuning tick width off the observed minimum service time;
-        # equally meaningless without the batch path.
-        self.adaptive_decision_quantum = (
-            self.config.adaptive_decision_quantum
-            and self.supports_keepalive_batch
-        )
-        # Expiry notifications drive KDM retirement sweeps during quiet
-        # periods (no decision traffic); pointless without retirement.
-        self.wants_expiry_events = self.config.retirement_enabled
-        # Placement is a pure function of (warm locations, CI at t), so
-        # foreign arrivals replay exactly; see place_foreign.
-        self.supports_sharding = True
-        # A cold foreign placement's only side effect is the estimator
-        # observation (the EPDM choice is pure and its return value is
-        # unused when nothing is warm), so inert runs may be absorbed in
-        # bulk; see observe_foreign_run.
-        self.foreign_batch_safe = True
+        # Decision-tick width for the engine's same-tick grouping; replays
+        # are bit-identical at any width (see docs/optimizers.md).
+        self.decision_quantum_s = self.config.decision_quantum_s
+        self.adaptive_decision_quantum = self.config.adaptive_decision_quantum
         # Components are created at bind() time (they need the env).
         self.arrivals: ArrivalRegistry | None = None
         self.kdm: KeepAliveDecisionMaker | None = None
@@ -149,9 +125,10 @@ class EcoLifeScheduler(BaseScheduler):
         self, groups: Sequence[tuple[FunctionProfile, npt.ArrayLike]]
     ) -> None:
         # The bulk form of place_foreign for an inert run: nothing is
-        # warm (so the pure EPDM choice is dead code) and no kdm state
-        # exists for foreign functions, leaving exactly the estimator
-        # observations -- applied batched, bit-identical to per-event.
+        # warm (so the pure EPDM choice is dead code, its return value
+        # unused) and no kdm state exists for foreign functions, leaving
+        # exactly the estimator observations -- applied batched,
+        # bit-identical to per-event.
         # Most groups are singletons (a hash-partitioned run rarely
         # repeats a function), so dispatch straight to the estimator.
         seqs = cast("Sequence[tuple[FunctionProfile, Sequence[float]]]", groups)
@@ -174,6 +151,8 @@ class EcoLifeScheduler(BaseScheduler):
     def on_container_expired(
         self, name: str, generation: Generation, t: float
     ) -> None:
+        # Drives KDM retirement sweeps during quiet periods (no decision
+        # traffic); a no-op unless retirement is configured.
         self.kdm.maybe_sweep(t)
 
     def rank_keepalive_candidates(

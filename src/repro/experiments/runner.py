@@ -565,15 +565,11 @@ class ResultCache:
     def _default_token() -> str:
         """Cache token for ``config=None`` jobs.
 
-        The default config is partly environment-driven. Under stream
-        RNG every env knob is bit-identical by contract (the
-        ``ECOLIFE_BATCH_SWARMS`` legs share entries), so the historical
-        ``default`` token stays -- existing caches remain valid. Under
-        ``ECOLIFE_RNG_MODE=counter`` results depend on the resolved
-        defaults themselves (counter draws apply only to the fleet path,
-        so even the batch legs differ); the token is then the fully
-        resolved default-config repr, exactly as explicit-config jobs
-        are keyed.
+        The default config's ``rng_mode`` is environment-driven. Under
+        stream RNG the historical ``default`` token stays -- existing
+        caches remain valid. Under ``ECOLIFE_RNG_MODE=counter`` the
+        fleet's draws differ, so the token is the fully resolved
+        default-config repr, exactly as explicit-config jobs are keyed.
         """
         from repro.core.config import EcoLifeConfig, rng_mode_default
 

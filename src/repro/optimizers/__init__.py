@@ -1,12 +1,11 @@
-"""Optimization substrate: PSO + EcoLife's DPSO, GA/SA baselines, grid search."""
+"""Optimization substrate: the batched (D)PSO fleet, GA/SA baselines, grid search."""
 
 from repro.optimizers.annealing import SimulatedAnnealing
 from repro.optimizers.base import ContinuousOptimizer, FitnessFn, clip_box
 from repro.optimizers.batch import BatchFitnessFn, SwarmArchive, SwarmFleet
-from repro.optimizers.dynamic_pso import DPSOParams, DynamicPSO
+from repro.optimizers.dynamic_pso import DPSOParams
 from repro.optimizers.genetic import GeneticOptimizer
 from repro.optimizers.gridsearch import cartesian_grid, grid_best
-from repro.optimizers.pso import ParticleSwarm
 
 __all__ = [
     "BatchFitnessFn",
@@ -15,8 +14,6 @@ __all__ = [
     "SwarmArchive",
     "SwarmFleet",
     "clip_box",
-    "ParticleSwarm",
-    "DynamicPSO",
     "DPSOParams",
     "GeneticOptimizer",
     "SimulatedAnnealing",

@@ -7,11 +7,12 @@ amortise numpy's per-call overhead. :class:`SwarmFleet` holds *every*
 function's swarm in stacked ``(n_swarms, n_particles, dim)`` arrays and
 steps any subset of them through a handful of fused kernels.
 
-**Equivalence contract** (enforced by ``tests/test_optimizers_batch.py``):
+The fleet is the only PSO implementation the scheduler runs. Its
+**equivalence contract** (enforced by ``tests/test_optimizers_batch.py``):
 a fleet seeded with per-swarm RNG streams is *bit-identical* to the same
-number of independent :class:`~repro.optimizers.pso.ParticleSwarm` /
-:class:`~repro.optimizers.dynamic_pso.DynamicPSO` instances seeded with
-the same streams -- positions, velocities, personal/global bests, and
+number of independent sequential swarms -- the ``ParticleSwarm`` /
+``DynamicPSO`` oracles in ``tests/oracles`` -- seeded with the same
+streams: positions, velocities, personal/global bests, and
 perception-response redistributions all match to the last ULP. Three
 rules make that hold:
 
@@ -192,7 +193,7 @@ class SwarmFleet:
         self.dynamic = params is not None
         self.rescore_bests = self.dynamic
         # Initial weights: DPSO starts at the exploratory end of its
-        # ranges (DynamicPSO.__init__); vanilla uses the given constants.
+        # ranges; vanilla uses the given constants.
         if self.dynamic:
             self._omega0 = params.omega_max
             self._c0 = params.c_max
@@ -465,7 +466,7 @@ class SwarmFleet:
     # -- perception-response (DPSO) -------------------------------------------
 
     def perceive(self, index: int, delta_f: float, delta_ci: float) -> bool:
-        """Per-swarm DPSO perception; mirrors ``DynamicPSO.perceive``.
+        """Per-swarm DPSO perception (dynamic weights + redistribution).
 
         Scalar bookkeeping stays in Python floats so the weight values
         (and any redistribution RNG draws) are bit-identical to the

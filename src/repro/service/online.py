@@ -36,6 +36,7 @@ on-arrival path, bit-identically.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import pickle
 import time
@@ -246,8 +247,8 @@ class DecisionService:
     ) -> list[dict[str, object]]:
         """Decide one batch of ``(t_s, function_name)`` arrivals.
 
-        Raises ``ValueError`` for out-of-order times or unknown
-        functions (HTTP 400) and :class:`StaleCarbonFeed` when the
+        Raises ``ValueError`` for non-finite or out-of-order times or
+        unknown functions (HTTP 400), before any state changes, and :class:`StaleCarbonFeed` when the
         provider's data is older than its ``max_staleness_s`` (503) --
         refusing to answer beats deciding on stale intensity.
         """
@@ -257,6 +258,10 @@ class DecisionService:
         prev = self.last_t if self._last_t is not None else float("-inf")
         for t_s, name in arrivals:
             t = float(t_s)
+            if not math.isfinite(t):
+                # NaN passes every ordering check and inf rejects every
+                # later arrival; neither may become last_t.
+                raise ValueError(f"arrival time must be finite, got {t_s!r}")
             if t < prev:
                 raise ValueError(
                     f"arrivals must be time-ordered: {t} is behind {prev}"

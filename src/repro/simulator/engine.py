@@ -196,24 +196,15 @@ class SimulationEngine:
     def step_batch(self, arrivals: Iterable[Arrival]) -> list[InvocationRecord]:
         """Process time-ordered arrivals incrementally; returns their records.
 
-        Identical decision semantics to ``run()``: batching schedulers
-        get same-tick grouping (any staged group is flushed before this
-        call returns, so callers always see completed decisions), others
-        are stepped one by one. Stepping boundaries never change
+        Identical decision semantics to ``run()``: same-tick grouping
+        (any staged group is flushed before this call returns, so callers
+        always see completed decisions). Stepping boundaries never change
         decisions -- the grouping contract guarantees composition
         independence (see ``_grouped_steps``).
         """
         scheduler = self._require_started()
         first = len(self.records)
-        if scheduler.supports_keepalive_batch:
-            self._horizon = max(
-                self._horizon, self._grouped_steps(scheduler, arrivals)
-            )
-        else:
-            for t, func in arrivals:
-                self._drain_events(until=t)
-                t_end = self._process_invocation(scheduler, t, func)
-                self._horizon = max(self._horizon, t_end)
+        self._horizon = max(self._horizon, self._grouped_steps(scheduler, arrivals))
         return self.records[first:]
 
     def step_arrival(self, t: float, func: FunctionProfile) -> InvocationRecord:
@@ -262,7 +253,7 @@ class SimulationEngine:
     def _grouped_steps(
         self, scheduler: BaseScheduler, arrivals: Iterable[Arrival]
     ) -> float:
-        """Arrival stepping that batches shared-tick keep-alive decisions.
+        """The engine's one stepping loop: shared-tick keep-alive groups.
 
         Consecutive invocations of *distinct* functions arriving within
         the same decision tick are placed one by one -- each against
@@ -309,12 +300,6 @@ class SimulationEngine:
         self, scheduler: BaseScheduler, staged: list[KeepAliveRequest]
     ) -> float:
         """Decide and admit keep-alive for one placed decision group."""
-        if len(staged) == 1:
-            # Singleton: the plain keepalive call (the KDM's view-based
-            # single-swarm fast path, no batch overhead).
-            req = staged[0]
-            decision, wall = self._timed(scheduler.keepalive, req)
-            return self._finish_decision(scheduler, req, decision, wall)
         decisions, wall = self._timed(scheduler.keepalive_batch, staged)
         share = wall / len(staged)
         t_last = 0.0
@@ -339,14 +324,6 @@ class SimulationEngine:
                 scheduler, req.func, decision, req.t_end, req.record
             )
         return req.t_end
-
-    def _process_invocation(
-        self, scheduler: BaseScheduler, t: float, func: FunctionProfile
-    ) -> float:
-        """Handle one invocation end-to-end; returns the execution end time."""
-        req = self._place_and_record(scheduler, t, func)
-        decision, wall_ka = self._timed(scheduler.keepalive, req)
-        return self._finish_decision(scheduler, req, decision, wall_ka)
 
     def _place_and_record(
         self, scheduler: BaseScheduler, t: float, func: FunctionProfile
@@ -571,7 +548,7 @@ class SimulationEngine:
                 continue  # stale event: warm hit, move, or replacement
             self.pools[gen].remove(name)
             self._close_segment(container, t)
-            if self._scheduler is not None and self._scheduler.wants_expiry_events:
+            if self._scheduler is not None:
                 self._scheduler.on_container_expired(name, gen, t)
 
     def _close_segment(self, container: WarmContainer, t_close: float) -> None:
@@ -617,7 +594,7 @@ class SimulationEngine:
         """Invoke a scheduler decision, optionally measuring wall time."""
         if not self.config.measure_decision_overhead:
             return fn(*args), 0.0
-        # ecolint: disable=ECO002 -- decision_wall_s overhead telemetry, gated off by default and excluded from deterministic outputs
+        # ecolint: disable=ECO002 -- decision_wall_s overhead telemetry (measure_decision_overhead, on by default), excluded from deterministic outputs
         start = time.perf_counter()
         result = fn(*args)
         # ecolint: disable=ECO002 -- closes the decision_wall_s measurement started above

@@ -6,8 +6,10 @@ The engine consults a scheduler at three points:
    Per the paper's EPDM, if the function is warm somewhere the engine expects
    the scheduler to pick a warm location (warm placements never pay a cold
    start); all shipped schedulers do.
-2. :meth:`BaseScheduler.keepalive` -- after execution: where and for how
-   long to keep the function alive (the KDM decision).
+2. :meth:`BaseScheduler.keepalive_batch` -- after execution: where and for
+   how long to keep each function of a same-tick group alive (the KDM
+   decision). The base class loops over :meth:`BaseScheduler.keepalive`;
+   EcoLife steps the whole group through one batched swarm kernel.
 3. :meth:`BaseScheduler.rank_keepalive_candidates` -- when a pool overflows:
    a priority order over incumbents + the incoming container. The engine
    packs the pool greedily in that order, spills the rest to the other
@@ -19,6 +21,12 @@ Schedulers observe the world through :class:`SchedulerEnv`: current carbon
 intensity, recent invocation rate, pool occupancy, hardware pair, carbon
 model, and -- only for oracle schedulers that declare
 ``requires_lookahead`` -- the trace's next-arrival index.
+
+Optional capabilities are declared by overriding their hook, never by a
+flag: a scheduler that overrides :meth:`BaseScheduler.place_foreign` can
+run sharded, and one that also overrides
+:meth:`BaseScheduler.observe_foreign_run` gets the sharded replay's bulk
+foreign fast path (see :func:`overrides_hook`).
 """
 
 from __future__ import annotations
@@ -244,15 +252,11 @@ class BaseScheduler(abc.ABC):
     requires_lookahead: bool = False
     #: Whether adjustment may spill evicted containers to the other pool.
     allow_spill: bool = True
-    #: Schedulers that batch same-tick keep-alive decisions (see
-    #: :meth:`keepalive_batch`) set this True; the engine then groups
-    #: simultaneous arrivals of distinct functions into one call.
-    supports_keepalive_batch: bool = False
-    #: Width (seconds) of the shared decision tick for batching
-    #: schedulers: 0 (default) batches only exactly-simultaneous
-    #: arrivals; > 0 groups arrivals of distinct functions whose times
-    #: fall in the same ``floor(t / quantum)`` bucket, letting
-    #: ``keepalive_batch`` fire on continuous (non-quantised) traces.
+    #: Width (seconds) of the shared decision tick: 0 (default) groups
+    #: only exactly-simultaneous arrivals; > 0 groups arrivals of
+    #: distinct functions whose times fall in the same
+    #: ``floor(t / quantum)`` bucket, letting ``keepalive_batch`` fire on
+    #: continuous (non-quantised) traces.
     #: Bit-identical at any width: placements still run one arrival at
     #: a time against fully drained pool state, each decision is
     #: evaluated at its own instant, and the engine closes a group
@@ -265,28 +269,8 @@ class BaseScheduler(abc.ABC):
     #: uses ``min(decision_quantum_s, observed_min)`` as the effective
     #: width (or the observed minimum alone when the static width is 0).
     #: A pure look-ahead heuristic -- replays are bit-identical at any,
-    #: even varying, width. Only honoured alongside
-    #: :attr:`supports_keepalive_batch`.
+    #: even varying, width.
     adaptive_decision_quantum: bool = False
-    #: Schedulers that want :meth:`on_container_expired` notifications
-    #: (e.g. to drive state-retirement sweeps without depending on
-    #: decision traffic) set this True.
-    wants_expiry_events: bool = False
-    #: Schedulers that can replay foreign placements set this True (see
-    #: :meth:`place_foreign`); it gates the function-sharded replay in
-    #: ``repro.simulator.shard``.
-    supports_sharding: bool = False
-    #: Schedulers for which a *run* of consecutive foreign arrivals may
-    #: be replayed in one :meth:`observe_foreign_run` call instead of
-    #: per-event :meth:`place_foreign` calls set this True. The contract
-    #: (checked by ecolint ECO006; argued in ``docs/sharding.md``): when
-    #: every arrival in the run is a cold foreign placement -- no warm
-    #: pool holds any of the run's functions and no simulator event fires
-    #: before the run's last instant -- the scheduler's state after
-    #: :meth:`observe_foreign_run` must be bit-identical to the state
-    #: after the equivalent sequence of :meth:`place_foreign` calls
-    #: (whose placement return values are then provably unused).
-    foreign_batch_safe: bool = False
 
     def __init__(self) -> None:
         self.env: SchedulerEnv | None = None
@@ -294,6 +278,14 @@ class BaseScheduler(abc.ABC):
     def bind(self, env: SchedulerEnv) -> None:
         """Called once by the engine before the run starts."""
         self.env = env
+
+    @property
+    def supports_sharding(self) -> bool:
+        """Whether the scheduler can run a function-sharded replay.
+
+        True exactly when it overrides :meth:`place_foreign`.
+        """
+        return overrides_hook(self, "place_foreign")
 
     # -- decision points --------------------------------------------------------
 
@@ -316,12 +308,11 @@ class BaseScheduler(abc.ABC):
         :meth:`place` returns for the same request on the owning shard,
         while touching only state every shard replicates (the placement
         decision must be a pure function of the request plus globally
-        shared inputs such as the carbon-intensity clock). Only called
-        when :attr:`supports_sharding` is set.
+        shared inputs such as the carbon-intensity clock). Overriding it
+        is what makes :attr:`supports_sharding` true.
         """
         raise NotImplementedError(
-            f"{self.name}: sharded replay requires place_foreign "
-            "(set supports_sharding = True only with an implementation)"
+            f"{self.name}: sharded replay requires place_foreign"
         )
 
     def observe_foreign_run(
@@ -330,30 +321,31 @@ class BaseScheduler(abc.ABC):
         """Absorb a bulk run of provably inert foreign arrivals.
 
         ``groups`` holds, per function appearing in the run, its sorted
-        arrival instants (a float64 array or list). Called by the sharded replay
-        fast path instead of per-event :meth:`place_foreign` when the
-        run is inert (see :attr:`foreign_batch_safe` for the exact
-        conditions); implementations must update whatever arrival-driven
-        state :meth:`place_foreign` updates -- and nothing else -- so
-        the replay stays bit-identical with the fast path on or off.
-        Only called when :attr:`foreign_batch_safe` is set.
+        arrival instants (a float64 array or list). The sharded replay
+        calls it instead of per-event :meth:`place_foreign` -- and only
+        for schedulers that override it -- when the run is inert: every
+        arrival in it is a cold foreign placement (no warm pool holds
+        any of the run's functions) and no simulator event fires before
+        the run's last instant. The scheduler's state afterwards must be
+        bit-identical to the state after the equivalent
+        :meth:`place_foreign` calls, whose placement return values are
+        then provably unused (see ``docs/sharding.md``).
         """
         raise NotImplementedError(
-            f"{self.name}: the foreign fast path requires observe_foreign_run "
-            "(set foreign_batch_safe = True only with an implementation)"
+            f"{self.name}: the foreign fast path requires observe_foreign_run"
         )
 
     def keepalive_batch(
         self, reqs: Sequence[KeepAliveRequest]
     ) -> list[KeepAliveDecision]:
-        """Batched keep-alive decisions for simultaneous arrivals.
+        """Keep-alive decisions for one same-tick group of arrivals.
 
-        The engine only calls this (and only for schedulers that declare
-        ``supports_keepalive_batch``) with requests from *distinct*
-        functions arriving at the same instant, whose decisions are
-        therefore order-independent. The default falls back to sequential
-        :meth:`keepalive` calls; EcoLife overrides it to step all the
-        functions' swarms through one batched fleet kernel.
+        The engine's only keep-alive entry point. It calls this with
+        requests from *distinct* functions in one decision tick (see
+        :attr:`decision_quantum_s`), whose decisions are therefore
+        order-independent -- a single request is a group of one. The
+        default loops over :meth:`keepalive`; EcoLife overrides it to
+        step all the functions' swarms through one batched fleet kernel.
         """
         return [self.keepalive(req) for req in reqs]
 
@@ -362,12 +354,12 @@ class BaseScheduler(abc.ABC):
     ) -> None:
         """Notification: a warm container reached its expiry untouched.
 
-        Delivered only when :attr:`wants_expiry_events` is set, and only
-        for genuine expiries (not warm hits, moves, or evictions). This
-        is bookkeeping, not a decision point: implementations must not
-        change any scheduling outcome from here -- EcoLife uses it to
-        trigger bit-identical state-retirement sweeps during quiet
-        periods when no decisions arrive.
+        Delivered for genuine expiries only (not warm hits, moves, or
+        evictions); the default does nothing. This is bookkeeping, not a
+        decision point: implementations must not change any scheduling
+        outcome from here -- EcoLife uses it to trigger bit-identical
+        state-retirement sweeps during quiet periods when no decisions
+        arrive.
         """
 
     def rank_keepalive_candidates(
@@ -413,6 +405,11 @@ class BaseScheduler(abc.ABC):
         return self.env.carbon_model.est_keepalive_rate_g_per_s(
             self.env.server(gen), func.mem_gb, ci
         )
+
+
+def overrides_hook(scheduler: BaseScheduler, hook: str) -> bool:
+    """Whether ``scheduler``'s class overrides the base ``hook`` method."""
+    return getattr(type(scheduler), hook) is not getattr(BaseScheduler, hook)
 
 
 DEFAULT_KEEPALIVE_S = 10.0 * units.SECONDS_PER_MINUTE

@@ -60,7 +60,11 @@ from repro.hardware.specs import GENERATIONS, HardwarePair
 from repro.simulator.containers import WarmContainer
 from repro.simulator.engine import ShardStep, SimulationConfig, SimulationEngine
 from repro.simulator.records import SimulationResult
-from repro.simulator.scheduler import BaseScheduler, PlacementRequest
+from repro.simulator.scheduler import (
+    BaseScheduler,
+    PlacementRequest,
+    overrides_hook,
+)
 from repro.workloads.functions import FunctionProfile
 from repro.workloads.trace import InvocationTrace
 
@@ -179,8 +183,9 @@ class ShardEngine(SimulationEngine):
         self._by_index: dict[int, object] = {}
         self._barrier_seq = 0
         #: Bulk-skip provably inert foreign runs (requires a scheduler
-        #: with ``foreign_batch_safe``); off forces the per-event replay,
-        #: which the identity tests and the trace bench compare against.
+        #: that overrides ``observe_foreign_run``); off forces the
+        #: per-event replay, which the identity tests and the trace
+        #: bench compare against.
         self.foreign_fast_path = foreign_fast_path
         #: (pool versions, bool table over intern ids) -- a derived view
         #: of the replicated pools, rebuilt on version mismatch.
@@ -219,7 +224,7 @@ class ShardEngine(SimulationEngine):
         if not scheduler.supports_sharding:
             raise ValueError(
                 f"{scheduler.name} does not support sharded replay "
-                "(supports_sharding is False)"
+                "(supports_sharding is False: no place_foreign override)"
             )
         if not isinstance(self.trace, InvocationTrace):
             raise TypeError("sharded replay requires a full InvocationTrace")
@@ -241,7 +246,9 @@ class ShardEngine(SimulationEngine):
         own = trace.event_mask(self.own_names)
         rounds = np.floor_divide(times, width)
         n = int(times.size)
-        fast = self.foreign_fast_path and scheduler.foreign_batch_safe
+        fast = self.foreign_fast_path and overrides_hook(
+            scheduler, "observe_foreign_run"
+        )
         if n:
             # Segment starts: first event, round transitions, and
             # own/foreign flips. Within a segment all events share one

@@ -59,18 +59,3 @@ def all_functions():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
-
-
-@pytest.fixture(scope="session")
-def batch_swarms_default():
-    """Which swarm path this run exercises by default.
-
-    ``True`` = batched :class:`SwarmFleet`, ``False`` = sequential
-    per-function reference. Driven by the ``ECOLIFE_BATCH_SWARMS``
-    environment knob, which the CI matrix sets to run the whole tier-1
-    suite down both paths (they are bit-identical by contract, so every
-    test must pass either way).
-    """
-    from repro.core.config import batch_swarms_default as knob
-
-    return knob()

@@ -1,4 +1,9 @@
-"""Vanilla Particle Swarm Optimization (paper Sec. IV-C, "Basics of PSO").
+"""Sequential vanilla PSO (paper Sec. IV-C, "Basics of PSO"): an oracle.
+
+One swarm object per function. The scheduler steps every swarm through
+:class:`~repro.optimizers.batch.SwarmFleet`; this class is the
+per-function reference the fleet matches bit for bit under
+``rng_mode="stream"``.
 
 Velocity/position update per iteration::
 
@@ -23,7 +28,7 @@ class ParticleSwarm(ContinuousOptimizer):
 
     Parameters mirror the paper's setup: 15 particles; ``omega``, ``c1``,
     ``c2`` control exploration/exploitation and are mutated on the fly by
-    the dynamic extension (:class:`repro.optimizers.dynamic_pso.DynamicPSO`).
+    the dynamic extension (:class:`tests.oracles.dynamic_pso.DynamicPSO`).
 
     ``rescore_bests`` controls whether personal/global best *scores* are
     re-evaluated against the current landscape each step. Classic vanilla

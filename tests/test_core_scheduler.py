@@ -87,20 +87,20 @@ class TestVariants:
         assert all(r.location is Generation.NEW for r in res.records)
 
     def test_without_dpso_uses_vanilla_swarm(self):
-        from repro.optimizers import DynamicPSO, ParticleSwarm
-
         sched = EcoLifeScheduler.without_dpso()
         run(periodic_events(_func("x"), 120.0, 5), sched)
-        opt = sched.kdm.optimizer_for("x")
-        assert isinstance(opt, ParticleSwarm)
-        assert not isinstance(opt, DynamicPSO)
+        assert sched.kdm.use_fleet
+        fleet = sched.kdm._fleet_for_config()
+        assert not fleet.dynamic and not fleet.rescore_bests
+        assert sched.kdm.redistributions == 0
 
     def test_default_uses_dynamic_pso(self):
-        from repro.optimizers import DynamicPSO
-
         sched = EcoLifeScheduler()
         run(periodic_events(_func("x"), 120.0, 5), sched)
-        assert isinstance(sched.kdm.optimizer_for("x"), DynamicPSO)
+        assert sched.kdm.use_fleet
+        fleet = sched.kdm._fleet_for_config()
+        assert fleet.dynamic and fleet.params == sched.config.dpso
+        assert sched.kdm.optimizer_count == 1
 
     def test_ga_and_sa_variants(self):
         from repro.optimizers import GeneticOptimizer, SimulatedAnnealing
@@ -182,3 +182,22 @@ class TestAdjusterScoring:
         s_h = adj.benefit_score(heavy_cold, Generation.NEW, 250.0)
         s_l = adj.benefit_score(light_cold, Generation.NEW, 250.0)
         assert s_h > s_l
+
+
+class TestCapabilitiesFromHooks:
+    """Optional capabilities follow from hook overrides, not flags."""
+
+    def test_sharding_support_follows_place_foreign(self):
+        from repro.baselines import new_only, oracle
+        from repro.simulator.scheduler import overrides_hook
+
+        eco = EcoLifeScheduler()
+        assert eco.supports_sharding
+        assert overrides_hook(eco, "observe_foreign_run")
+        for baseline in (new_only(), oracle()):
+            assert not baseline.supports_sharding
+            assert not overrides_hook(baseline, "observe_foreign_run")
+
+    def test_supports_sharding_is_read_only(self):
+        with pytest.raises(AttributeError):
+            EcoLifeScheduler().supports_sharding = False

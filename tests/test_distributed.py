@@ -371,6 +371,14 @@ class TestCacheResumeAfterPartialRun:
                 exit_when_drained=False,
             )
             thread.join(timeout=60)
+            # The server commits each result on its own thread, so the
+            # second future may resolve just after the worker exits.
+            deadline = time.monotonic() + 30.0
+            while (
+                sum(f.done() for f in futures) < 2
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
             done = [f for f in futures if f.done()]
             assert len(done) == 2  # the worker quit mid-sweep
         finally:

@@ -161,73 +161,6 @@ class TestEco004:
         assert lint_source(src, "tests/test_x.py") == []
 
 
-# -- ECO006: scheduler protocol conformance -----------------------------------
-
-_SCHED_PRELUDE = "from repro.simulator.scheduler import BaseScheduler\n"
-
-
-class TestEco006:
-    def test_declared_batch_without_hook_flagged(self):
-        src = _SCHED_PRELUDE + (
-            "class S(BaseScheduler):\n"
-            "    supports_keepalive_batch = True\n"
-        )
-        assert "ECO006" in codes(lint_source(src, HOT))
-
-    def test_instance_attr_declaration_detected(self):
-        src = _SCHED_PRELUDE + (
-            "class S(BaseScheduler):\n"
-            "    def __init__(self):\n"
-            "        self.wants_expiry_events = True\n"
-        )
-        assert "ECO006" in codes(lint_source(src, HOT))
-
-    def test_quantum_without_batch_flag_flagged(self):
-        src = _SCHED_PRELUDE + (
-            "class S(BaseScheduler):\n"
-            "    decision_quantum_s = 60.0\n"
-            "    def keepalive_batch(self, reqs):\n"
-            "        return []\n"
-        )
-        assert "ECO006" in codes(lint_source(src, HOT))
-
-    def test_foreign_batch_safe_without_hook_flagged(self):
-        src = _SCHED_PRELUDE + (
-            "class S(BaseScheduler):\n"
-            "    foreign_batch_safe = True\n"
-        )
-        assert "ECO006" in codes(lint_source(src, HOT))
-
-    def test_foreign_batch_safe_with_hook_clean(self):
-        src = _SCHED_PRELUDE + (
-            "class S(BaseScheduler):\n"
-            "    foreign_batch_safe = True\n"
-            "    def observe_foreign_run(self, groups):\n"
-            "        pass\n"
-        )
-        assert lint_source(src, HOT) == []
-
-    def test_conforming_subclass_clean(self):
-        src = _SCHED_PRELUDE + (
-            "class S(BaseScheduler):\n"
-            "    supports_keepalive_batch = True\n"
-            "    wants_expiry_events = True\n"
-            "    def keepalive_batch(self, reqs):\n"
-            "        return []\n"
-            "    def on_container_expired(self, name, generation, t):\n"
-            "        pass\n"
-        )
-        assert lint_source(src, HOT) == []
-
-    def test_protocol_defaults_are_not_declarations(self):
-        src = _SCHED_PRELUDE + (
-            "class S(BaseScheduler):\n"
-            "    supports_keepalive_batch = False\n"
-            "    decision_quantum_s = 0.0\n"
-        )
-        assert lint_source(src, HOT) == []
-
-
 # -- ECO005: synthetic contract violations ------------------------------------
 
 _GOOD_FLEET = '''

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.carbon import CarbonIntensityTrace
-from repro.core import EcoLifeConfig, EcoLifeScheduler
+from repro.core import EcoLifeConfig, EcoLifeScheduler, OptimizerKind
 from repro.hardware import PAIR_A
 from repro.simulator import SimulationConfig, SimulationEngine
 from repro.workloads import FunctionProfile, InvocationTrace
@@ -52,10 +52,6 @@ class RecordingScheduler(EcoLifeScheduler):
     def __init__(self, config):
         super().__init__(config)
         self.batch_sizes = []
-
-    def keepalive(self, req):
-        self.batch_sizes.append(1)
-        return super().keepalive(req)
 
     def keepalive_batch(self, reqs):
         self.batch_sizes.append(len(reqs))
@@ -97,17 +93,22 @@ class TestQuantumOff:
     def test_zero_quantum_never_groups_distinct_instants(self):
         trace = continuous_trace()
         off, sched = replay(trace, EcoLifeConfig(), RecordingScheduler)
-        if sched.supports_keepalive_batch:
-            assert max(sched.batch_sizes) == 1
+        assert max(sched.batch_sizes) == 1
         assert len(off.records) == len(trace)
 
     def test_scheduler_without_batch_support_ignores_quantum(self):
-        cfg = EcoLifeConfig(batch_swarms=False, decision_quantum_s=30.0)
-        sched = EcoLifeScheduler(cfg)
-        assert sched.decision_quantum_s == 0.0
+        """GA has no batched kernel: its ``keepalive_batch`` decides item
+        by item, so the quantum regroups its decisions but changes none
+        of its results."""
+        ga = EcoLifeConfig(optimizer=OptimizerKind.GENETIC)
         trace = continuous_trace(n_funcs=4, horizon_s=300.0)
-        quantum, _ = replay(trace, cfg)
-        plain, _ = replay(trace, EcoLifeConfig(batch_swarms=False))
+        quantum, sched = replay(
+            trace,
+            EcoLifeConfig(optimizer=OptimizerKind.GENETIC, decision_quantum_s=30.0),
+            RecordingScheduler,
+        )
+        assert max(sched.batch_sizes) > 1
+        plain, _ = replay(trace, ga)
         assert_records_identical(quantum, plain)
 
 
@@ -115,8 +116,6 @@ class TestQuantumOn:
     def test_groups_form_on_continuous_traces(self):
         trace = continuous_trace()
         cfg = EcoLifeConfig(decision_quantum_s=1.0)
-        if not EcoLifeScheduler(cfg).supports_keepalive_batch:
-            pytest.skip("fleet disabled via ECOLIFE_BATCH_SWARMS")
         _, sched = replay(trace, cfg, RecordingScheduler)
         assert max(sched.batch_sizes) > 1  # batching actually engaged
 
@@ -212,19 +211,22 @@ class TestAdaptiveQuantum:
         """Self-tuning: with no hand-picked quantum, groups still form
         on a dense continuous trace once a service time is observed."""
         cfg = EcoLifeConfig(adaptive_decision_quantum=True)
-        if not EcoLifeScheduler(cfg).supports_keepalive_batch:
-            pytest.skip("fleet disabled via ECOLIFE_BATCH_SWARMS")
         trace = continuous_trace(n_funcs=12, horizon_s=1200.0, mean_iat=2.0)
         _, sched = replay(trace, cfg, RecordingScheduler)
         assert max(sched.batch_sizes) > 1
 
-    def test_adaptive_requires_batch_support(self):
-        cfg = EcoLifeConfig(batch_swarms=False, adaptive_decision_quantum=True)
-        sched = EcoLifeScheduler(cfg)
-        assert sched.adaptive_decision_quantum is False
+    def test_adaptive_without_batch_kernel_is_bit_identical(self):
+        """SA decides item by item inside ``keepalive_batch``; the
+        adaptive tick regroups it without changing a result."""
         trace = continuous_trace(n_funcs=4, horizon_s=300.0)
-        on, _ = replay(trace, cfg)
-        plain, _ = replay(trace, EcoLifeConfig(batch_swarms=False))
+        sa = EcoLifeConfig(optimizer=OptimizerKind.ANNEALING)
+        on, _ = replay(
+            trace,
+            EcoLifeConfig(
+                optimizer=OptimizerKind.ANNEALING, adaptive_decision_quantum=True
+            ),
+        )
+        plain, _ = replay(trace, sa)
         assert_records_identical(on, plain)
 
     def test_adaptive_under_memory_pressure_bit_identical(self):

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import EcoLifeConfig, EcoLifeScheduler
 from repro.experiments import quick_scenario, run_suite
+from repro.experiments.registry import register_scheduler, unregister_scheduler
 from repro.experiments.runner import (
     SCHEDULER_NAMES,
     ParallelRunner,
@@ -23,6 +24,7 @@ from repro.experiments.runner import (
     make_scheduler,
 )
 from repro.workloads.generators import WorkloadSpec
+from tests.oracles import sequential_ecolife
 
 
 def tiny_grid(**overrides):
@@ -167,47 +169,39 @@ class TestDeterminism:
 
 
 class TestBatchedSwarmEquivalence:
-    """Batched fleet replays must be indistinguishable from the
-    per-function DPSO path in every deterministic aggregate."""
+    """Fleet replays must be indistinguishable from the sequential-DPSO
+    oracle (``tests/oracles``) in every deterministic aggregate."""
 
     def test_batch_on_off_identical_cached_summaries(self, tmp_path):
-        """A short two-function replay, batching on vs off, through the
-        full runner + ResultCache pipeline."""
+        """A short two-function replay, fleet vs sequential oracle,
+        through the full runner + ResultCache pipeline."""
         g = tiny_grid(n_functions=2, hours=0.5)
+        # Stream RNG pinned: fleet/oracle bit-identity is the stream
+        # contract (counter mode intentionally differs).
+        config = EcoLifeConfig(rng_mode="stream")
+        oracles = {
+            "ecolife-sequential": lambda c: sequential_ecolife(c),
+            "ecolife-no-dpso-sequential": lambda c: sequential_ecolife(
+                c.without_dpso()
+            ),
+        }
+        for name, factory in oracles.items():
+            register_scheduler(name)(factory)
+        names = {True: ["ecolife", "ecolife-no-dpso"], False: list(oracles)}
         results = {}
-        for flag in (True, False):
-            cache = ResultCache(tmp_path / f"batch-{flag}")
-            runner = ParallelRunner(n_workers=1, cache=cache)
-            # Stream RNG pinned: on/off bit-identity is the stream
-            # contract (counter mode intentionally differs).
-            config = EcoLifeConfig(batch_swarms=flag, rng_mode="stream")
-            grid_result = runner.run_grid(
-                g, ["ecolife", "ecolife-no-dpso"], config=config
-            )
-            # What landed in the cache is what we compare.
-            cached = [cache.get(job) for job in grid_result.jobs]
-            assert all(c is not None for c in cached)
-            results[flag] = [c.deterministic_dict() for c in cached]
+        try:
+            for flag in (True, False):
+                cache = ResultCache(tmp_path / f"batch-{flag}")
+                runner = ParallelRunner(n_workers=1, cache=cache)
+                grid_result = runner.run_grid(g, names[flag], config=config)
+                # What landed in the cache is what we compare.
+                cached = [cache.get(job) for job in grid_result.jobs]
+                assert all(c is not None for c in cached)
+                results[flag] = [c.deterministic_dict() for c in cached]
+        finally:
+            for name in oracles:
+                unregister_scheduler(name)
         assert results[True] == results[False]
-
-    def test_batch_flag_changes_cache_key_not_results(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec = ScenarioSpec(n_functions=2, hours=0.5)
-        on = RunnerJob(
-            scheduler="ecolife",
-            spec=spec,
-            config=EcoLifeConfig(batch_swarms=True, rng_mode="stream"),
-        )
-        off = RunnerJob(
-            scheduler="ecolife",
-            spec=spec,
-            config=EcoLifeConfig(batch_swarms=False, rng_mode="stream"),
-        )
-        assert cache.key(on) != cache.key(off)
-        assert (
-            execute_job(on).deterministic_dict()
-            == execute_job(off).deterministic_dict()
-        )
 
 
 class TestResultCache:
@@ -605,23 +599,6 @@ class TestRecordPersistence:
         cache.put(job, execute_job(job))
         with pytest.raises(KeyError, match="no persisted records"):
             grid_record_cdfs(cache, [job])
-
-
-class TestBatchSwarmsEnvKnob:
-    def test_default_reads_env(self, monkeypatch):
-        from repro.core.config import batch_swarms_default
-
-        monkeypatch.delenv("ECOLIFE_BATCH_SWARMS", raising=False)
-        assert batch_swarms_default() is True
-        for off in ("0", "false", "OFF", " False "):
-            monkeypatch.setenv("ECOLIFE_BATCH_SWARMS", off)
-            assert batch_swarms_default() is False
-            assert EcoLifeConfig().batch_swarms is False
-        monkeypatch.setenv("ECOLIFE_BATCH_SWARMS", "1")
-        assert EcoLifeConfig().batch_swarms is True
-
-    def test_fixture_reflects_knob(self, batch_swarms_default):
-        assert batch_swarms_default == EcoLifeConfig().batch_swarms
 
 
 class TestRunSuiteIntegration:

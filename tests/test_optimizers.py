@@ -1,4 +1,9 @@
-"""Optimizer substrate: convergence, bounds, and mechanism tests."""
+"""Optimizer substrate: convergence, bounds, and mechanism tests.
+
+``ParticleSwarm`` / ``DynamicPSO`` are the sequential oracles the
+scheduler's ``SwarmFleet`` is checked against (``tests/oracles``); their
+mechanism tests live here with GA/SA's.
+"""
 
 import numpy as np
 import pytest
@@ -7,13 +12,12 @@ from hypothesis import strategies as st
 
 from repro.optimizers import (
     DPSOParams,
-    DynamicPSO,
     GeneticOptimizer,
-    ParticleSwarm,
     SimulatedAnnealing,
     cartesian_grid,
     grid_best,
 )
+from tests.oracles import DynamicPSO, ParticleSwarm
 
 
 def sphere(target):

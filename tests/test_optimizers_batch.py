@@ -1,9 +1,10 @@
 """SwarmFleet equivalence: batched stepping must be bit-identical to
 independent per-function optimizers seeded with the same RNG streams.
 
-This is the contract that lets the KDM route decisions through the fleet
-(``EcoLifeConfig.batch_swarms``) without changing a single simulation
-number -- see ``docs/optimizers.md``.
+The fleet is the only PSO implementation the scheduler runs; the
+sequential ``ParticleSwarm`` / ``DynamicPSO`` optimizers and the
+sequential-DPSO KDM live in ``tests/oracles`` as the reference it must
+match -- see ``docs/optimizers.md``.
 """
 
 import numpy as np
@@ -15,9 +16,15 @@ from repro.core.arrival import ArrivalRegistry
 from repro.core.kdm import KeepAliveDecisionMaker
 from repro.core.scheduler import EcoLifeScheduler
 from repro.hardware import PAIR_A
-from repro.optimizers import DPSOParams, DynamicPSO, ParticleSwarm, SwarmFleet
+from repro.optimizers import DPSOParams, SwarmFleet
 from repro.simulator import SimulationConfig, SimulationEngine
 from repro.workloads import FunctionProfile, InvocationTrace
+from tests.oracles import (
+    DynamicPSO,
+    ParticleSwarm,
+    SequentialKDM,
+    sequential_ecolife,
+)
 from tests.test_core_objective import make_env
 
 N_SWARMS = 6
@@ -437,16 +444,16 @@ class TestBatchFitness:
 
 class TestKDMBatchDecisions:
     def _kdm(self, batch: bool, dynamic: bool = True):
+        """``batch``: the fleet KDM; otherwise the sequential oracle."""
         env = make_env()
         # Pinned to the stream RNG: this class asserts bit-identity
-        # against the sequential per-function path, which only the
+        # against the sequential per-function oracle, which only the
         # stream contract provides (counter mode is self-consistent but
         # intentionally different; see tests/test_rng_counter.py).
-        cfg = EcoLifeConfig(
-            batch_swarms=batch, use_dynamic_pso=dynamic, rng_mode="stream"
-        )
+        cfg = EcoLifeConfig(use_dynamic_pso=dynamic, rng_mode="stream")
         arrivals = ArrivalRegistry()
-        return KeepAliveDecisionMaker(env, cfg, arrivals), arrivals
+        kdm_cls = KeepAliveDecisionMaker if batch else SequentialKDM
+        return kdm_cls(env, cfg, arrivals), arrivals
 
     def _funcs(self, n=4):
         return [
@@ -490,7 +497,7 @@ class TestKDMBatchDecisions:
         from repro.core.config import OptimizerKind
 
         env = make_env()
-        cfg = EcoLifeConfig(batch_swarms=True, optimizer=OptimizerKind.GENETIC)
+        cfg = EcoLifeConfig(optimizer=OptimizerKind.GENETIC)
         kdm = KeepAliveDecisionMaker(env, cfg, ArrivalRegistry())
         assert not kdm.use_fleet
         funcs = self._funcs(2)
@@ -500,7 +507,8 @@ class TestKDMBatchDecisions:
 
 
 class TestEngineGrouping:
-    """Same-tick grouped replay == sequential replay, bit for bit."""
+    """Fleet replay (same-tick groups stepped in fused kernels) ==
+    sequential-DPSO replay, bit for bit."""
 
     def _quantized_events(self, n_funcs=8, n_ticks=12, tick=90.0):
         funcs = [
@@ -525,12 +533,10 @@ class TestEngineGrouping:
             ci_trace=CarbonIntensityTrace.constant(250.0),
             config=SimulationConfig(**cfg_kw),
         )
-        # Stream RNG pinned: grouped-vs-sequential bit-identity is the
+        # Stream RNG pinned: fleet-vs-sequential bit-identity is the
         # stream contract (counter mode is covered by test_rng_counter).
-        sched = EcoLifeScheduler(
-            EcoLifeConfig(batch_swarms=batch, rng_mode="stream")
-        )
-        assert sched.supports_keepalive_batch is batch
+        config = EcoLifeConfig(rng_mode="stream")
+        sched = EcoLifeScheduler(config) if batch else sequential_ecolife(config)
         return engine.run(sched)
 
     def test_grouped_replay_bit_identical(self):

@@ -5,8 +5,9 @@ Retirement (``EcoLifeConfig.retire_after_s`` / ``max_live_swarms``) must
 never change a decision -- archived functions rehydrate bit-identically --
 while bounding the live per-function state (fleet slots, arrival
 estimators, perception scalars) to the *active* cohort on churned traces.
-The suite runs under both ``ECOLIFE_BATCH_SWARMS`` legs via the CI
-matrix, so every test must hold down the fleet and sequential paths.
+The KDM-level tests run down both the fleet and the sequential-DPSO
+oracle (``tests/oracles``), which archives optimizer objects instead of
+swarm rows.
 """
 
 import pytest
@@ -20,6 +21,7 @@ from repro.simulator import SimulationConfig, SimulationEngine
 from repro.simulator.scheduler import BaseScheduler, KeepAliveDecision
 from repro.workloads import FunctionProfile
 from repro.workloads.generators import WorkloadSpec, build_trace
+from tests.oracles import SequentialKDM, sequential_ecolife
 from tests.test_core_objective import make_env
 
 RETIRE = dict(retire_after_s=900.0)
@@ -43,14 +45,14 @@ def _churn_trace(n_functions=32, hours=3.0, cohorts=4, seed=11):
     )
 
 
-def _replay(trace, config, **sim_kw):
+def _replay(trace, config, scheduler_cls=EcoLifeScheduler, **sim_kw):
     engine = SimulationEngine(
         pair=PAIR_A,
         trace=trace,
         ci_trace=CarbonIntensityTrace.constant(250.0),
         config=SimulationConfig(measure_decision_overhead=False, **sim_kw),
     )
-    scheduler = EcoLifeScheduler(config)
+    scheduler = scheduler_cls(config)
     result = engine.run(scheduler)
     return result, scheduler
 
@@ -71,10 +73,12 @@ class TestKDMSweep:
     """Unit-level: the sweep archives, rehydrates, and stays invisible."""
 
     def _kdm(self, batch, **retire_kw):
+        """``batch``: the fleet KDM; otherwise the sequential oracle."""
         env = make_env()
-        cfg = EcoLifeConfig(batch_swarms=batch, **retire_kw)
+        cfg = EcoLifeConfig(rng_mode="stream", **retire_kw)
         arrivals = ArrivalRegistry()
-        return KeepAliveDecisionMaker(env, cfg, arrivals), arrivals
+        kdm_cls = KeepAliveDecisionMaker if batch else SequentialKDM
+        return kdm_cls(env, cfg, arrivals), arrivals
 
     def _drive(self, kdm, arrivals, schedule):
         """Replay (t, names) decision rounds through arrival + decide."""
@@ -163,6 +167,16 @@ class TestEngineChurnReplay:
         assert_records_identical(off, on)
         assert sched.kdm.retired > 0
 
+    def test_retirement_replay_matches_sequential_oracle(self):
+        """Retired per-function optimizer objects (the oracle) and
+        retired swarm rows (the fleet) rehydrate to the same decisions."""
+        trace = _churn_trace(n_functions=16, hours=1.5)
+        config = EcoLifeConfig(rng_mode="stream", **RETIRE)
+        fleet, _ = _replay(trace, config)
+        oracle, sched = _replay(trace, config, scheduler_cls=sequential_ecolife)
+        assert_records_identical(fleet, oracle)
+        assert sched.kdm.retired > 0
+
     def test_retirement_bounds_memory_on_churn(self):
         trace = _churn_trace()
         ever_seen = len({r for r in trace.func_names})
@@ -243,7 +257,6 @@ class TestEngineChurnReplay:
         so a run ends with its idle tail retired (no decision traffic)."""
         trace = _churn_trace(n_functions=16, hours=1.5, cohorts=2)
         _, sched = _replay(trace, EcoLifeConfig(retire_after_s=300.0))
-        assert sched.wants_expiry_events
         # The last cohort's state outlives the last decision only until
         # its containers expire; the final drain retires everything idle.
         assert sched.kdm.live_count == 0
@@ -255,7 +268,6 @@ class TestExpiryNotifications:
 
     class Recorder(BaseScheduler):
         name = "recorder"
-        wants_expiry_events = True
 
         def __init__(self):
             super().__init__()
@@ -296,11 +308,16 @@ class TestExpiryNotifications:
             assert gen is Generation.NEW
             assert t > 120.0
 
-    def test_notifications_off_by_default(self):
-        sched = self.Recorder()
-        sched.wants_expiry_events = False
-        self._run(sched)
+    def test_base_hook_does_nothing(self):
+        """Expiries reach every scheduler; the base hook ignores them."""
+
+        class Silent(self.Recorder):
+            on_container_expired = BaseScheduler.on_container_expired
+
+        sched = Silent()
+        result = self._run(sched)
         assert sched.expiries == []
+        assert len(result.records) == 3
 
 
 class TestConfigValidation:

@@ -282,7 +282,7 @@ class TestKDMCounterMode:
 
     def _kdm(self, **cfg_kw):
         env = make_env()
-        cfg = EcoLifeConfig(batch_swarms=True, rng_mode="counter", **cfg_kw)
+        cfg = EcoLifeConfig(rng_mode="counter", **cfg_kw)
         arrivals = ArrivalRegistry()
         return KeepAliveDecisionMaker(env, cfg, arrivals), arrivals
 
@@ -341,15 +341,9 @@ class TestConfigKnob:
         cache = ResultCache(tmp_path)
         job = RunnerJob(scheduler="ecolife", spec=ScenarioSpec(n_functions=2))
         monkeypatch.delenv("ECOLIFE_RNG_MODE", raising=False)
-        monkeypatch.delenv("ECOLIFE_BATCH_SWARMS", raising=False)
         stream_key = cache.key(job)
         monkeypatch.setenv("ECOLIFE_RNG_MODE", "counter")
-        counter_on_key = cache.key(job)
-        assert counter_on_key != stream_key
-        # Under counter mode even the batch legs differ (counter draws
-        # only apply to the fleet path), so they must not share entries.
-        monkeypatch.setenv("ECOLIFE_BATCH_SWARMS", "0")
-        assert cache.key(job) not in (stream_key, counter_on_key)
+        assert cache.key(job) != stream_key
 
     def test_env_default(self, monkeypatch):
         from repro.core.config import rng_mode_default

@@ -283,7 +283,11 @@ async def _request(port, method, path, payload=None, close=True):
 
 
 async def _request_on(reader, writer, method, path, payload=None, close=True):
-    body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+    """``payload``: a JSON-able object, or raw ``bytes`` sent verbatim."""
+    if isinstance(payload, bytes):
+        body = payload
+    else:
+        body = b"" if payload is None else json.dumps(payload).encode("utf-8")
     connection = "close" if close else "keep-alive"
     writer.write(
         (
@@ -383,6 +387,54 @@ class TestHTTPServer:
 
                 status, body = await _request(server.port, "GET", "/decide")
                 assert status == 405
+            finally:
+                await server.stop(checkpoint=False)
+
+        asyncio.run(drive())
+
+    def test_non_finite_times_rejected_without_side_effects(self):
+        """NaN, +-inf and an overflowing ``1e999`` (as a JSON number and
+        as a string) get 400 before any state changes: the next valid
+        batch decides exactly as for a service that never saw them."""
+        scenario = quick_scenario(seed=3)
+        arrivals = scenario_arrivals(scenario)
+        first, second = arrivals[:10], arrivals[10:20]
+        name = first[-1][1]
+        bad_times = ["NaN", "Infinity", "-Infinity", "1e999", '"1e999"']
+
+        reference = scenario_service(scenario)
+        reference.decide(first)
+        expected = reference.decide(second)
+
+        async def drive():
+            service = scenario_service(scenario)
+            server = DecisionServer(service, port=0)
+            await server.start()
+            try:
+                status, _ = await _request(
+                    server.port, "POST", "/decide",
+                    {"arrivals": [{"t_s": t, "function": n} for t, n in first]},
+                )
+                assert status == 200
+                last_t, log_len = service.last_t, len(service._log)
+                for bad in bad_times:
+                    body = (
+                        '{"arrivals": [{"t_s": %s, "function": "%s"}]}'
+                        % (bad, name)
+                    ).encode("utf-8")
+                    status, reply = await _request(
+                        server.port, "POST", "/decide", body
+                    )
+                    assert status == 400, bad
+                    assert "finite" in reply["error"], bad
+                    assert service.last_t == last_t
+                    assert len(service._log) == log_len
+                status, body = await _request(
+                    server.port, "POST", "/decide",
+                    {"arrivals": [{"t_s": t, "function": n} for t, n in second]},
+                )
+                assert status == 200
+                assert body["decisions"] == expected
             finally:
                 await server.stop(checkpoint=False)
 

@@ -26,6 +26,7 @@ from repro.simulator import (
     SimulationResult,
     ThreadShardRunner,
 )
+from repro.simulator.scheduler import BaseScheduler
 from repro.simulator.shard import ShardEngine, barrier_width_s
 from repro.workloads.generators import WorkloadSpec, build_trace
 
@@ -286,17 +287,19 @@ class TestForeignFastPath:
         assert sum(absorbed) > 0
 
     def test_unsafe_scheduler_takes_per_event_path(self, tmp_path, monkeypatch):
-        # foreign_batch_safe=False must keep the engine off
-        # observe_foreign_run entirely (whose Base default raises).
+        # A scheduler that does not override observe_foreign_run must
+        # keep the engine off the bulk path entirely (the base hook
+        # raises).
         def boom(self, scheduler, times, ids, funcs, start, stop, *a, **kw):
             raise AssertionError("bulk path reached for unsafe scheduler")
 
         monkeypatch.setattr(ShardEngine, "_absorb_foreign_chunk", boom)
 
+        class PerEventEcoLife(EcoLifeScheduler):
+            observe_foreign_run = BaseScheduler.observe_foreign_run
+
         def unsafe_factory():
-            s = EcoLifeScheduler(hard_config(tmp_path / "unsafe"))
-            s.foreign_batch_safe = False
-            return s
+            return PerEventEcoLife(hard_config(tmp_path / "unsafe"))
 
         trace = churn_trace(n_funcs=10, horizon_s=1200.0)
         ci = region_trace_for("CAL", 2400.0, seed=11)

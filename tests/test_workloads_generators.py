@@ -269,20 +269,17 @@ class TestFleetEquivalenceOnGeneratedTraces:
         including churned functions that stop arriving mid-trace."""
         from repro.core import EcoLifeConfig, EcoLifeScheduler
         from repro.experiments.common import workload_scenario, run_scheduler
+        from tests.oracles import sequential_ecolife
 
         for workload in ("mmpp", "churn:inner=mmpp"):
             scenario = workload_scenario(
                 workload=workload, n_functions=8, hours=0.5, seed=3
             )
-            results = {}
-            for flag in (True, False):
-                # Stream RNG pinned: fleet-vs-solo bit-identity is the
-                # stream contract (counter mode intentionally differs).
-                cfg = EcoLifeConfig(batch_swarms=flag, rng_mode="stream")
-                results[flag] = run_scheduler(
-                    lambda: EcoLifeScheduler(cfg), scenario
-                )
-            on, off = results[True], results[False]
+            # Stream RNG pinned: fleet-vs-solo bit-identity is the
+            # stream contract (counter mode intentionally differs).
+            cfg = EcoLifeConfig(rng_mode="stream")
+            on = run_scheduler(EcoLifeScheduler(cfg), scenario)
+            off = run_scheduler(sequential_ecolife(cfg), scenario)
             assert on.total_carbon_g == off.total_carbon_g, workload
             assert on.total_service_s == off.total_service_s, workload
             assert np.array_equal(

@@ -3,8 +3,8 @@
 Mechanically enforces the contracts every PR in this repo has shipped by
 hand so far -- replay determinism (no ambient RNG or wall clocks in hot
 paths), bit-identity across retire/rehydrate cycles (archive
-completeness), bounded state (no drifting float ledgers), and scheduler
-protocol conformance. Run as ``python -m tools.ecolint src tests
+completeness), bounded state (no drifting float ledgers), and ordered
+iteration. Run as ``python -m tools.ecolint src tests
 benchmarks``; rule catalogue and suppression policy live in
 ``docs/static_analysis.md``.
 """

@@ -16,7 +16,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant linter for the EcoLife reproduction: "
             "enforces the determinism, bit-identity, and state-bounding "
-            "contracts (rules ECO001-ECO006; see docs/static_analysis.md)."
+            "contracts (rules ECO001-ECO005; see docs/static_analysis.md)."
         ),
     )
     parser.add_argument(

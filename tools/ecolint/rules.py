@@ -491,127 +491,6 @@ class Eco004SetIteration(Rule):
         )
 
 
-# ---------------------------------------------------------------------------
-# ECO006 -- scheduler-protocol conformance.
-# ---------------------------------------------------------------------------
-
-_PROTOCOL_HOOKS = {
-    "supports_keepalive_batch": "keepalive_batch",
-    "wants_expiry_events": "on_container_expired",
-    "foreign_batch_safe": "observe_foreign_run",
-}
-
-
-def _is_falsy_constant(node: ast.AST) -> bool:
-    return isinstance(node, ast.Constant) and not node.value
-
-
-class Eco006SchedulerProtocol(Rule):
-    code = "ECO006"
-    name = "scheduler-protocol"
-    description = (
-        "BaseScheduler subclasses that declare a capability flag "
-        "(supports_keepalive_batch, wants_expiry_events, "
-        "foreign_batch_safe) must implement the matching hook "
-        "(keepalive_batch, on_container_expired, observe_foreign_run), "
-        "and a non-zero decision_quantum_s requires "
-        "supports_keepalive_batch: a declared-but-unimplemented "
-        "capability silently falls back to the sequential default -- or, "
-        "for foreign_batch_safe, would crash the shard fast path -- "
-        "which is exactly the drift this gate exists to catch."
-    )
-
-    def check(self, tree: ast.AST, relpath: str) -> list[Violation]:
-        out: list[Violation] = []
-        for cls in ast.walk(tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            if not self._is_scheduler_subclass(cls):
-                continue
-            declared = self._declared_flags(cls)
-            methods = {
-                node.name
-                for node in cls.body
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            for flag, hook in _PROTOCOL_HOOKS.items():
-                node = declared.get(flag)
-                if node is not None and hook not in methods:
-                    out.append(
-                        self._violation(
-                            node,
-                            relpath,
-                            f"{cls.name} declares {flag} but does not "
-                            f"implement {hook}(); the declared capability "
-                            "would silently fall back to the sequential "
-                            "default",
-                        )
-                    )
-            quantum = declared.get("decision_quantum_s")
-            if quantum is not None and "supports_keepalive_batch" not in declared:
-                out.append(
-                    self._violation(
-                        quantum,
-                        relpath,
-                        f"{cls.name} sets decision_quantum_s without "
-                        "declaring supports_keepalive_batch; the engine "
-                        "only honours the quantum for batching schedulers",
-                    )
-                )
-        return out
-
-    @staticmethod
-    def _is_scheduler_subclass(cls: ast.ClassDef) -> bool:
-        for base in cls.bases:
-            name = base.attr if isinstance(base, ast.Attribute) else getattr(
-                base, "id", None
-            )
-            if name == "BaseScheduler":
-                return True
-        return False
-
-    @staticmethod
-    def _declared_flags(cls: ast.ClassDef) -> dict[str, ast.AST]:
-        """Flag assignments in the class body or its ``__init__``.
-
-        Assignments of literal ``False``/``0`` are the protocol defaults,
-        not declarations.
-        """
-        declared: dict[str, ast.AST] = {}
-        watched = set(_PROTOCOL_HOOKS) | {"decision_quantum_s"}
-
-        def note(target: ast.AST, value: ast.AST | None, node: ast.AST) -> None:
-            name: str | None = None
-            if isinstance(target, ast.Name):
-                name = target.id
-            elif (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                name = target.attr
-            if name in watched and value is not None:
-                if not _is_falsy_constant(value):
-                    declared.setdefault(name, node)
-
-        for node in cls.body:
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    note(target, node.value, node)
-            elif isinstance(node, ast.AnnAssign):
-                note(node.target, node.value, node)
-            elif (
-                isinstance(node, ast.FunctionDef) and node.name == "__init__"
-            ):
-                for sub in ast.walk(node):
-                    if isinstance(sub, ast.Assign):
-                        for target in sub.targets:
-                            note(target, sub.value, sub)
-                    elif isinstance(sub, ast.AnnAssign):
-                        note(sub.target, sub.value, sub)
-        return declared
-
-
 #: Per-file rules in report order (ECO005 is a project-level contract
 #: check; see :mod:`tools.ecolint.contracts`).
 FILE_RULES: tuple[Rule, ...] = (
@@ -619,5 +498,4 @@ FILE_RULES: tuple[Rule, ...] = (
     Eco002WallClock(),
     Eco003FloatLedger(),
     Eco004SetIteration(),
-    Eco006SchedulerProtocol(),
 )
