@@ -9,10 +9,12 @@ Six measurements:
    fused-kernel win (>=2x acceptance gate at 50 functions).
 2. **Fully-fused step** -- 256 swarms against the *real* batched
    objective (cost vectors + empirical arrivals): the PR 4 fused path
-   (stream RNG + per-function ``p_warm`` loop) vs the fully-fused path
-   (counter-based batched RNG + vectorised ``ArrivalBatch`` queries).
-   This isolates this PR's win: the last per-function Python loops
-   inside the fused step (>=2x additional gate at 256 swarms).
+   (stream RNG + the per-particle objective with its per-function
+   ``p_warm`` loop, from ``tests/oracles``) vs the fully-fused path
+   (counter-based batched RNG + the objective table, which queries each
+   estimator once per decision on the K_AT grid). This isolates the
+   last per-function Python loops inside the fused step (>=2x
+   additional gate at 256 swarms).
 3. **End-to-end replay** -- a tick-quantised multi-function trace
    through the full engine, EcoLife (fleet) vs the sequential-DPSO
    EcoLife oracle from ``tests/oracles``, exercising the same-tick
@@ -72,6 +74,7 @@ from _harness import oracles
 
 DynamicPSO = oracles().DynamicPSO
 sequential_ecolife = oracles().sequential_ecolife
+looped_batch_fitness = oracles().objective.looped_batch_fitness
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -149,7 +152,7 @@ def bench_step_throughput(
 
 
 # ---------------------------------------------------------------------------
-# 2. Fully-fused step: counter RNG + vectorised p_warm vs the PR 4 path.
+# 2. Fully-fused step: counter RNG + objective table vs the PR 4 path.
 # ---------------------------------------------------------------------------
 
 
@@ -181,12 +184,14 @@ def bench_fused_step(
 ) -> dict:
     """Fused decision rounds against the real batched objective.
 
-    The PR 4 leg is the fused step exactly as it shipped: stream-mode
-    per-swarm RNG draws (a Python loop over ``Generator.uniform``) and
-    the per-function ``p_warm``/``E[min(IAT, k)]`` query loop inside
-    ``batch_fitness``. The fused leg replaces both with batched kernels
-    (``rng_mode="counter"`` + ``ArrivalBatch``). Each round rebuilds the
-    fitness closure, as the KDM does per decision batch.
+    The PR 4 leg is the fused step with its objective as it shipped:
+    stream-mode per-swarm RNG draws (a Python loop over
+    ``Generator.uniform``) and the per-particle objective with its
+    per-function ``p_warm``/``E[min(IAT, k)]`` query loop
+    (``tests/oracles/objective.py``). The fused leg replaces both with
+    batched kernels (``rng_mode="counter"`` + the objective table). Each
+    round rebuilds the fitness closure, as the KDM does per decision
+    batch.
     """
     env = _bench_env()
     builder = ObjectiveBuilder(env, EcoLifeConfig())
@@ -212,7 +217,7 @@ def bench_fused_step(
 
     deltas = np.full(n_swarms, 1.0), np.full(n_swarms, 5.0)
 
-    def run(rng_mode: str, vectorise: bool) -> float:
+    def run(rng_mode: str) -> float:
         fleet = SwarmFleet(
             dim=2, n_particles=15, params=DPSOParams(), rng_mode=rng_mode
         )
@@ -228,16 +233,17 @@ def bench_fused_step(
                 # The PR 4 KDM perceived (and redistributed) per swarm.
                 for i in idx:
                     fleet.perceive(int(i), 1.0, 5.0)
-            fit = builder.batch_fitness(
-                funcs, ts, arrivals, vectorise_arrivals=vectorise
-            )
+            if fused:
+                fit = builder.batch_fitness(funcs, ts, arrivals)
+            else:
+                fit = looped_batch_fitness(builder, funcs, ts, arrivals)
             fleet.step(idx, fit, iterations)
         return time.perf_counter() - t0
 
     pr4_s = fused_s = float("inf")
     for _ in range(repeats):
-        pr4_s = min(pr4_s, run("stream", vectorise=False))
-        fused_s = min(fused_s, run("counter", vectorise=True))
+        pr4_s = min(pr4_s, run("stream"))
+        fused_s = min(fused_s, run("counter"))
 
     steps = decisions * n_swarms
     return {
@@ -1045,7 +1051,7 @@ def main(argv=None) -> int:
     print(
         f"fused step ({fused['n_swarms']} swarms, real objective): "
         f"pr4 {fused['pr4_decisions_per_s']:.0f} dec/s, "
-        f"counter+vectorised {fused['fused_decisions_per_s']:.0f} dec/s "
+        f"counter+table {fused['fused_decisions_per_s']:.0f} dec/s "
         f"-> {fused['fused_speedup']:.2f}x additional"
     )
     print(

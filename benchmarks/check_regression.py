@@ -60,7 +60,7 @@ SUITES: dict[str, dict] = {
     "swarm": {
         "gated": (
             "step_throughput.speedup",
-            # Fully-fused step (counter RNG + vectorised p_warm) vs the
+            # Fully-fused step (counter RNG + objective table) vs the
             # PR 4 fused path, 256 swarms against the real objective.
             "fused_step.fused_speedup",
             "replay.speedup",

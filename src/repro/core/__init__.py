@@ -1,7 +1,7 @@
 """EcoLife core: the paper's contribution (Sec. IV)."""
 
 from repro.core.adjustment import WarmPoolAdjuster
-from repro.core.arrival import ArrivalBatch, ArrivalEstimator, ArrivalRegistry
+from repro.core.arrival import ArrivalEstimator, ArrivalRegistry
 from repro.core.config import EcoLifeConfig, KeepAliveExpectation, OptimizerKind
 from repro.core.epdm import ExecutionPlacementDecisionMaker
 from repro.core.kdm import KeepAliveDecisionMaker
@@ -12,7 +12,6 @@ __all__ = [
     "EcoLifeConfig",
     "OptimizerKind",
     "KeepAliveExpectation",
-    "ArrivalBatch",
     "ArrivalEstimator",
     "ArrivalRegistry",
     "CostModel",

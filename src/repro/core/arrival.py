@@ -13,12 +13,17 @@ different amounts of time depending on a function's arrival probability",
 Sec. I). With little history the estimator blends in an exponential prior
 so brand-new functions get sensible keep-alive decisions instead of
 extremes.
+
+The KDM asks each estimator once per decision, on the whole K_AT grid
+(:meth:`repro.core.objective.ObjectiveBuilder.objective_table`); the
+swarm then searches that decision's table, so the queries are not
+repeated per particle or per iteration.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Sequence, cast
+from typing import Any, cast
 
 import numpy as np
 import numpy.typing as npt
@@ -164,103 +169,6 @@ class ArrivalEstimator:
         emp = (below_sum + k * above_count) / n
         w = n / (n + self.prior_strength)
         return w * emp + (1.0 - w) * prior
-
-
-class ArrivalBatch:
-    """Padded row-stack of several estimators' empirical IAT state.
-
-    The batched objective (:meth:`repro.core.objective.ObjectiveBuilder.
-    batch_fitness`) needs ``P(warm | k)`` and ``E[min(IAT, k)]`` for
-    *every* function in the batch. Querying each
-    :class:`ArrivalEstimator` in a Python loop was the last per-function
-    loop inside the fused decision step; this class snapshots the
-    estimators' sorted histories into inf-padded ``(n_funcs, history)``
-    matrices once per decision and answers both queries for the whole
-    batch in a handful of broadcast ops.
-
-    **Bit-identity contract** (property-tested in
-    ``tests/test_core_arrival.py``): row ``i`` of every query equals the
-    scalar ``estimators[i].p_warm(k[i])`` / ``expected_keepalive_s(k[i])``
-    to the last ULP. Three details make that exact rather than
-    approximate:
-
-    - ``searchsorted(sorted, k, side="right")`` counts elements
-      ``<= k``; with rows padded by ``+inf`` the broadcast comparison-sum
-      produces the identical integer count.
-    - the empirical/prior blend keeps the scalar expression shape
-      (``w * emp + (1 - w) * prior``) with per-function ``w`` broadcast
-      as a column -- elementwise float64 arithmetic is IEEE-identical
-      regardless of batch shape.
-    - empty-history rows force ``w = 0`` and ``emp = 0``, and
-      ``0.0 * 0.0 + 1.0 * prior`` reproduces the scalar path's early
-      ``return prior`` bit for bit (prior values are non-negative, so
-      the ``+ 0.0`` cannot flip a signed zero).
-
-    The snapshot is read-only: later ``observe`` calls on the estimators
-    do not flow into an existing batch (matching how a decision's
-    fitness closure captures the world at build time).
-    """
-
-    def __init__(self, estimators: Sequence[ArrivalEstimator]) -> None:
-        f = len(estimators)
-        n = np.empty(f, dtype=np.intp)
-        prior_mean = np.empty(f)
-        strength = np.empty(f)
-        for i, est in enumerate(estimators):
-            n[i] = est.n_samples
-            prior_mean[i] = est.prior_mean
-            strength[i] = est.prior_strength
-        h = int(n.max()) if f else 0
-        sorted_pad = np.full((f, h), np.inf)
-        prefix_pad = np.zeros((f, h + 1))
-        for i, est in enumerate(estimators):
-            if n[i]:
-                est._ensure_cache()
-                assert est._sorted is not None and est._prefix is not None
-                sorted_pad[i, : n[i]] = est._sorted
-                prefix_pad[i, : n[i] + 1] = est._prefix
-        self.n_funcs = f
-        self._n_col = n[:, None]
-        # max(n, 1) keeps empty rows off the 0/0 path; their w == 0.0
-        # blend discards the dummy quotient entirely.
-        self._n_safe = np.maximum(n, 1)[:, None]
-        # n == 0 with prior_strength == 0 is a transient 0/0 that the
-        # where() discards; silence it rather than warn per batch.
-        with np.errstate(invalid="ignore"):
-            self._w = np.where(n > 0, n / (n + strength), 0.0)[:, None]
-        self._prior_mean = prior_mean[:, None]
-        self._sorted = sorted_pad
-        self._prefix = prefix_pad
-
-    def _counts(self, k: np.ndarray) -> np.ndarray:
-        """Per-row ``searchsorted(side="right")`` as one broadcast op."""
-        return (self._sorted[:, None, :] <= k[..., None]).sum(axis=-1)
-
-    def _require_rows(self, k: np.ndarray) -> np.ndarray:
-        k = np.asarray(k, dtype=float)
-        if k.ndim != 2 or k.shape[0] != self.n_funcs:
-            raise ValueError(
-                f"expected ({self.n_funcs}, rows) keep-alive matrix, "
-                f"got shape {k.shape}"
-            )
-        return k
-
-    def p_warm(self, k_s: np.ndarray) -> np.ndarray:
-        """Row-wise ``P(next IAT <= k)`` for a ``(n_funcs, rows)`` matrix."""
-        k = self._require_rows(k_s)
-        prior = 1.0 - np.exp(-k / self._prior_mean)
-        emp = self._counts(k) / self._n_safe
-        return self._w * emp + (1.0 - self._w) * prior
-
-    def expected_keepalive_s(self, k_s: np.ndarray) -> np.ndarray:
-        """Row-wise ``E[min(IAT, k)]`` for a ``(n_funcs, rows)`` matrix."""
-        k = self._require_rows(k_s)
-        prior = self._prior_mean * (1.0 - np.exp(-k / self._prior_mean))
-        idx = self._counts(k)
-        below_sum = np.take_along_axis(self._prefix, idx, axis=1)
-        above_count = self._n_col - idx
-        emp = (below_sum + k * above_count) / self._n_safe
-        return self._w * emp + (1.0 - self._w) * prior
 
 
 class ArrivalRegistry:

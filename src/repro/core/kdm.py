@@ -8,7 +8,9 @@ of a serverless function, EcoLife assigns a PSO optimizer and preserves it
    (dF) and carbon intensity (dCI) since this function's last decision;
 2. feeds them to the DPSO perception-response mechanism (weight adaptation
    plus half-swarm redistribution);
-3. advances the optimizer a few iterations against the current objective;
+3. advances the optimizer a few iterations against the current objective,
+   scored once per decision over every (location, K_AT cell) as a table
+   (:meth:`~repro.core.objective.ObjectiveBuilder.objective_table`);
 4. decodes the swarm's best position into (location, keep-alive period).
 
 The PSO backends keep every function's swarm in one
@@ -502,8 +504,8 @@ class KeepAliveDecisionMaker:
 
         iterations = self.config.iterations_per_invocation
         if len(batch) == 1:
-            # Nothing to fuse: use the per-function closure and the
-            # fleet's view-based single-swarm kernel (no batch overhead).
+            # Nothing to fuse: gather from a one-function table through
+            # the fleet's view-based single-swarm kernel (no batch overhead).
             func, t = batch[0]
             fitness = self.builder.fitness(func, t, self.arrivals.get(func.name))
             fleet.step_one(indices[0], fitness, iterations=iterations)

@@ -21,13 +21,12 @@ simulator's exact accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro import units
-from repro.core.arrival import ArrivalBatch, ArrivalEstimator
+from repro.core.arrival import ArrivalEstimator
 from repro.core.config import EcoLifeConfig, KeepAliveExpectation
 from repro.hardware.specs import Generation
 from repro.optimizers.base import FitnessFn
@@ -36,48 +35,89 @@ from repro.simulator.scheduler import SchedulerEnv
 from repro.workloads.functions import FunctionProfile
 
 
-@dataclass(frozen=True)
 class FunctionCostVectors:
     """CI-independent per-location cost vectors of one function.
 
-    Arrays are indexed by position in ``config.locations`` (the same
-    indexing :meth:`ObjectiveBuilder.decode_locations` produces). Carbon
-    estimates split into an energy/power part (scaled by the queried CI)
-    and a constant embodied part, so re-evaluating at a new intensity is a
-    couple of vector ops instead of per-location Python loops.
+    Every vector lives in one packed ``(8, n_locations)`` array whose
+    columns follow ``config.locations`` (the same indexing
+    :meth:`ObjectiveBuilder.decode_locations` produces). Carbon estimates
+    split into an energy part (scaled by the queried CI) and a constant
+    embodied part: the ``ENERGY`` rows hold the energy of a warm service,
+    a cold service and one second of keep-alive (in that order, ``WARM``,
+    ``COLD``, ``KA``), and the ``EMBODIED`` rows their embodied carbon. So
+    ``packed[ENERGY] * ci / 1000 + packed[EMBODIED]`` prices all three at
+    a new intensity in one broadcast -- for one function or a stack of
+    them (:meth:`ObjectiveBuilder.objective_table`).
     """
 
-    s_warm: np.ndarray  # warm service time per location (s)
-    s_cold: np.ndarray  # cold service time per location (s)
-    s_max: float  # max cold service time across locations (s)
-    warm_energy_wh: np.ndarray
-    warm_emb_g: np.ndarray
-    cold_energy_wh: np.ndarray
-    cold_emb_g: np.ndarray
-    ka_power_w: np.ndarray  # attributed keep-alive power per location (W)
-    ka_emb_g_per_s: np.ndarray
+    ENERGY, EMBODIED = slice(0, 3), slice(3, 6)
+    #: Order within ``ENERGY`` and ``EMBODIED``.
+    WARM, COLD, KA = 0, 1, 2
+    #: Service-time rows.
+    S_WARM, S_COLD = 6, 7
+
+    def __init__(
+        self,
+        *,
+        s_warm: np.ndarray,  # warm service time per location (s)
+        s_cold: np.ndarray,  # cold service time per location (s)
+        s_max: float,  # max cold service time across locations (s)
+        warm_energy_wh: np.ndarray,
+        warm_emb_g: np.ndarray,
+        cold_energy_wh: np.ndarray,
+        cold_emb_g: np.ndarray,
+        ka_power_w: np.ndarray,  # attributed keep-alive power per location (W)
+        ka_emb_g_per_s: np.ndarray,
+    ) -> None:
+        self.s_max = s_max
+        ka_energy_wh = units.energy_wh(np.asarray(ka_power_w, dtype=float), 1.0)
+        self.packed = np.array(
+            [
+                warm_energy_wh,
+                cold_energy_wh,
+                ka_energy_wh,
+                warm_emb_g,
+                cold_emb_g,
+                ka_emb_g_per_s,
+                s_warm,
+                s_cold,
+            ],
+            dtype=float,
+        )
+        self.packed.flags.writeable = False
+
+    @property
+    def s_warm(self) -> np.ndarray:
+        return self.packed[self.S_WARM]
+
+    @property
+    def s_cold(self) -> np.ndarray:
+        return self.packed[self.S_COLD]
+
+    def _carbon(self, row: int, ci: float) -> np.ndarray:
+        return (
+            units.operational_carbon_g(self.packed[self.ENERGY][row], ci)
+            + self.packed[self.EMBODIED][row]
+        )
 
     def sc_warm(self, ci: float) -> np.ndarray:
         """Warm service carbon per location at intensity ``ci``."""
-        return units.operational_carbon_g(self.warm_energy_wh, ci) + self.warm_emb_g
+        return self._carbon(self.WARM, ci)
 
     def sc_cold(self, ci: float) -> np.ndarray:
         """Cold service carbon per location at intensity ``ci``."""
-        return units.operational_carbon_g(self.cold_energy_wh, ci) + self.cold_emb_g
+        return self._carbon(self.COLD, ci)
 
     def ka_rate(self, ci: float) -> np.ndarray:
         """Keep-alive carbon rate (g/s) per location at intensity ``ci``."""
-        return (
-            units.operational_carbon_g(units.energy_wh(self.ka_power_w, 1.0), ci)
-            + self.ka_emb_g_per_s
-        )
+        return self._carbon(self.KA, ci)
 
 
 class CostModel:
     """Decision-time estimates shared by KDM, EPDM and the adjuster.
 
     Hot-path note: one EcoLife run asks for these estimates thousands of
-    times (every KDM decision rebuilds its fitness closure), so the
+    times (every KDM decision rebuilds its objective table), so the
     CI-independent pieces -- service times, energy/embodied splits,
     keep-alive power -- are computed once per function and cached as
     per-location vectors (:class:`FunctionCostVectors`), and the guarded
@@ -132,33 +172,6 @@ class CostModel:
             cold_emb_g=np.array(cold_emb),
             ka_power_w=np.array(ka_power),
             ka_emb_g_per_s=np.array(ka_emb),
-        )
-
-    def stacked_vectors(
-        self, funcs: Sequence[FunctionProfile]
-    ) -> FunctionCostVectors:
-        """Row-stacked cost vectors for a batch of functions.
-
-        Returns a :class:`FunctionCostVectors` whose arrays are
-        ``(n_funcs, n_locations)`` stacks of the per-function cached
-        vectors; the CI-dependent helpers (``sc_warm``/``sc_cold``/
-        ``ka_rate``) then broadcast against an ``(n_funcs, 1)`` intensity
-        column, which keeps every element's arithmetic identical to the
-        per-function scalar path. ``s_max`` is the batch-wide maximum and
-        only meaningful for the per-function vectors -- batch callers use
-        :meth:`normalisers` per function instead.
-        """
-        vs = [self.vectors(f) for f in funcs]
-        return FunctionCostVectors(
-            s_warm=np.stack([v.s_warm for v in vs]),
-            s_cold=np.stack([v.s_cold for v in vs]),
-            s_max=max(v.s_max for v in vs),
-            warm_energy_wh=np.stack([v.warm_energy_wh for v in vs]),
-            warm_emb_g=np.stack([v.warm_emb_g for v in vs]),
-            cold_energy_wh=np.stack([v.cold_energy_wh for v in vs]),
-            cold_emb_g=np.stack([v.cold_emb_g for v in vs]),
-            ka_power_w=np.stack([v.ka_power_w for v in vs]),
-            ka_emb_g_per_s=np.stack([v.ka_emb_g_per_s for v in vs]),
         )
 
     def normalisers(
@@ -271,11 +284,18 @@ class CostModel:
 
 
 class ObjectiveBuilder:
-    """Builds the KDM's vectorised fitness over the unit box.
+    """Builds the KDM's objective as a table over its discrete space.
 
     Position encoding: ``x0`` selects the keep-alive location among the
     allowed generations, ``x1`` the keep-alive period on the discrete grid
-    ``K_AT = {0, step, 2*step, ..., k_max}``.
+    ``K_AT`` (:meth:`SchedulerEnv.keepalive_grid_s`). The space is a
+    location times a K_AT cell (2 x 31 cells by default), so one decision's
+    objective is a small table: :meth:`objective_table` scores every cell
+    once -- one ``p_warm`` / ``E[min(IAT, k)]`` query per function, on the
+    grid -- and the fitness closures only map positions to cells and
+    gather. Within one decision the landscape is therefore fixed, which
+    the fleet's stepping relies on (:class:`~repro.optimizers.batch.
+    SwarmFleet`).
     """
 
     def __init__(self, env: SchedulerEnv, config: EcoLifeConfig) -> None:
@@ -291,17 +311,21 @@ class ObjectiveBuilder:
         idx = np.minimum((np.asarray(x0) * n_loc).astype(int), n_loc - 1)
         return idx
 
-    def decode_k(self, x1: np.ndarray) -> np.ndarray:
-        """Map x1 in [0,1] to the keep-alive grid (seconds).
+    def decode_cells(self, x1: np.ndarray) -> np.ndarray:
+        """Map x1 in [0,1] to K_AT cell indices.
 
-        Grid midpoints round half-up (``floor(x + 0.5)``) -- ``np.round``'s
-        banker's rounding would bias midpoint candidates toward even
-        multiples of the step.
+        Cell ``floor(x1 * kmax / step + 0.5)``: grid midpoints round
+        half-up -- ``np.round``'s banker's rounding would bias midpoint
+        candidates toward even multiples of the step. On the unit box the
+        operand is at least 0.5, so truncation is the floor.
         """
-        step = self.env.k_step_s
-        kmax = self.env.kmax_s
-        steps = np.floor(np.asarray(x1) * kmax / step + 0.5)
-        return np.clip(steps * step, 0.0, kmax)
+        steps = np.asarray(x1) * self.env.kmax_s / self.env.k_step_s + 0.5
+        top = self.env.keepalive_grid_s().size - 1
+        return np.minimum(steps.astype(np.intp), top)
+
+    def decode_k(self, x1: np.ndarray) -> np.ndarray:
+        """Map x1 in [0,1] to the keep-alive grid (seconds)."""
+        return self.env.keepalive_grid_s()[self.decode_cells(x1)]
 
     def decode_single(self, position: np.ndarray) -> tuple[Generation, float]:
         """Decode one position into a (location, keep-alive seconds) pair."""
@@ -309,45 +333,90 @@ class ObjectiveBuilder:
         k = float(self.decode_k(np.array([position[1]]))[0])
         return self.config.locations[idx], k
 
-    # -- fitness ------------------------------------------------------------------
+    # -- objective ------------------------------------------------------------------
+
+    def objective_table(
+        self,
+        funcs: Sequence[FunctionProfile],
+        ts: Sequence[float],
+        arrivals: Sequence[ArrivalEstimator],
+    ) -> np.ndarray:
+        """The objective of ``funcs[i]`` at ``ts[i]`` over every cell.
+
+        Returns ``(n_funcs, n_locations, n_k)``. Per-function scalars (CI,
+        normalisers, the EPDM's cold fallback) become ``(n_funcs, 1, 1)``
+        columns, the packed cost arrays an ``(n_funcs, 8, n_loc)`` stack,
+        and the arrival queries ``(n_funcs, 1, n_k)`` rows, so each cell's
+        float arithmetic is the per-particle expression evaluated at that
+        cell's (location, k) -- the same value for one function or many.
+        """
+        cfg = self.config
+        s = len(funcs)
+        if not (s == len(ts) == len(arrivals)):
+            raise ValueError("funcs, ts and arrivals must have equal length")
+        grid = self.env.keepalive_grid_s()
+        expected_mode = cfg.keepalive_expectation is KeepAliveExpectation.EXPECTED_MIN
+
+        ci, ci_ref = self.env.ci_many(ts)
+        # Per function: (s_max, sc_max, kc_max) at the reference
+        # intensity, then the cold fallback's (s_max, sc_max) at the
+        # current one.
+        norms = np.array(
+            [
+                self.costs.normalisers(func, max(c_ref, 1e-9))
+                + self.costs.normalisers(func, max(c, 1e-12))[:2]
+                for func, c, c_ref in zip(funcs, ci.tolist(), ci_ref.tolist())
+            ]
+        )[:, :, None, None]
+        packed = np.array([self.costs.vectors(func).packed for func in funcs])
+        p = np.array([arrival.p_warm(grid) for arrival in arrivals])[:, None, :]
+        ka_duration = (
+            np.array([arrival.expected_keepalive_s(grid) for arrival in arrivals])
+            if expected_mode
+            else grid
+        )[..., None, :]
+
+        # Warm service, cold service and keep-alive-rate carbon rows.
+        fcv = FunctionCostVectors
+        carbon = (
+            units.operational_carbon_g(packed[:, fcv.ENERGY], ci[:, None, None])
+            + packed[:, fcv.EMBODIED]
+        )
+        s_cold, sc_cold = packed[:, fcv.S_COLD], carbon[:, fcv.COLD]
+
+        # The EPDM's cold fallback (CostModel.best_cold) for every function.
+        cold_scores = (
+            cfg.lambda_s * s_cold / norms[:, 3, 0]
+            + cfg.lambda_c * sc_cold / norms[:, 4, 0]
+        )
+        best = np.argmin(cold_scores, axis=1)  # first-index ties, as argmin()
+        r = np.arange(s)
+        s_cold_best = s_cold[r, best][:, None, None]
+        sc_cold_best = sc_cold[r, best][:, None, None]
+
+        q = 1.0 - p
+        e_s = p * packed[:, fcv.S_WARM, :, None] + q * s_cold_best
+        e_sc = p * carbon[:, fcv.WARM, :, None] + q * sc_cold_best
+        kc = carbon[:, fcv.KA, :, None] * ka_duration
+        return (
+            cfg.lambda_s * e_s / norms[:, 0]
+            + cfg.lambda_c * e_sc / norms[:, 1]
+            + cfg.lambda_c * kc / norms[:, 2]
+        )
 
     def fitness(
         self, func: FunctionProfile, t: float, arrival: ArrivalEstimator
     ) -> FitnessFn:
-        """Build the objective for one decision instant.
+        """The objective for one decision instant: ``(rows, 2) -> (rows,)``.
 
-        All scalars (CI, normalisers, per-location services) are captured
-        once, so evaluating a swarm costs a handful of numpy ops.
+        The closure gathers from a one-function :meth:`objective_table`
+        built here, so it is a pure function of the positions.
         """
-        cfg = self.config
-        ci = self.env.ci_at(t)
-        ci_ref = max(self.env.ci_max_observed(t), 1e-9)
-
-        s_max, sc_max, kc_max = self.costs.normalisers(func, ci_ref)
-
-        _, s_cold, sc_cold = self.costs.best_cold(func, ci)
-        vectors = self.costs.vectors(func)
-        s_warm = vectors.s_warm
-        sc_warm = vectors.sc_warm(ci)
-        ka_rate = vectors.ka_rate(ci)
-        expected_mode = cfg.keepalive_expectation is KeepAliveExpectation.EXPECTED_MIN
+        table = self.objective_table([func], [t], [arrival])[0]
 
         def fitness_fn(x: np.ndarray) -> np.ndarray:
             x = np.asarray(x, dtype=float)
-            loc = self.decode_locations(x[:, 0])
-            k = self.decode_k(x[:, 1])
-            p = arrival.p_warm(k)
-            ka_duration = arrival.expected_keepalive_s(k) if expected_mode else k
-
-            e_s = p * s_warm[loc] + (1.0 - p) * s_cold
-            e_sc = p * sc_warm[loc] + (1.0 - p) * sc_cold
-            kc = ka_rate[loc] * ka_duration
-
-            return (
-                cfg.lambda_s * e_s / s_max
-                + cfg.lambda_c * e_sc / sc_max
-                + cfg.lambda_c * kc / kc_max
-            )
+            return table[self.decode_locations(x[:, 0]), self.decode_cells(x[:, 1])]
 
         return fitness_fn
 
@@ -356,101 +425,22 @@ class ObjectiveBuilder:
         funcs: Sequence[FunctionProfile],
         ts: Sequence[float],
         arrivals: Sequence[ArrivalEstimator],
-        vectorise_arrivals: bool = True,
     ) -> BatchFitnessFn:
-        """Build one objective scoring several functions' swarms at once.
+        """One objective scoring several functions' swarms at once.
 
         Row ``i`` of the returned callable scores ``funcs[i]``'s particles
         at decision time ``ts[i]`` -- input ``(n_funcs, rows, 2)``, output
-        ``(n_funcs, rows)``. Per-function scalars (CI, normalisers, the
-        EPDM's cold fallback) become column vectors broadcast along the
-        particle axis, and per-location vectors become row-stacked
-        gathers, so each element's float arithmetic is identical to the
-        per-function closure from :meth:`fitness` -- the bit-equivalence
-        the :class:`~repro.optimizers.batch.SwarmFleet` contract relies
-        on. The empirical arrival queries evaluate through an inf-padded
-        :class:`~repro.core.arrival.ArrivalBatch` (one vectorised
-        ECDF/quantile kernel for the whole batch, bit-identical to the
-        scalar estimators); ``vectorise_arrivals=False`` keeps the
-        per-function query loop as the equivalence reference for tests
-        and benchmarks.
+        ``(n_funcs, rows)`` -- by gathering from row ``i`` of
+        :meth:`objective_table`, the table :meth:`fitness` gathers from at
+        width 1.
         """
-        cfg = self.config
-        s = len(funcs)
-        if not (s == len(ts) == len(arrivals)):
-            raise ValueError("funcs, ts and arrivals must have equal length")
-
-        # Per-function scalars. The CI lookups are vectorised trace
-        # queries; the normaliser loop is memoised dict lookups (cheap,
-        # and the cache keys are per-function anyway).
-        ci = np.asarray(self.env.ci_at_many(ts), dtype=float)
-        ci_ref = self.env.ci_max_observed_many(ts)
-        s_max = np.empty(s)
-        sc_max = np.empty(s)
-        kc_max = np.empty(s)
-        cold_s_max = np.empty(s)
-        cold_sc_max = np.empty(s)
-        for i, func in enumerate(funcs):
-            s_max[i], sc_max[i], kc_max[i] = self.costs.normalisers(
-                func, max(float(ci_ref[i]), 1e-9)
-            )
-            # best_cold normalises at the *current* intensity.
-            cold_s_max[i], cold_sc_max[i], _ = self.costs.normalisers(
-                func, max(float(ci[i]), 1e-12)
-            )
-
-        vectors = self.costs.stacked_vectors(funcs)
-        ci_col = ci[:, None]
-        s_warm = vectors.s_warm  # (s, n_loc)
-        sc_warm = vectors.sc_warm(ci_col)
-        ka_rate = vectors.ka_rate(ci_col)
-
-        # The EPDM's cold fallback for all functions at once -- the same
-        # expression CostModel.best_cold evaluates per function, with
-        # per-function scalars as columns (elementwise float-identical).
-        sc_cold_all = vectors.sc_cold(ci_col)
-        cold_scores = (
-            cfg.lambda_s * vectors.s_cold / cold_s_max[:, None]
-            + cfg.lambda_c * sc_cold_all / cold_sc_max[:, None]
-        )
-        best = np.argmin(cold_scores, axis=1)  # first-index ties, as argmin()
-        r = np.arange(s)
-        s_cold = vectors.s_cold[r, best][:, None]
-        sc_cold = sc_cold_all[r, best][:, None]
-
-        s_max = s_max[:, None]
-        sc_max = sc_max[:, None]
-        kc_max = kc_max[:, None]
-        expected_mode = cfg.keepalive_expectation is KeepAliveExpectation.EXPECTED_MIN
-        rows = np.arange(s)[:, None]
-        batch_arrivals = ArrivalBatch(arrivals) if vectorise_arrivals else None
+        table = self.objective_table(funcs, ts, arrivals)
+        rows = np.arange(len(funcs))[:, None]
 
         def batch_fn(x: np.ndarray) -> np.ndarray:
             x = np.asarray(x, dtype=float)
-            loc = self.decode_locations(x[..., 0])  # (s, r)
-            k = self.decode_k(x[..., 1])
-            if batch_arrivals is not None:
-                p = batch_arrivals.p_warm(k)
-                ka_duration = (
-                    batch_arrivals.expected_keepalive_s(k) if expected_mode else k
-                )
-            else:
-                p = np.empty_like(k)
-                ka_duration = np.empty_like(k)
-                for i, arrival in enumerate(arrivals):
-                    p[i] = arrival.p_warm(k[i])
-                    ka_duration[i] = (
-                        arrival.expected_keepalive_s(k[i]) if expected_mode else k[i]
-                    )
-
-            e_s = p * s_warm[rows, loc] + (1.0 - p) * s_cold
-            e_sc = p * sc_warm[rows, loc] + (1.0 - p) * sc_cold
-            kc = ka_rate[rows, loc] * ka_duration
-
-            return (
-                cfg.lambda_s * e_s / s_max
-                + cfg.lambda_c * e_sc / sc_max
-                + cfg.lambda_c * kc / kc_max
-            )
+            return table[
+                rows, self.decode_locations(x[..., 0]), self.decode_cells(x[..., 1])
+            ]
 
         return batch_fn

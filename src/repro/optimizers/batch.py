@@ -17,11 +17,14 @@ perception-response redistributions all match to the last ULP. Three
 rules make that hold:
 
 1. **Per-swarm RNG streams.** Each swarm keeps its own
-   ``np.random.Generator`` and draws exactly the shapes the sequential
+   ``np.random.Generator`` and draws the same doubles the sequential
    implementation draws, in the same within-stream order (init positions,
    init velocities, redistribution choices, then ``r1``/``r2`` per
-   iteration). Streams are independent, so the interleaving *across*
-   swarms is free while the draws *within* each stream stay aligned.
+   iteration). A step call takes all its iterations' ``r1``/``r2`` in one
+   ``uniform(size=(iterations, 2, n, dim))`` draw -- the same doubles,
+   in the same order, as two ``(n, dim)`` draws per iteration. Streams
+   are independent, so the interleaving *across* swarms is free while the
+   draws *within* each stream stay aligned.
 2. **Identical expression shapes.** Every fused kernel computes the
    sequential expression with the same associativity (for example
    ``(c1 * r1) * (pbest - x)``), with per-swarm scalars broadcast along
@@ -32,7 +35,13 @@ rules make that hold:
 
 The fitness callable is *batched*: it receives ``(n_active, rows, dim)``
 positions for the active subset and returns ``(n_active, rows)`` scores
-(see :meth:`repro.core.objective.ObjectiveBuilder.batch_fitness`).
+(see :meth:`repro.core.objective.ObjectiveBuilder.batch_fitness`). It must
+be a pure function of the positions for the duration of one step call --
+the KDM's closures gather from a table built once per decision -- so the
+landscape is fixed within a call: personal bests are re-scored only on
+the call's first iteration (a later re-score would recompute the stored
+scores exactly), while the sequential oracles re-score on every
+iteration and still match bit for bit.
 
 Under function churn the set of ever-seen functions is unbounded, so the
 fleet also supports **slot retirement**: :meth:`SwarmFleet.retire`
@@ -46,7 +55,7 @@ equivalence contract extends across retire/rehydrate round trips.
 **RNG modes.** ``rng_mode="stream"`` (the default) is the contract
 above: per-swarm ``np.random.Generator`` streams, bit-identical to the
 sequential optimizers -- at the cost of one Python-level ``uniform``
-call per swarm per iteration inside the fused step.
+call per swarm per step call.
 ``rng_mode="counter"`` replaces those per-swarm draws with a
 counter-based batched RNG (:mod:`repro.optimizers.counter_rng`,
 vectorised Philox4x32-10): every ``r1``/``r2``/redistribution value is a
@@ -633,6 +642,14 @@ class SwarmFleet:
         swarm ``indices[j]``'s particles). Indices must be distinct --
         stepping the same swarm twice in one call would race on the
         scattered writes.
+
+        **Contract:** for the duration of one call, ``fitness`` is a pure
+        function of the positions (the KDM's closures gather from a table
+        built per decision). So personal bests are re-scored only on the
+        first iteration -- later re-scores would recompute the stored
+        ``pbest_scores`` exactly -- and in stream mode each swarm draws
+        the whole call's ``r1``/``r2`` in one ``uniform`` call, the same
+        doubles in the same order as per-iteration draws.
         """
         idx = np.asarray(indices, dtype=np.intp)
         if idx.size == 0:
@@ -643,8 +660,18 @@ class SwarmFleet:
             raise IndexError("step() indices must address live slots")
         if self.rescore_bests:
             self._refresh_bests(idx, fitness)
-        for _ in range(iterations):
-            self._iterate(idx, fitness)
+        draws = None
+        if self.rng_mode == "stream":
+            s, n, d = idx.size, self.n_particles, self.dim
+            draws = np.empty((s, iterations, 2, n, d))
+            for j, i in enumerate(idx):
+                draws[j] = self._rngs[i].uniform(size=(iterations, 2, n, d))
+        for it in range(iterations):
+            if draws is None:
+                r1, r2 = self._counter_r1_r2(idx)
+            else:
+                r1, r2 = draws[:, it, 0], draws[:, it, 1]
+            self._iterate(idx, fitness, self.rescore_bests and it == 0, r1, r2)
 
     def _refresh_bests(self, idx: np.ndarray, fitness: BatchFitnessFn) -> None:
         """Re-score incumbents under the current landscape.
@@ -661,12 +688,19 @@ class SwarmFleet:
         with_best = idx[has]
         self.best_scores[with_best] = scores[has, 0]
 
-    def _iterate(self, idx: np.ndarray, fitness: BatchFitnessFn) -> None:
+    def _iterate(
+        self,
+        idx: np.ndarray,
+        fitness: BatchFitnessFn,
+        rescore: bool,
+        r1: np.ndarray,
+        r2: np.ndarray,
+    ) -> None:
         s, n = idx.size, self.n_particles
         pos = self.positions[idx]  # (s, n, d) gathered copies
         pb_pos = self.pbest_positions[idx]
 
-        if self.rescore_bests:
+        if rescore:
             # Current positions and stale personal bests in one call.
             batch = np.concatenate([pos, pb_pos], axis=1)
             scores = fitness(batch)
@@ -694,8 +728,6 @@ class SwarmFleet:
             self.best_positions[upd] = gbest[better]
             self._has_best[upd] = True
 
-        r1, r2 = self._draw_r1_r2(idx)
-
         om = self.omega[idx][:, None, None]
         c1 = self.c1[idx][:, None, None]
         c2 = self.c2[idx][:, None, None]
@@ -712,31 +744,19 @@ class SwarmFleet:
         self.pbest_positions[idx] = pb_pos
         self.pbest_scores[idx] = pb_scores
 
-    def _draw_r1_r2(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One iteration's ``r1``/``r2`` for the swarms at ``idx``.
+    def _counter_r1_r2(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One iteration's counter-mode ``r1``/``r2`` for the swarms at ``idx``.
 
-        Counter mode: one fused Philox call for the whole batch (element
-        layout: the first ``n*dim`` doubles of a swarm's step are ``r1``
-        in C order, the rest ``r2``), then each swarm's step counter
-        advances by one. Stream mode: the sequential reference -- r1
-        fully drawn before r2 per swarm, as in ``ParticleSwarm._iterate``
-        (cross-stream interleaving is immaterial).
+        One fused Philox call for the whole batch (element layout: the
+        first ``n*dim`` doubles of a swarm's step are ``r1`` in C order,
+        the rest ``r2``), then each swarm's step counter advances by one.
         """
         s, n, d = idx.size, self.n_particles, self.dim
-        if self.rng_mode == "counter":
-            u = counter_rng.uniforms(
-                self._ctr_key[idx], self._ctr_step[idx], _BLOCK_ITERATE,
-                2 * n * d,
-            )
-            self._ctr_step[idx] += 1
-            return u[:, : n * d].reshape(s, n, d), u[:, n * d :].reshape(s, n, d)
-        r1 = np.empty((s, n, d))
-        r2 = np.empty((s, n, d))
-        for j, i in enumerate(idx):
-            rng = self._rngs[i]
-            r1[j] = rng.uniform(size=(n, d))
-            r2[j] = rng.uniform(size=(n, d))
-        return r1, r2
+        u = counter_rng.uniforms(
+            self._ctr_key[idx], self._ctr_step[idx], _BLOCK_ITERATE, 2 * n * d
+        )
+        self._ctr_step[idx] += 1
+        return u[:, : n * d].reshape(s, n, d), u[:, n * d :].reshape(s, n, d)
 
     # -- single-swarm fast path ------------------------------------------------
 
@@ -756,20 +776,27 @@ class SwarmFleet:
         mirror of ``ParticleSwarm.step`` instead. State and RNG stream
         are shared with the batched path, so the two can interleave
         freely and stay bit-identical to a sequential optimizer.
+
+        The :meth:`step` contract holds here too: ``fitness`` is a pure
+        function of the positions for the duration of the call, personal
+        bests are re-scored on the first iteration only, and stream mode
+        draws the call's ``r1``/``r2`` in one ``uniform`` call.
         """
         self._require_live(index)
         if self.rescore_bests and self._has_best[index]:
             self.best_scores[index] = float(
                 fitness(self.best_positions[index][None, :])[0]
             )
-        n = self.n_particles
-        rng = self._rngs[index]
-        for _ in range(iterations):
+        n, d = self.n_particles, self.dim
+        draws = None
+        if self.rng_mode == "stream":
+            draws = self._rngs[index].uniform(size=(iterations, 2, n, d))
+        for it in range(iterations):
             pos = self.positions[index]  # (n, d) views
             pb_pos = self.pbest_positions[index]
             pb_scores = self.pbest_scores[index]
 
-            if self.rescore_bests:
+            if self.rescore_bests and it == 0:
                 batch = np.concatenate([pos, pb_pos], axis=0)
                 scores = np.asarray(fitness(batch), dtype=float)
                 if scores.shape != (2 * n,):
@@ -784,7 +811,7 @@ class SwarmFleet:
                     raise ValueError(
                         f"fitness returned shape {cur.shape}, expected {(n,)}"
                     )
-                pb = pb_scores.copy()
+                pb = pb_scores
 
             improved = cur <= pb
             pb_pos[improved] = pos[improved]
@@ -797,17 +824,16 @@ class SwarmFleet:
                 self.best_positions[index] = gbest
                 self._has_best[index] = True
 
-            if self.rng_mode == "counter":
+            if draws is None:
                 u = counter_rng.uniforms(
                     self._ctr_key[index], self._ctr_step[index],
-                    _BLOCK_ITERATE, 2 * n * self.dim,
+                    _BLOCK_ITERATE, 2 * n * d,
                 )
                 self._ctr_step[index] += 1
-                r1 = u[: n * self.dim].reshape(n, self.dim)
-                r2 = u[n * self.dim :].reshape(n, self.dim)
+                r1 = u[: n * d].reshape(n, d)
+                r2 = u[n * d :].reshape(n, d)
             else:
-                r1 = rng.uniform(size=(n, self.dim))
-                r2 = rng.uniform(size=(n, self.dim))
+                r1, r2 = draws[it]
             vel = (
                 self.omega[index] * self.velocities[index]
                 + self.c1[index] * r1 * (pb_pos - pos)

@@ -141,6 +141,9 @@ class SchedulerEnv:
         self.setup_delay_s = setup_delay_s
         self.kmax_s = kmax_s
         self.k_step_s = k_step_s
+        n = int(np.floor(kmax_s / k_step_s + 0.5))
+        self._k_grid = np.minimum(np.arange(n + 1, dtype=float) * k_step_s, kmax_s)
+        self._k_grid.flags.writeable = False
         self._allow_lookahead = allow_lookahead
         # Running max of observed CI (causal normaliser for the objective).
         self._ci_trace: CarbonIntensityTrace = carbon_model.trace
@@ -170,10 +173,6 @@ class SchedulerEnv:
         """Current carbon intensity (g/kWh)."""
         return self._ci_trace.at(t)
 
-    def ci_at_many(self, ts: npt.ArrayLike) -> np.ndarray:
-        """Vectorised :meth:`ci_at` for a batch of decision instants."""
-        return self._ci_trace.at_many(ts)
-
     def ci_max_observed(self, t: float) -> float:
         """Maximum CI observed up to ``t`` (causal; used for normalisation)."""
         knots = self._ci_trace.times_s
@@ -185,17 +184,16 @@ class SchedulerEnv:
             self._ci_cummax = np.maximum.accumulate(self._ci_trace.values)
         return float(self._ci_cummax[idx - 1])
 
-    def ci_max_observed_many(self, ts: npt.ArrayLike) -> np.ndarray:
-        """Vectorised :meth:`ci_max_observed` (element-identical)."""
-        knots = self._ci_trace.times_s
-        idx = np.searchsorted(knots, np.asarray(ts, dtype=float), side="right")
+    def ci_many(self, ts: npt.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorised ``(ci_at, ci_max_observed)`` for a batch of decision
+        instants, element-identical to the scalar queries: both read the
+        knot at or before each instant (the first knot before the trace
+        starts), and the running max at the first knot is its value."""
+        idx = np.searchsorted(self._ci_trace.times_s, ts, side="right") - 1
+        np.maximum(idx, 0, out=idx)
         if self._ci_cummax is None:
             self._ci_cummax = np.maximum.accumulate(self._ci_trace.values)
-        return np.where(
-            idx > 0,
-            self._ci_cummax[np.maximum(idx - 1, 0)],
-            self._ci_trace.values[0],
-        )
+        return self._ci_trace.values[idx], self._ci_cummax[idx]
 
     # -- workload observations ---------------------------------------------------
 
@@ -223,9 +221,15 @@ class SchedulerEnv:
     # -- keep-alive search space ------------------------------------------------
 
     def keepalive_grid_s(self) -> np.ndarray:
-        """The discrete keep-alive period set K_AT (seconds), including 0."""
-        n = int(round(self.kmax_s / self.k_step_s))
-        return np.arange(n + 1, dtype=float) * self.k_step_s
+        """The discrete keep-alive period set K_AT (seconds), including 0.
+
+        Cell ``j`` is ``min(j * step, k_max)`` for ``j`` up to
+        ``floor(k_max / step + 0.5)``: exactly the periods a KDM position
+        decodes to (``ObjectiveBuilder.decode_cells``), so a K_max that is
+        not a multiple of the step keeps its clipped top cell and nothing
+        above it. Built once at construction; the array is read-only.
+        """
+        return self._k_grid
 
     # -- oracle lookahead ----------------------------------------------------------
 

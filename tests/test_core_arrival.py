@@ -156,8 +156,10 @@ def test_property_expected_min_is_mean_when_k_huge(iats):
 
 
 class TestArrivalBatch:
-    """Vectorised padded-matrix queries == per-estimator scalar queries,
-    bit for bit, across empty/short/full histories."""
+    """The objective oracle's padded-matrix queries
+    (``tests/oracles/objective.py``) == per-estimator scalar queries, bit
+    for bit, across empty/short/full histories -- the oracle batch
+    closure the KDM's table is checked against relies on it."""
 
     def _estimators(self, sizes, history=32):
         out = []
@@ -172,7 +174,7 @@ class TestArrivalBatch:
         return out
 
     def test_rows_bit_identical_to_scalars(self):
-        from repro.core import ArrivalBatch
+        from tests.oracles.objective import ArrivalBatch
 
         # Empty, single-IAT, partial, and saturated histories together.
         ests = self._estimators([-1, 0, 1, 5, 31, 40], history=32)
@@ -186,7 +188,7 @@ class TestArrivalBatch:
             assert np.array_equal(ka[i], est.expected_keepalive_s(k[i])), i
 
     def test_shape_validation(self):
-        from repro.core import ArrivalBatch
+        from tests.oracles.objective import ArrivalBatch
 
         batch = ArrivalBatch(self._estimators([2, 3]))
         with pytest.raises(ValueError, match="rows"):
@@ -196,7 +198,7 @@ class TestArrivalBatch:
 
     def test_snapshot_semantics(self):
         """Observations after the batch is built do not leak in."""
-        from repro.core import ArrivalBatch
+        from tests.oracles.objective import ArrivalBatch
 
         est = make_est()
         for t in (0.0, 60.0, 120.0):
@@ -214,7 +216,7 @@ class TestArrivalBatch:
     )
     @settings(max_examples=40, deadline=None)
     def test_property_batch_matches_scalars(self, sizes, seed, prior_strength):
-        from repro.core import ArrivalBatch
+        from tests.oracles.objective import ArrivalBatch
 
         rng = np.random.default_rng(seed)
         ests = []

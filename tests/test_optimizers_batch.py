@@ -25,6 +25,7 @@ from tests.oracles import (
     SequentialKDM,
     sequential_ecolife,
 )
+from tests.oracles import objective as objective_oracle
 from tests.test_core_objective import make_env
 
 N_SWARMS = 6
@@ -188,6 +189,78 @@ class TestFleetEquivalence:
             fleet.add_swarm(rng)
         assert fleet.n_swarms == 12
         assert np.array_equal(fleet.positions[first], snapshot)
+
+
+class TestFixedLandscapeStep:
+    """Stream-mode ``step`` / ``step_one`` against a fixed landscape ==
+    the oracles, which re-score every iteration and draw r1/r2 per
+    iteration. The landscapes are table gathers, as the KDM's are: pure
+    in the positions within a call, full of ties, and redrawn between
+    calls so the first-iteration re-score matters."""
+
+    N_LOC, N_K = 2, 31
+
+    def _tables(self, rng, s):
+        # Coarse values so equal scores (ties on `<=`) are common.
+        return np.round(rng.uniform(size=(s, self.N_LOC, self.N_K)), 1)
+
+    def _fitness(self, tables):
+        """Gather from one swarm's ``(N_LOC, N_K)`` table, or row-wise
+        from an ``(s, N_LOC, N_K)`` stack."""
+        lead = () if tables.ndim == 2 else (np.arange(len(tables))[:, None],)
+
+        def fn(x):
+            loc = np.minimum((x[..., 0] * self.N_LOC).astype(int), self.N_LOC - 1)
+            cell = (x[..., 1] * (self.N_K - 1) + 0.5).astype(int)
+            return tables[lead + (loc, cell)]
+
+        return fn
+
+    @pytest.mark.parametrize("path", ["step", "step_one"])
+    @pytest.mark.parametrize("iterations", [1, 3, 8])
+    @pytest.mark.parametrize("dynamic", [True, False])
+    def test_matches_oracles(self, path, iterations, dynamic):
+        n_particles, n_swarms = 7, 4
+        if dynamic:
+            solos = [
+                DynamicPSO(dim=2, rng=r, n_particles=n_particles)
+                for r in seeded_rngs(n_swarms, base=300)
+            ]
+            fleet = SwarmFleet(dim=2, n_particles=n_particles, params=DPSOParams())
+        else:
+            solos = [
+                ParticleSwarm(dim=2, rng=r, n_particles=n_particles)
+                for r in seeded_rngs(n_swarms, base=300)
+            ]
+            fleet = SwarmFleet(dim=2, n_particles=n_particles)
+        for r in seeded_rngs(n_swarms, base=300):
+            fleet.add_swarm(r)
+        idx = np.arange(n_swarms)
+        land = np.random.default_rng(9)
+        # Rounds: (delta_f, delta_ci, explicit redistribution first?)
+        rounds = [(0.0, 0.0, False), (3.0, 40.0, False), (0.1, 0.2, True),
+                  (5.0, 1.0, False), (0.0, 0.0, True)]
+        for df, dci, redistribute in rounds:
+            tables = self._tables(land, n_swarms)
+            for i, solo in enumerate(solos):
+                if redistribute:
+                    solo.redistribute(0.5)
+                    fleet.redistribute(i, 0.5)
+                if dynamic:
+                    solo.perceive(df, dci)
+                    fleet.perceive(i, df, dci)
+                solo.step(self._fitness(tables[i]), iterations=iterations)
+            if path == "step":
+                fleet.step(idx, self._fitness(tables), iterations=iterations)
+            else:
+                for i in idx:
+                    fleet.step_one(int(i), self._fitness(tables[i]), iterations)
+            for i, solo in enumerate(solos):
+                assert_swarm_equal(solo, fleet, i)
+                assert (
+                    solo.rng.bit_generator.state
+                    == fleet.rng_of(i).bit_generator.state
+                )
 
 
 class TestRetirement:
@@ -408,8 +481,9 @@ class TestBatchFitness:
         ["full_k", "expected_min"],
     )
     def test_vectorised_arrivals_match_reference_loop(self, expectation):
-        """The ArrivalBatch fast path == the per-function query loop,
-        bit for bit, including empty and saturated histories."""
+        """The table gather (arrivals queried once, on the K_AT grid) ==
+        the oracle's per-particle, per-function query loop, bit for bit,
+        including empty and saturated histories."""
         from repro.core.config import KeepAliveExpectation
 
         env = make_env()
@@ -436,9 +510,7 @@ class TestBatchFitness:
 
         x = np.random.default_rng(5).uniform(size=(5, 30, 2))
         fast = builder.batch_fitness(funcs, ts, arrivals)(x)
-        loop = builder.batch_fitness(
-            funcs, ts, arrivals, vectorise_arrivals=False
-        )(x)
+        loop = objective_oracle.looped_batch_fitness(builder, funcs, ts, arrivals)(x)
         assert np.array_equal(fast, loop)
 
 
