@@ -19,11 +19,13 @@ Six measurements:
    through the full engine, EcoLife (fleet) vs the sequential-DPSO
    EcoLife oracle from ``tests/oracles``, exercising the same-tick
    ``keepalive_batch`` fused path (bit-identical).
-4. **Continuous-trace replay** -- a Poisson (non-quantised) trace with
-   ``decision_quantum_s`` on vs off. Decisions previously serialised on
-   such traces; the quantum groups nearby instants while the
-   completion-bounded flush keeps the replay bit-identical, so the
-   measured objective error must be exactly zero (asserted).
+4. **Continuous-trace replay** -- a Poisson (non-quantised) trace
+   through the default engine, whose lookahead grouping batches
+   distinct functions' decisions up to the earliest staged completion,
+   vs the per-arrival reference replay from ``tests/oracles`` (one
+   ``keepalive`` per arrival). The completion-bounded flush keeps the
+   grouped replay bit-identical, so the measured objective error must
+   be exactly zero (asserted).
 5. **Sharded replay** -- the same simulation partitioned by function
    across 2 and 4 shards (in-process threads and TCP-coordinated worker
    processes). Bit-identity to the sequential replay is asserted at
@@ -74,6 +76,7 @@ from _harness import oracles
 
 DynamicPSO = oracles().DynamicPSO
 sequential_ecolife = oracles().sequential_ecolife
+reference_replay = oracles().reference_replay
 looped_batch_fitness = oracles().objective.looped_batch_fitness
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -320,7 +323,7 @@ def bench_replay(n_funcs: int, n_ticks: int, repeats: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# 4. Continuous-trace replay: decision_quantum_s on vs off.
+# 4. Continuous-trace replay: lookahead grouping vs per-arrival replay.
 # ---------------------------------------------------------------------------
 
 
@@ -348,21 +351,20 @@ def _continuous_trace(
 
 
 def bench_continuous(
-    n_funcs: int, hours: float, mean_iat_s: float, quantum_s: float,
-    repeats: int,
+    n_funcs: int, hours: float, mean_iat_s: float, repeats: int
 ) -> dict:
-    """Quantum-grouped vs serialised decisions on a continuous trace.
+    """Grouped vs per-arrival decisions on a continuous trace.
 
-    Before this PR, non-quantised traces never hit ``keepalive_batch``
-    (no two arrivals share an instant), so every decision paid the
-    singleton path. The quantum groups nearby instants; the
-    completion-bounded flush keeps the replay bit-identical, so the
-    reported objective error must be exactly zero -- asserted here, a
+    No two arrivals of a Poisson trace share an instant; the engine
+    still groups distinct functions' decisions until an arrival reaches
+    the earliest staged completion. That flush keeps the replay
+    bit-identical to the per-arrival reference, so the reported
+    objective error must be exactly zero -- asserted here, a
     fast-but-wrong grouping is not a result.
     """
     trace = _continuous_trace(n_funcs, hours * 3600.0, mean_iat_s)
 
-    def run(quantum: float):
+    def run(grouped: bool):
         engine = SimulationEngine(
             pair=PAIR_A,
             trace=trace,
@@ -373,37 +375,38 @@ def bench_continuous(
                 measure_decision_overhead=False,
             ),
         )
+        scheduler = EcoLifeScheduler(EcoLifeConfig())
         t0 = time.perf_counter()
-        result = engine.run(
-            EcoLifeScheduler(EcoLifeConfig(decision_quantum_s=quantum))
-        )
+        if grouped:
+            result = engine.run(scheduler)
+        else:
+            result = reference_replay(engine, scheduler)
         return time.perf_counter() - t0, result
 
     on_s = off_s = float("inf")
     on = off = None
     for _ in range(repeats):
-        t, on = run(quantum_s)
+        t, on = run(True)
         on_s = min(on_s, t)
-        t, off = run(0.0)
+        t, off = run(False)
         off_s = min(off_s, t)
 
     error = abs(on.total_carbon_g - off.total_carbon_g) / off.total_carbon_g
     assert error == 0.0, (
-        f"quantum-grouped replay diverged: relative carbon error {error:.3e}"
+        f"grouped replay diverged: relative carbon error {error:.3e}"
     )
     changed = sum(
         a.keepalive_decision != b.keepalive_decision
         for a, b in zip(on.records, off.records)
     )
-    assert changed == 0, f"{changed} decisions changed under the quantum"
+    assert changed == 0, f"{changed} decisions changed under grouping"
 
     return {
         "n_functions": n_funcs,
         "n_invocations": len(off.records),
         "mean_iat_s": mean_iat_s,
-        "quantum_s": quantum_s,
-        "quantum_on_s": on_s,
-        "quantum_off_s": off_s,
+        "grouped_s": on_s,
+        "per_arrival_s": off_s,
         "speedup": off_s / on_s,
         # Exact by construction (completion-bounded flush); recorded so
         # the gate artifact documents the bound that was checked.
@@ -933,9 +936,7 @@ def main(argv=None) -> int:
         step_kw = dict(n_swarms=50, decisions=20, iterations=8, repeats=1)
         fused_kw = dict(n_swarms=256, decisions=8, iterations=8, repeats=1)
         replay_kw = dict(n_funcs=50, n_ticks=20, repeats=1)
-        cont_kw = dict(
-            n_funcs=48, hours=0.5, mean_iat_s=20.0, quantum_s=30.0, repeats=1
-        )
+        cont_kw = dict(n_funcs=48, hours=0.5, mean_iat_s=20.0, repeats=1)
         shard_kw = dict(
             n_funcs=24,
             horizon_s=1200.0,
@@ -958,9 +959,7 @@ def main(argv=None) -> int:
         step_kw = dict(n_swarms=50, decisions=100, iterations=8, repeats=3)
         fused_kw = dict(n_swarms=256, decisions=30, iterations=8, repeats=3)
         replay_kw = dict(n_funcs=50, n_ticks=60, repeats=3)
-        cont_kw = dict(
-            n_funcs=48, hours=2.0, mean_iat_s=20.0, quantum_s=30.0, repeats=3
-        )
+        cont_kw = dict(n_funcs=48, hours=2.0, mean_iat_s=20.0, repeats=3)
         # The ISSUE 9 acceptance scale: a 10k-function trace, exec floor
         # ~10s so barriers stay ~100 wide, where 4 process shards must
         # clear 1.8x on a >=4-core host (asserted inside bench_shard).
@@ -1062,10 +1061,9 @@ def main(argv=None) -> int:
     )
     print(
         f"continuous replay ({continuous['n_functions']} funcs, "
-        f"{continuous['n_invocations']} invocations, "
-        f"quantum {continuous['quantum_s']:g}s): "
-        f"off {continuous['quantum_off_s']:.2f}s, "
-        f"on {continuous['quantum_on_s']:.2f}s "
+        f"{continuous['n_invocations']} invocations): "
+        f"per-arrival {continuous['per_arrival_s']:.2f}s, "
+        f"grouped {continuous['grouped_s']:.2f}s "
         f"-> {continuous['speedup']:.2f}x "
         f"(objective error {continuous['objective_error_carbon']:.1e}, "
         f"bit-identical)"

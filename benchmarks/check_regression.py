@@ -64,9 +64,10 @@ SUITES: dict[str, dict] = {
             # PR 4 fused path, 256 swarms against the real objective.
             "fused_step.fused_speedup",
             "replay.speedup",
-            # Continuous (non-quantised) trace with decision_quantum_s
-            # on vs off -- bit-identical by construction, so only the
-            # speedup is gated; the (zero) objective error is recorded.
+            # Continuous (non-quantised) trace: the default engine's
+            # lookahead grouping vs the per-arrival reference replay --
+            # bit-identical by construction, so only the speedup is
+            # gated; the (zero) objective error is recorded.
             "continuous.speedup",
         ),
         "info": (
@@ -76,8 +77,8 @@ SUITES: dict[str, dict] = {
             "fused_step.fused_s",
             "replay.batch_on_s",
             "replay.batch_off_s",
-            "continuous.quantum_on_s",
-            "continuous.quantum_off_s",
+            "continuous.grouped_s",
+            "continuous.per_arrival_s",
             "continuous.objective_error_carbon",
             "continuous.decisions_changed",
         ),

@@ -67,8 +67,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     config = EcoLifeConfig(
         seed=args.seed,
-        decision_quantum_s=args.decision_quantum,
-        adaptive_decision_quantum=args.adaptive_quantum,
         # None = keep the env-driven default (ECOLIFE_RNG_MODE).
         **({"rng_mode": args.rng_mode} if args.rng_mode else {}),
     )
@@ -602,16 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(bit-identical to sequential per-function PSO), 'counter' = batched "
         "Philox counter draws (self-consistent, fastest; default "
         "honours ECOLIFE_RNG_MODE)",
-    )
-    sim_p.add_argument(
-        "--decision-quantum", type=float, default=0.0,
-        help="group continuous-trace decisions into shared ticks of "
-        "this many seconds (0 = off; accuracy knob, see docs)",
-    )
-    sim_p.add_argument(
-        "--adaptive-quantum", action="store_true",
-        help="clamp the decision tick to the observed minimum service "
-        "time (self-tuning batching width; bit-identical results)",
     )
     sim_p.add_argument(
         "--trace", default=None, metavar="FILE",

@@ -97,30 +97,6 @@ class EcoLifeConfig:
     #: Only the PSO fleet reads this knob; GA/SA always use their own
     #: streams. Default honours ``ECOLIFE_RNG_MODE``.
     rng_mode: str = field(default_factory=rng_mode_default)
-    #: Group continuous-trace decision instants into shared ticks of this
-    #: many seconds so ``decide_batch`` fires on non-quantised traces too
-    #: (0 = off, the default: only exactly-simultaneous arrivals batch).
-    #: Replays stay *bit-identical* at any width: placements run one
-    #: arrival at a time against fully drained pool state, every decision
-    #: is evaluated at its own instant, and a group additionally closes
-    #: before any arrival reaches its earliest staged completion time --
-    #: which keeps the engine's event ordering exactly sequential. The
-    #: knob therefore only bounds how far ahead the engine looks for
-    #: batchable arrivals; the effective batch width is capped by the
-    #: arrival density within one in-flight service time (measured by
-    #: ``benchmarks/bench_swarm.py``; see ``docs/optimizers.md``).
-    decision_quantum_s: float = 0.0
-    #: Clamp the decision tick to the *observed minimum service time*:
-    #: the engine tracks the shortest completed-request duration seen so
-    #: far and uses ``min(decision_quantum_s, observed_min)`` as the
-    #: effective tick (with ``decision_quantum_s == 0`` the observed
-    #: minimum alone drives the width, so batching self-tunes on
-    #: continuous traces without hand-picking a quantum). Since replays
-    #: are bit-identical at *any* tick width -- including a varying one
-    #: (see above) -- this is purely a look-ahead heuristic: a tick
-    #: wider than the shortest service time cannot batch further anyway
-    #: because groups close at the earliest staged completion.
-    adaptive_decision_quantum: bool = False
     # State retirement under function churn (both default off = today's
     # unbounded per-function state). Retirement archives a function's
     # optimizer/swarm state (including its RNG stream state), arrival
@@ -131,7 +107,7 @@ class EcoLifeConfig:
     #: for this many seconds. ``None`` disables idle retirement.
     retire_after_s: float | None = None
     #: Soft cap on live per-function optimizer states: the idle sweep
-    #: retires the longest-idle functions past it (new same-tick
+    #: retires the longest-idle functions past it (new grouped
     #: functions may transiently overshoot by one batch). Size it above
     #: the expected *active* working set: a cap below it stays
     #: bit-identical but degenerates into archive/rehydrate thrashing on
@@ -178,8 +154,6 @@ class EcoLifeConfig:
             raise ValueError(
                 f"rng_mode must be 'stream' or 'counter', got {self.rng_mode!r}"
             )
-        if self.decision_quantum_s < 0.0:
-            raise ValueError("decision_quantum_s must be >= 0")
         if self.spill_archives_after < 0:
             raise ValueError("spill_archives_after must be >= 0")
 

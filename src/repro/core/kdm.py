@@ -14,7 +14,7 @@ of a serverless function, EcoLife assigns a PSO optimizer and preserves it
 4. decodes the swarm's best position into (location, keep-alive period).
 
 The PSO backends keep every function's swarm in one
-:class:`~repro.optimizers.batch.SwarmFleet`, and same-tick decisions
+:class:`~repro.optimizers.batch.SwarmFleet`, and grouped decisions
 for distinct functions step together through fused kernels
 (:meth:`KeepAliveDecisionMaker.decide_batch`); see
 ``docs/optimizers.md``.

@@ -52,10 +52,6 @@ class EcoLifeScheduler(BaseScheduler):
         super().__init__()
         self.config = config or EcoLifeConfig()
         self.allow_spill = self.config.use_warm_pool_adjustment
-        # Decision-tick width for the engine's same-tick grouping; replays
-        # are bit-identical at any width (see docs/optimizers.md).
-        self.decision_quantum_s = self.config.decision_quantum_s
-        self.adaptive_decision_quantum = self.config.adaptive_decision_quantum
         # Components are created at bind() time (they need the env).
         self.arrivals: ArrivalRegistry | None = None
         self.kdm: KeepAliveDecisionMaker | None = None

@@ -196,7 +196,7 @@ class SimulationEngine:
     def step_batch(self, arrivals: Iterable[Arrival]) -> list[InvocationRecord]:
         """Process time-ordered arrivals incrementally; returns their records.
 
-        Identical decision semantics to ``run()``: same-tick grouping
+        Identical decision semantics to ``run()``: lookahead grouping
         (any staged group is flushed before this call returns, so callers
         always see completed decisions). Stepping boundaries never change
         decisions -- the grouping contract guarantees composition
@@ -253,38 +253,34 @@ class SimulationEngine:
     def _grouped_steps(
         self, scheduler: BaseScheduler, arrivals: Iterable[Arrival]
     ) -> float:
-        """The engine's one stepping loop: shared-tick keep-alive groups.
+        """The engine's one stepping loop: exact lookahead keep-alive groups.
 
-        Consecutive invocations of *distinct* functions arriving within
-        the same decision tick are placed one by one -- each against
-        fully drained pool/event state at its own arrival instant
-        (placements interact through the warm pools) -- and then decided
-        in a single ``keepalive_batch`` call. A repeated function name
-        closes the group (its second decision depends on its first),
-        which also makes explicit arrival-state snapshots unnecessary:
-        within a group, a function's estimator history at decision time
-        is exactly its history at its own place time.
+        Consecutive invocations of *distinct* functions are placed one by
+        one -- each against fully drained pool/event state at its own
+        arrival instant (placements interact through the warm pools) --
+        and then decided in a single ``keepalive_batch`` call, each
+        decision still evaluated at its own ``t_end``. A group closes on
+        exactly two triggers:
 
-        The tick is the exact arrival instant by default
-        (``decision_quantum_s == 0``): behaviour-preserving, because a
-        same-instant keep-alive decision reads only the environment at
-        its own ``t_end`` and its function's private state, and the
-        containers the group admits all activate strictly after the
-        shared arrival instant. With ``decision_quantum_s > 0`` the
-        tick widens to ``floor(t / quantum)`` buckets so continuous
-        traces batch too.
+        - a repeated function name (its second decision depends on its
+          first). This also makes arrival-state snapshots unnecessary:
+          within a group, a function's estimator history at decision
+          time is exactly its history at its own place time;
+        - an arrival at or past the earliest staged completion time.
+          A staged decision's only world-visible side effect is its
+          keep-alive activation at ``t_end``, and events only act when a
+          drain passes their timestamp -- so as long as every activation
+          enters the heap before the first drain at or beyond its
+          ``t_end``, the pops (and thus pool state, warm hits, and
+          adjustments) happen in exactly the sequential order.
 
-        A third flush trigger keeps the wide-bucket path *exact*: the
-        group closes before any arrival reaches the earliest staged
-        completion time. A staged decision's only world-visible side
-        effect is its keep-alive activation at ``t_end``, and events
-        only act when a drain passes their timestamp -- so as long as
-        every activation enters the heap before the first drain at or
-        beyond its ``t_end``, the pops (and thus pool state, warm hits,
-        and adjustments) happen in exactly the sequential order. The
-        quantum therefore trades nothing away; it only bounds how far
-        ahead the engine looks for batchable arrivals (effective batch
-        width is capped by arrivals per in-flight service time).
+        A keep-alive decision reads only the environment at its own
+        ``t_end`` and its function's private state, so grouping is exact
+        for every scheduler: a replay equals the per-arrival one bit for
+        bit, and the group width is bounded only by the distinct
+        functions arriving within one in-flight service time.
+        ``step_batch`` additionally flushes when it returns, so callers
+        always see completed decisions.
 
         The grouping state machine itself lives in :class:`ShardStep` so
         the sharded replay (``repro.simulator.shard``) can drive the
@@ -602,15 +598,14 @@ class SimulationEngine:
 
 
 class ShardStep:
-    """The quantum-grouping state machine behind ``_grouped_steps``.
+    """The lookahead-grouping state machine behind ``_grouped_steps``.
 
-    One instance batches a time-ordered arrival stream into shared-tick
-    keep-alive decision groups: ``feed`` places each arrival against
-    drained engine state and stages its KDM ask; the group closes (and
-    is decided in one ``keepalive_batch``) on a bucket change, a
-    repeated function name, or an arrival at/past the earliest staged
-    completion time -- the exact triggers documented on
-    :meth:`SimulationEngine._grouped_steps`.
+    One instance batches a time-ordered arrival stream into keep-alive
+    decision groups: ``feed`` places each arrival against drained engine
+    state and stages its KDM ask; the group closes (and is decided in
+    one ``keepalive_batch``) on a repeated function name or an arrival
+    at/past the earliest staged completion time -- the exactness bound
+    documented on :meth:`SimulationEngine._grouped_steps`.
 
     It is a separate unit (rather than a loop body) so the sharded
     replay (``repro.simulator.shard``) can drive the identical machine
@@ -626,43 +621,21 @@ class ShardStep:
     def __init__(self, engine: SimulationEngine, scheduler: BaseScheduler) -> None:
         self._engine = engine
         self._scheduler = scheduler
-        self._quantum = scheduler.decision_quantum_s
-        self._adaptive = scheduler.adaptive_decision_quantum
-        # Adaptive width: clamp the tick to the shortest service time
-        # observed so far (a wider tick cannot batch further anyway --
-        # the flush_at trigger closes the group at the earliest staged
-        # completion). Exactness is width-independent, so a width that
-        # *varies* as the running minimum tightens stays bit-identical.
-        self._min_service = float("inf")
         #: Largest execution-end time decided so far.
         self.horizon = 0.0
         self._staged: list[KeepAliveRequest] = []
         self._names: set[str] = set()
-        self._bucket: float | None = None
         self._flush_at = float("inf")  # earliest staged completion
 
     def feed(self, t: float, func: FunctionProfile) -> None:
         """Place one owned arrival and stage its keep-alive decision."""
-        width = self._quantum
-        if self._adaptive and self._min_service < float("inf"):
-            width = (
-                min(self._quantum, self._min_service)
-                if self._quantum > 0.0
-                else self._min_service
-            )
-        key = t if width <= 0.0 else t // width
-        if self._staged and (
-            key != self._bucket or func.name in self._names or t >= self._flush_at
-        ):
+        if func.name in self._names or t >= self._flush_at:
             self.flush()
-        self._bucket = key
         self._engine._drain_events(until=t)
         req = self._engine._place_and_record(self._scheduler, t, func)
         self._staged.append(req)
         self._names.add(func.name)
         self._flush_at = min(self._flush_at, req.t_end)
-        if self._adaptive:
-            self._min_service = min(self._min_service, req.t_end - t)
 
     @property
     def flush_at(self) -> float:

@@ -64,6 +64,13 @@ class InvocationRecord:
     evicted: bool = False
     spilled: bool = False
     dropped: bool = False  # keep-alive wish could not be honoured at all
+    #: Scheduler wall time charged to this invocation: its own ``place``
+    #: call, plus an equal share (wall / group size) of the one
+    #: ``keepalive_batch`` call that decided its group, plus any
+    #: adjustment ranking its container triggered. Shares of a group sum
+    #: to that call's wall, so ``total_decision_wall_s`` is the sum of
+    #: all timed scheduler calls; a per-record value is a latency only
+    #: for a group of one.
     decision_wall_s: float = 0.0
 
     @property

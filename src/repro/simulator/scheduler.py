@@ -7,7 +7,7 @@ The engine consults a scheduler at three points:
    the scheduler to pick a warm location (warm placements never pay a cold
    start); all shipped schedulers do.
 2. :meth:`BaseScheduler.keepalive_batch` -- after execution: where and for
-   how long to keep each function of a same-tick group alive (the KDM
+   how long to keep each function of a decision group alive (the KDM
    decision). The base class loops over :meth:`BaseScheduler.keepalive`;
    EcoLife steps the whole group through one batched swarm kernel.
 3. :meth:`BaseScheduler.rank_keepalive_candidates` -- when a pool overflows:
@@ -256,25 +256,6 @@ class BaseScheduler(abc.ABC):
     requires_lookahead: bool = False
     #: Whether adjustment may spill evicted containers to the other pool.
     allow_spill: bool = True
-    #: Width (seconds) of the shared decision tick: 0 (default) groups
-    #: only exactly-simultaneous arrivals; > 0 groups arrivals of
-    #: distinct functions whose times fall in the same
-    #: ``floor(t / quantum)`` bucket, letting ``keepalive_batch`` fire on
-    #: continuous (non-quantised) traces.
-    #: Bit-identical at any width: placements still run one arrival at
-    #: a time against fully drained pool state, each decision is
-    #: evaluated at its own instant, and the engine closes a group
-    #: before any arrival reaches its earliest staged completion time,
-    #: preserving sequential event ordering exactly (see
-    #: ``docs/optimizers.md``).
-    decision_quantum_s: float = 0.0
-    #: Clamp the decision tick to the observed minimum service time:
-    #: the engine tracks the shortest completed-request duration and
-    #: uses ``min(decision_quantum_s, observed_min)`` as the effective
-    #: width (or the observed minimum alone when the static width is 0).
-    #: A pure look-ahead heuristic -- replays are bit-identical at any,
-    #: even varying, width.
-    adaptive_decision_quantum: bool = False
 
     def __init__(self) -> None:
         self.env: SchedulerEnv | None = None
@@ -342,14 +323,16 @@ class BaseScheduler(abc.ABC):
     def keepalive_batch(
         self, reqs: Sequence[KeepAliveRequest]
     ) -> list[KeepAliveDecision]:
-        """Keep-alive decisions for one same-tick group of arrivals.
+        """Keep-alive decisions for one lookahead group of arrivals.
 
         The engine's only keep-alive entry point. It calls this with
-        requests from *distinct* functions in one decision tick (see
-        :attr:`decision_quantum_s`), whose decisions are therefore
-        order-independent -- a single request is a group of one. The
-        default loops over :meth:`keepalive`; EcoLife overrides it to
-        step all the functions' swarms through one batched fleet kernel.
+        requests from *distinct* functions, all placed before the
+        earliest of their completion times (see
+        ``SimulationEngine._grouped_steps``), whose decisions are
+        therefore order-independent -- a single request is a group of
+        one. The default loops over :meth:`keepalive`; EcoLife overrides
+        it to step all the functions' swarms through one batched fleet
+        kernel.
         """
         return [self.keepalive(req) for req in reqs]
 
