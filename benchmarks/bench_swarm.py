@@ -8,11 +8,12 @@ Six measurements:
    bit-identical sequential reference. This isolates the PR 2
    fused-kernel win (>=2x acceptance gate at 50 functions).
 2. **Fully-fused step** -- 256 swarms against the *real* batched
-   objective (cost vectors + empirical arrivals): the PR 4 fused path
-   (stream RNG + the per-particle objective with its per-function
-   ``p_warm`` loop, from ``tests/oracles``) vs the fully-fused path
-   (counter-based batched RNG + the objective table, which queries each
-   estimator once per decision on the K_AT grid). This isolates the
+   objective (cost vectors + empirical arrivals): the earlier fused
+   path (per-swarm perception + the per-particle objective with its
+   per-function ``p_warm`` loop, from ``tests/oracles``) vs the
+   fully-fused path (batched perception + the objective table, which
+   queries each estimator once per decision on the K_AT grid). Both
+   legs draw from the same per-swarm RNG streams. This isolates the
    last per-function Python loops inside the fused step (>=2x
    additional gate at 256 swarms).
 3. **End-to-end replay** -- a tick-quantised multi-function trace
@@ -155,7 +156,8 @@ def bench_step_throughput(
 
 
 # ---------------------------------------------------------------------------
-# 2. Fully-fused step: counter RNG + objective table vs the PR 4 path.
+# 2. Fully-fused step: batched perception + objective table vs the
+#    per-particle objective path.
 # ---------------------------------------------------------------------------
 
 
@@ -187,14 +189,16 @@ def bench_fused_step(
 ) -> dict:
     """Fused decision rounds against the real batched objective.
 
-    The PR 4 leg is the fused step with its objective as it shipped:
-    stream-mode per-swarm RNG draws (a Python loop over
-    ``Generator.uniform``) and the per-particle objective with its
-    per-function ``p_warm``/``E[min(IAT, k)]`` query loop
+    The ``pr4`` leg is the fused step with its objective as it first
+    shipped: per-swarm :meth:`~SwarmFleet.perceive` calls and the
+    per-particle objective with its per-function
+    ``p_warm``/``E[min(IAT, k)]`` query loop
     (``tests/oracles/objective.py``). The fused leg replaces both with
-    batched kernels (``rng_mode="counter"`` + the objective table). Each
-    round rebuilds the fitness closure, as the KDM does per decision
-    batch.
+    batched kernels (:meth:`~SwarmFleet.perceive_batch` + the objective
+    table). Both legs take ``r1``/``r2`` from the same per-swarm
+    ``Generator`` streams, so the ratio measures the objective and
+    perception layers only. Each round rebuilds the fitness closure, as
+    the KDM does per decision batch.
     """
     env = _bench_env()
     builder = ObjectiveBuilder(env, EcoLifeConfig())
@@ -220,20 +224,17 @@ def bench_fused_step(
 
     deltas = np.full(n_swarms, 1.0), np.full(n_swarms, 5.0)
 
-    def run(rng_mode: str) -> float:
-        fleet = SwarmFleet(
-            dim=2, n_particles=15, params=DPSOParams(), rng_mode=rng_mode
-        )
+    def run(fused: bool) -> float:
+        fleet = SwarmFleet(dim=2, n_particles=15, params=DPSOParams())
         for i in range(n_swarms):
             fleet.add_swarm(np.random.default_rng(i))
         idx = np.arange(n_swarms)
-        fused = rng_mode == "counter"
         t0 = time.perf_counter()
         for _ in range(decisions):
             if fused:
                 fleet.perceive_batch(idx, *deltas)
             else:
-                # The PR 4 KDM perceived (and redistributed) per swarm.
+                # The earlier KDM perceived (and redistributed) per swarm.
                 for i in idx:
                     fleet.perceive(int(i), 1.0, 5.0)
             if fused:
@@ -245,8 +246,8 @@ def bench_fused_step(
 
     pr4_s = fused_s = float("inf")
     for _ in range(repeats):
-        pr4_s = min(pr4_s, run("stream"))
-        fused_s = min(fused_s, run("counter"))
+        pr4_s = min(pr4_s, run(False))
+        fused_s = min(fused_s, run(True))
 
     steps = decisions * n_swarms
     return {
@@ -296,9 +297,7 @@ def bench_replay(n_funcs: int, n_ticks: int, repeats: int) -> dict:
             ),
         )
         t0 = time.perf_counter()
-        # Stream RNG pinned: the bench asserts on/off bit-identity,
-        # which is the stream contract.
-        config = EcoLifeConfig(rng_mode="stream")
+        config = EcoLifeConfig()
         result = engine.run(
             EcoLifeScheduler(config) if flag else sequential_ecolife(config)
         )
@@ -1050,7 +1049,7 @@ def main(argv=None) -> int:
     print(
         f"fused step ({fused['n_swarms']} swarms, real objective): "
         f"pr4 {fused['pr4_decisions_per_s']:.0f} dec/s, "
-        f"counter+table {fused['fused_decisions_per_s']:.0f} dec/s "
+        f"batched+table {fused['fused_decisions_per_s']:.0f} dec/s "
         f"-> {fused['fused_speedup']:.2f}x additional"
     )
     print(

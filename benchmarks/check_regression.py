@@ -60,8 +60,9 @@ SUITES: dict[str, dict] = {
     "swarm": {
         "gated": (
             "step_throughput.speedup",
-            # Fully-fused step (counter RNG + objective table) vs the
-            # PR 4 fused path, 256 swarms against the real objective.
+            # Fully-fused step (batched perception + objective table)
+            # vs the per-particle objective path, both on per-swarm RNG
+            # streams, 256 swarms against the real objective.
             "fused_step.fused_speedup",
             "replay.speedup",
             # Continuous (non-quantised) trace: the default engine's

@@ -65,11 +65,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.core import EcoLifeConfig, EcoLifeScheduler
     from repro.experiments import default_scenario, run_scheduler
 
-    config = EcoLifeConfig(
-        seed=args.seed,
-        # None = keep the env-driven default (ECOLIFE_RNG_MODE).
-        **({"rng_mode": args.rng_mode} if args.rng_mode else {}),
-    )
+    config = EcoLifeConfig(seed=args.seed)
     factories = {
         "ecolife": lambda: EcoLifeScheduler(config),
         "ecolife-no-dpso": lambda: EcoLifeScheduler.without_dpso(config),
@@ -593,14 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim_p.add_argument("--region", default="CAL")
     sim_p.add_argument("--pair", default="A")
     sim_p.add_argument("--pool-gb", type=float, default=32.0)
-    sim_p.add_argument(
-        "--rng-mode", choices=["stream", "counter"],
-        default=None,
-        help="fleet RNG: 'stream' = per-swarm Generator streams "
-        "(bit-identical to sequential per-function PSO), 'counter' = batched "
-        "Philox counter draws (self-consistent, fastest; default "
-        "honours ECOLIFE_RNG_MODE)",
-    )
     sim_p.add_argument(
         "--trace", default=None, metavar="FILE",
         help="replay a compiled columnar trace file (.npz from `ecolife "

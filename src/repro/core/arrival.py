@@ -236,13 +236,6 @@ class ArrivalRegistry:
         est.observe(t)
         return est
 
-    def observe_run(self, name: str, times: npt.ArrayLike) -> ArrivalEstimator:
-        """Batched :meth:`observe` for a sorted run of one function's
-        arrivals (the sharded foreign fast path)."""
-        est = self.get(name)
-        est.observe_many(times)
-        return est
-
     def retire(self, name: str) -> None:
         """Shelve one function's estimator (state-retirement sweep).
 

@@ -11,23 +11,10 @@ GA/SA comparison).
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field, replace
 
 from repro.hardware.specs import GENERATIONS, Generation
 from repro.optimizers.dynamic_pso import DPSOParams
-
-
-def rng_mode_default() -> str:
-    """Default for :attr:`EcoLifeConfig.rng_mode`.
-
-    Reads the ``ECOLIFE_RNG_MODE`` environment variable (``stream`` or
-    ``counter``) so a CI matrix leg can drive the whole suite through
-    the counter-based batched RNG without code changes. Unset means
-    ``stream`` -- the sequential-reference contract.
-    """
-    # ecolint: disable=ECO002 -- config-construction-time default, resolved once per process by the CI matrix; never read on a replay path
-    return os.environ.get("ECOLIFE_RNG_MODE", "stream").strip().lower() or "stream"
 
 
 class OptimizerKind(enum.Enum):
@@ -85,18 +72,6 @@ class EcoLifeConfig:
     keepalive_expectation: KeepAliveExpectation = KeepAliveExpectation.FULL_K
     # KDM optimizer backend (GA/SA exist for the in-text comparison).
     optimizer: OptimizerKind = OptimizerKind.PSO
-    #: Which RNG feeds the fleet's per-iteration draws. ``"stream"``
-    #: (default) keeps per-swarm ``np.random.Generator`` streams, bit
-    #: for bit the draws of one sequential optimizer per function.
-    #: ``"counter"`` switches the fleet to the counter-based batched RNG
-    #: (vectorised Philox keyed by each swarm's private ``(key, step)``
-    #: counters): all swarms' ``r1``/``r2`` come out of one fused kernel,
-    #: trading the stream contract for a *self-consistent* one -- results
-    #: differ from ``"stream"`` but are deterministic and independent of
-    #: batch composition, slot placement, and retire/rehydrate/compact.
-    #: Only the PSO fleet reads this knob; GA/SA always use their own
-    #: streams. Default honours ``ECOLIFE_RNG_MODE``.
-    rng_mode: str = field(default_factory=rng_mode_default)
     # State retirement under function churn (both default off = today's
     # unbounded per-function state). Retirement archives a function's
     # optimizer/swarm state (including its RNG stream state), arrival
@@ -128,7 +103,9 @@ class EcoLifeConfig:
     spill_dir: str | None = None
     #: In-memory archive count that triggers spilling (oldest first).
     spill_archives_after: int = 256
-    # Determinism.
+    # Determinism: each function's swarm draws from its own
+    # ``np.random.Generator`` stream, seeded from this root and the
+    # function's name.
     seed: int = 2024
 
     def __post_init__(self) -> None:
@@ -150,10 +127,6 @@ class EcoLifeConfig:
             raise ValueError("retire_after_s must be > 0 (or None)")
         if self.max_live_swarms is not None and self.max_live_swarms < 1:
             raise ValueError("max_live_swarms must be >= 1 (or None)")
-        if self.rng_mode not in ("stream", "counter"):
-            raise ValueError(
-                f"rng_mode must be 'stream' or 'counter', got {self.rng_mode!r}"
-            )
         if self.spill_archives_after < 0:
             raise ValueError("spill_archives_after must be >= 0")
 

@@ -169,7 +169,6 @@ class KeepAliveDecisionMaker:
                     dim=2,
                     n_particles=cfg.n_particles,
                     params=cfg.dpso,
-                    rng_mode=cfg.rng_mode,
                 )
             else:
                 self._fleet = SwarmFleet(
@@ -178,7 +177,6 @@ class KeepAliveDecisionMaker:
                     omega=cfg.vanilla_omega,
                     c1=cfg.vanilla_c,
                     c2=cfg.vanilla_c,
-                    rng_mode=cfg.rng_mode,
                 )
         return self._fleet
 
@@ -497,8 +495,8 @@ class KeepAliveDecisionMaker:
             self._last_rate[func.name] = rate
         if dynamic:
             # One fused perception pass (weight math vectorised for the
-            # whole batch; counter mode also fuses the redistribution
-            # draws -- bit-identical to per-swarm perceive either way).
+            # whole batch; redistribution draws stay per swarm) --
+            # bit-identical to per-swarm perceive.
             fired = fleet.perceive_batch(indices, deltas_f, deltas_ci)
             self.redistributions += int(fired.sum())
 

@@ -555,27 +555,11 @@ class ResultCache:
             ResultSummary.schema_token(),
             job.scenario_label,
             job.scheduler,
-            repr(job.config) if job.config is not None else self._default_token(),
+            repr(job.config) if job.config is not None else "default",
         ]
         if job.scenario is not None:
             parts.append(repr(job.scenario.sim_config))
         return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
-
-    @staticmethod
-    def _default_token() -> str:
-        """Cache token for ``config=None`` jobs.
-
-        The default config's ``rng_mode`` is environment-driven. Under
-        stream RNG the historical ``default`` token stays -- existing
-        caches remain valid. Under ``ECOLIFE_RNG_MODE=counter`` the
-        fleet's draws differ, so the token is the fully resolved
-        default-config repr, exactly as explicit-config jobs are keyed.
-        """
-        from repro.core.config import EcoLifeConfig, rng_mode_default
-
-        if rng_mode_default() == "stream":
-            return "default"
-        return repr(EcoLifeConfig())
 
     def _path(self, key: str) -> pathlib.Path:
         return self.directory / f"{key}.json"

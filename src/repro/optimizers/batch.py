@@ -52,22 +52,12 @@ snapshots a swarm (rows + RNG bit-generator state) into a
 the backing arrays when occupancy drops below a watermark. The
 equivalence contract extends across retire/rehydrate round trips.
 
-**RNG modes.** ``rng_mode="stream"`` (the default) is the contract
-above: per-swarm ``np.random.Generator`` streams, bit-identical to the
-sequential optimizers -- at the cost of one Python-level ``uniform``
-call per swarm per step call.
-``rng_mode="counter"`` replaces those per-swarm draws with a
-counter-based batched RNG (:mod:`repro.optimizers.counter_rng`,
-vectorised Philox4x32-10): every ``r1``/``r2``/redistribution value is a
-pure function of the swarm's private ``(key, step)`` counters, so the
-draws for the whole batch come out of one broadcast kernel. Counter mode
-is a *different, opt-in equivalence contract*: it is NOT bit-identical
-to the stream mode or the sequential optimizers, but it is
-**self-consistent** -- a swarm's trajectory depends only on its own
-``(key, step)`` history, never on batch composition (``step`` vs
-``step_one`` vs any subset grouping) nor on slot placement, and the
-counters ride along in :class:`SwarmArchive`, so retire/rehydrate/
-compact remain exact identities (``tests/test_rng_counter.py``).
+**One random source.** The stream contract above is the fleet's only
+draw contract: ``r1``/``r2`` and redistribution values always come from
+the swarm's own ``np.random.Generator``. A step call pays one
+Python-level ``uniform`` call per swarm, which measured cheaper
+end to end than a vectorised counter-based generator at the batch widths
+the scheduler actually forms (see ``docs/optimizers.md``).
 """
 
 from __future__ import annotations
@@ -77,15 +67,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.optimizers import counter_rng
 from repro.optimizers.base import clip_box
 from repro.optimizers.dynamic_pso import DPSOParams
-
-#: Draw-kind namespaces within one counter step (``rng_mode="counter"``).
-#: An iteration consumes one step drawing from block 0; a redistribution
-#: consumes one step drawing from block 1.
-_BLOCK_ITERATE = 0
-_BLOCK_REDISTRIBUTE = 1
 
 #: Batched objective: (n_active, rows, dim) positions -> (n_active, rows)
 #: scores, lower is better. Row order follows the ``indices`` passed to
@@ -121,10 +104,6 @@ class SwarmArchive:
     last_perception: float
     #: ``rng.bit_generator.state`` -- includes the bit-generator class name.
     bit_generator_state: dict
-    #: Counter-RNG state (``rng_mode="counter"``): the swarm's private
-    #: Philox key and its draw-event counter. Zero under stream mode.
-    ctr_key: int = 0
-    ctr_step: int = 0
 
 
 class SwarmFleet:
@@ -141,17 +120,7 @@ class SwarmFleet:
     best scores, no perception-response), mirroring
     ``ParticleSwarm(rescore_bests=False)``; passing :class:`DPSOParams`
     gives the DPSO fleet (re-scored bests, :meth:`perceive`).
-
-    ``rng_mode`` selects the per-iteration draw source: ``"stream"``
-    (per-swarm ``Generator`` streams, bit-identical to the sequential
-    optimizers) or ``"counter"`` (batched Philox draws keyed by the
-    swarm's private ``(key, step)`` counters -- see the module
-    docstring's equivalence notes). Initial positions/velocities always
-    come from the ``add_swarm`` stream so a swarm's starting point is
-    mode-independent.
     """
-
-    RNG_MODES = ("stream", "counter")
 
     # Stacked per-swarm arrays, allocated by :meth:`_alloc` from
     # ``_STACKED_STATE`` (declared here so the attributes type-check;
@@ -170,8 +139,6 @@ class SwarmFleet:
     _dci_max: np.ndarray
     last_perception: np.ndarray
     _live: np.ndarray
-    _ctr_key: np.ndarray
-    _ctr_step: np.ndarray
 
     def __init__(
         self,
@@ -182,7 +149,6 @@ class SwarmFleet:
         omega: float = 0.7,
         c1: float = 1.4,
         c2: float = 1.4,
-        rng_mode: str = "stream",
     ) -> None:
         if dim <= 0:
             raise ValueError(f"dim must be > 0, got {dim}")
@@ -190,12 +156,7 @@ class SwarmFleet:
             raise ValueError("need at least 2 particles")
         if not 0.0 < vmax <= 1.0:
             raise ValueError("vmax must be in (0, 1]")
-        if rng_mode not in self.RNG_MODES:
-            raise ValueError(
-                f"rng_mode must be one of {self.RNG_MODES}, got {rng_mode!r}"
-            )
         self.dim = dim
-        self.rng_mode = rng_mode
         self.n_particles = n_particles
         self.vmax = vmax
         self.params = params
@@ -240,9 +201,6 @@ class SwarmFleet:
         "_dci_max": lambda c, n, d: np.zeros(c),
         "last_perception": lambda c, n, d: np.zeros(c),
         "_live": lambda c, n, d: np.zeros(c, dtype=bool),
-        # Counter-RNG state (zeros under stream mode; cheap to carry).
-        "_ctr_key": lambda c, n, d: np.zeros(c, dtype=np.uint64),
-        "_ctr_step": lambda c, n, d: np.zeros(c, dtype=np.uint64),
     }
 
     #: Archive plan: stacked array -> the :class:`SwarmArchive` field
@@ -269,8 +227,6 @@ class SwarmFleet:
         "last_perception": "last_perception",
         # Slot occupancy: reconstructed by rehydrate(), not swarm state.
         "_live": None,
-        "_ctr_key": "ctr_key",
-        "_ctr_step": "ctr_step",
     }
 
     def _alloc(self, capacity: int) -> None:
@@ -338,13 +294,6 @@ class SwarmFleet:
         n, d = self.n_particles, self.dim
         self.positions[i] = rng.uniform(0.0, 1.0, size=(n, d))
         self.velocities[i] = rng.uniform(-self.vmax, self.vmax, size=(n, d))
-        if self.rng_mode == "counter":
-            # The swarm's private Philox key comes from the same stable
-            # per-function stream, so it is process- and run-independent.
-            self._ctr_key[i] = rng.integers(0, 2**64, dtype=np.uint64)
-        else:
-            self._ctr_key[i] = 0
-        self._ctr_step[i] = 0
         self.pbest_positions[i] = self.positions[i]
         self.pbest_scores[i] = np.inf
         self.omega[i] = self._omega0
@@ -386,8 +335,6 @@ class SwarmFleet:
             dci_max=float(self._dci_max[index]),
             last_perception=float(self.last_perception[index]),
             bit_generator_state=rng.bit_generator.state,
-            ctr_key=int(self._ctr_key[index]),
-            ctr_step=int(self._ctr_step[index]),
         )
         self._rngs[index] = None
         self._live[index] = False
@@ -426,8 +373,6 @@ class SwarmFleet:
         self._df_max[i] = archive.df_max
         self._dci_max[i] = archive.dci_max
         self.last_perception[i] = archive.last_perception
-        self._ctr_key[i] = archive.ctr_key
-        self._ctr_step[i] = archive.ctr_step
         self._live[i] = True
         return i
 
@@ -520,11 +465,9 @@ class SwarmFleet:
         Per element this computes exactly what :meth:`perceive` computes
         -- the weight updates are elementwise float64, so the values are
         bit-identical to the scalar path regardless of batch shape.
-        Redistribution of the triggered swarms is fused into one
-        counter-RNG call under ``rng_mode="counter"``; under stream mode
-        it loops per swarm, because each swarm's private stream must
-        advance in its own draw order. Returns the boolean fired mask
-        (aligned with ``indices``).
+        Redistribution of the triggered swarms loops per swarm, because
+        each swarm's private stream must advance in its own draw order.
+        Returns the boolean fired mask (aligned with ``indices``).
         """
         if not self.dynamic:
             raise RuntimeError(
@@ -558,45 +501,14 @@ class SwarmFleet:
         self.c2[idx] = c
 
         fired = change > p.perception_threshold
-        if fired.any():
-            self._redistribute_many(idx[fired], p.redistribute_fraction)
+        for i in idx[fired]:
+            self.redistribute(int(i), p.redistribute_fraction)
         return fired
-
-    def _redistribute_many(self, sub: np.ndarray, fraction: float) -> None:
-        """Redistribute several swarms; one fused draw in counter mode."""
-        n, d = self.n_particles, self.dim
-        k = int(round(fraction * n))
-        if k == 0:
-            return
-        if self.rng_mode != "counter":
-            for i in sub:
-                self.redistribute(int(i), fraction)
-            return
-        u = counter_rng.uniforms(
-            self._ctr_key[sub], self._ctr_step[sub], _BLOCK_REDISTRIBUTE,
-            n + 2 * k * d,
-        )
-        self._ctr_step[sub] += 1
-        sel = np.argsort(u[:, :n], axis=1, kind="stable")[:, :k]
-        rows = sub[:, None]
-        pos = u[:, n : n + k * d].reshape(-1, k, d)
-        self.positions[rows, sel] = pos
-        self.velocities[rows, sel] = (
-            2.0 * u[:, n + k * d :].reshape(-1, k, d) - 1.0
-        ) * self.vmax
-        self.pbest_positions[rows, sel] = pos
-        self.pbest_scores[rows, sel] = np.inf
 
     def redistribute(self, index: int, fraction: float = 0.5) -> None:
         """Re-place a fraction of one swarm; mirrors
         ``ParticleSwarm.redistribute`` (same RNG draw order, including the
         early return that skips all draws when the fraction rounds to 0).
-
-        Under ``rng_mode="counter"`` the selection and replacement values
-        come from one counter-RNG block instead (selection = stable
-        argsort of ``n`` uniforms, first ``k`` win), consuming exactly
-        one draw-event step -- so a redistribution is reproducible from
-        ``(key, step)`` alone, independent of slot or batch history.
         """
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1]")
@@ -605,26 +517,12 @@ class SwarmFleet:
         k = int(round(fraction * n))
         if k == 0:
             return
-        if self.rng_mode == "counter":
-            u = counter_rng.uniforms(
-                self._ctr_key[index],
-                self._ctr_step[index],
-                _BLOCK_REDISTRIBUTE,
-                n + 2 * k * d,
-            )
-            self._ctr_step[index] += 1
-            idx = np.argsort(u[:n], kind="stable")[:k]
-            self.positions[index, idx] = u[n : n + k * d].reshape(k, d)
-            self.velocities[index, idx] = (
-                2.0 * u[n + k * d :].reshape(k, d) - 1.0
-            ) * self.vmax
-        else:
-            rng = self._rngs[index]
-            idx = rng.choice(n, size=k, replace=False)
-            self.positions[index, idx] = rng.uniform(0.0, 1.0, size=(k, d))
-            self.velocities[index, idx] = rng.uniform(
-                -self.vmax, self.vmax, size=(k, d)
-            )
+        rng = self._rngs[index]
+        idx = rng.choice(n, size=k, replace=False)
+        self.positions[index, idx] = rng.uniform(0.0, 1.0, size=(k, d))
+        self.velocities[index, idx] = rng.uniform(
+            -self.vmax, self.vmax, size=(k, d)
+        )
         self.pbest_positions[index, idx] = self.positions[index, idx]
         self.pbest_scores[index, idx] = np.inf
 
@@ -647,9 +545,9 @@ class SwarmFleet:
         function of the positions (the KDM's closures gather from a table
         built per decision). So personal bests are re-scored only on the
         first iteration -- later re-scores would recompute the stored
-        ``pbest_scores`` exactly -- and in stream mode each swarm draws
-        the whole call's ``r1``/``r2`` in one ``uniform`` call, the same
-        doubles in the same order as per-iteration draws.
+        ``pbest_scores`` exactly -- and each swarm draws the whole call's
+        ``r1``/``r2`` in one ``uniform`` call, the same doubles in the same
+        order as per-iteration draws.
         """
         idx = np.asarray(indices, dtype=np.intp)
         if idx.size == 0:
@@ -660,18 +558,15 @@ class SwarmFleet:
             raise IndexError("step() indices must address live slots")
         if self.rescore_bests:
             self._refresh_bests(idx, fitness)
-        draws = None
-        if self.rng_mode == "stream":
-            s, n, d = idx.size, self.n_particles, self.dim
-            draws = np.empty((s, iterations, 2, n, d))
-            for j, i in enumerate(idx):
-                draws[j] = self._rngs[i].uniform(size=(iterations, 2, n, d))
+        s, n, d = idx.size, self.n_particles, self.dim
+        draws = np.empty((s, iterations, 2, n, d))
+        for j, i in enumerate(idx):
+            draws[j] = self._rngs[i].uniform(size=(iterations, 2, n, d))
         for it in range(iterations):
-            if draws is None:
-                r1, r2 = self._counter_r1_r2(idx)
-            else:
-                r1, r2 = draws[:, it, 0], draws[:, it, 1]
-            self._iterate(idx, fitness, self.rescore_bests and it == 0, r1, r2)
+            self._iterate(
+                idx, fitness, self.rescore_bests and it == 0,
+                draws[:, it, 0], draws[:, it, 1],
+            )
 
     def _refresh_bests(self, idx: np.ndarray, fitness: BatchFitnessFn) -> None:
         """Re-score incumbents under the current landscape.
@@ -744,20 +639,6 @@ class SwarmFleet:
         self.pbest_positions[idx] = pb_pos
         self.pbest_scores[idx] = pb_scores
 
-    def _counter_r1_r2(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One iteration's counter-mode ``r1``/``r2`` for the swarms at ``idx``.
-
-        One fused Philox call for the whole batch (element layout: the
-        first ``n*dim`` doubles of a swarm's step are ``r1`` in C order,
-        the rest ``r2``), then each swarm's step counter advances by one.
-        """
-        s, n, d = idx.size, self.n_particles, self.dim
-        u = counter_rng.uniforms(
-            self._ctr_key[idx], self._ctr_step[idx], _BLOCK_ITERATE, 2 * n * d
-        )
-        self._ctr_step[idx] += 1
-        return u[:, : n * d].reshape(s, n, d), u[:, n * d :].reshape(s, n, d)
-
     # -- single-swarm fast path ------------------------------------------------
 
     def step_one(
@@ -779,7 +660,7 @@ class SwarmFleet:
 
         The :meth:`step` contract holds here too: ``fitness`` is a pure
         function of the positions for the duration of the call, personal
-        bests are re-scored on the first iteration only, and stream mode
+        bests are re-scored on the first iteration only, and the swarm
         draws the call's ``r1``/``r2`` in one ``uniform`` call.
         """
         self._require_live(index)
@@ -788,9 +669,7 @@ class SwarmFleet:
                 fitness(self.best_positions[index][None, :])[0]
             )
         n, d = self.n_particles, self.dim
-        draws = None
-        if self.rng_mode == "stream":
-            draws = self._rngs[index].uniform(size=(iterations, 2, n, d))
+        draws = self._rngs[index].uniform(size=(iterations, 2, n, d))
         for it in range(iterations):
             pos = self.positions[index]  # (n, d) views
             pb_pos = self.pbest_positions[index]
@@ -824,16 +703,7 @@ class SwarmFleet:
                 self.best_positions[index] = gbest
                 self._has_best[index] = True
 
-            if draws is None:
-                u = counter_rng.uniforms(
-                    self._ctr_key[index], self._ctr_step[index],
-                    _BLOCK_ITERATE, 2 * n * d,
-                )
-                self._ctr_step[index] += 1
-                r1 = u[: n * d].reshape(n, d)
-                r2 = u[n * d :].reshape(n, d)
-            else:
-                r1, r2 = draws[it]
+            r1, r2 = draws[it]
             vel = (
                 self.omega[index] * self.velocities[index]
                 + self.c1[index] * r1 * (pb_pos - pos)
@@ -860,10 +730,3 @@ class SwarmFleet:
             raise IndexError("gbest_positions() indices must address live slots")
         g = np.argmin(self.pbest_scores[idx], axis=1)
         return self.pbest_positions[idx, g]
-
-    def gbest_position(self, index: int) -> np.ndarray:
-        """Current swarm-best of one swarm (matches
-        ``ParticleSwarm.gbest_position``)."""
-        self._require_live(index)
-        g = int(np.argmin(self.pbest_scores[index]))
-        return self.pbest_positions[index, g]

@@ -1,7 +1,7 @@
 """Reference implementations the fast paths in ``src/`` are checked against.
 
 - :mod:`tests.oracles.pso` / :mod:`tests.oracles.dynamic_pso` -- one
-  sequential (D)PSO object per function, the stream-mode oracle for
+  sequential (D)PSO object per function, the oracle for
   :class:`~repro.optimizers.batch.SwarmFleet`.
 - :mod:`tests.oracles.sequential` -- an EcoLife scheduler whose KDM
   steps those sequential optimizers instead of the fleet.

@@ -1,9 +1,9 @@
-"""Sequential Dynamic PSO (DPSO): the stream-mode oracle for the fleet.
+"""Sequential Dynamic PSO (DPSO): the oracle for the fleet.
 
 One optimizer object per function, as the paper describes it. The
 batched :class:`~repro.optimizers.batch.SwarmFleet` is the only PSO
 implementation the scheduler runs; this class is the reference it must
-match bit for bit under ``rng_mode="stream"``.
+match bit for bit, seeded with the same RNG stream.
 
 The paper's two PSO extensions:
 

@@ -2,8 +2,8 @@
 
 One swarm object per function. The scheduler steps every swarm through
 :class:`~repro.optimizers.batch.SwarmFleet`; this class is the
-per-function reference the fleet matches bit for bit under
-``rng_mode="stream"``.
+per-function reference the fleet matches bit for bit, seeded with the
+same RNG stream.
 
 Velocity/position update per iteration::
 

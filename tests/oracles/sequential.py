@@ -5,7 +5,7 @@ The scheduler steps every PSO swarm through the batched
 instead gives each function its own :class:`~tests.oracles.pso.
 ParticleSwarm` / :class:`~tests.oracles.dynamic_pso.DynamicPSO` object
 and decides one item at a time, exactly as the paper describes the KDM.
-Under ``rng_mode="stream"`` both must produce identical decisions.
+Both must produce identical decisions.
 """
 
 from __future__ import annotations
@@ -85,6 +85,5 @@ class SequentialEcoLife(EcoLifeScheduler):
 
 
 def sequential_ecolife(config: EcoLifeConfig | None = None) -> SequentialEcoLife:
-    """A fresh sequential-DPSO EcoLife (stream RNG unless ``config`` says
-    otherwise; the oracle only matches the fleet under stream mode)."""
-    return SequentialEcoLife(config or EcoLifeConfig(rng_mode="stream"))
+    """A fresh sequential-DPSO EcoLife."""
+    return SequentialEcoLife(config or EcoLifeConfig())

@@ -8,8 +8,7 @@ Two layers:
    a refactor that silently breaks a rule's detection fails here.
 2. **Live contracts** -- the real repo must lint clean, and the ECO005
    cross-checks are re-asserted directly against the live
-   ``SwarmFleet``/``SwarmArchive`` objects under both ``rng_mode`` legs,
-   so the AST-level check and the runtime behaviour cannot drift apart.
+   ``SwarmFleet``/``SwarmArchive`` objects, so the AST-level check and the runtime behaviour cannot drift apart.
 """
 
 import dataclasses
@@ -365,17 +364,15 @@ class TestRepoIsClean:
 
 
 class TestLiveArchiveCoverage:
-    @pytest.mark.parametrize("rng_mode", ["stream", "counter"])
-    def test_plan_covers_stacked_state_exactly(self, rng_mode):
-        fleet = SwarmFleet(dim=2, rng_mode=rng_mode)
+    def test_plan_covers_stacked_state_exactly(self):
+        fleet = SwarmFleet(dim=2)
         assert set(fleet._ARCHIVE_PLAN) == set(fleet._STACKED_STATE)
         planned = {v for v in fleet._ARCHIVE_PLAN.values() if v is not None}
         archive_fields = {f.name for f in dataclasses.fields(SwarmArchive)}
         assert planned == archive_fields - {"bit_generator_state"}
 
-    @pytest.mark.parametrize("rng_mode", ["stream", "counter"])
-    def test_retire_snapshots_every_planned_field(self, rng_mode):
-        fleet = SwarmFleet(dim=2, rng_mode=rng_mode)
+    def test_retire_snapshots_every_planned_field(self):
+        fleet = SwarmFleet(dim=2)
         i = fleet.add_swarm(np.random.default_rng(3))
         before = {
             name: np.array(getattr(fleet, name)[i], copy=True)

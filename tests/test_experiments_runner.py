@@ -176,9 +176,7 @@ class TestBatchedSwarmEquivalence:
         """A short two-function replay, fleet vs sequential oracle,
         through the full runner + ResultCache pipeline."""
         g = tiny_grid(n_functions=2, hours=0.5)
-        # Stream RNG pinned: fleet/oracle bit-identity is the stream
-        # contract (counter mode intentionally differs).
-        config = EcoLifeConfig(rng_mode="stream")
+        config = EcoLifeConfig()
         oracles = {
             "ecolife-sequential": lambda c: sequential_ecolife(c),
             "ecolife-no-dpso-sequential": lambda c: sequential_ecolife(

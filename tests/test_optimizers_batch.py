@@ -9,6 +9,8 @@ match -- see ``docs/optimizers.md``.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.carbon import CarbonIntensityTrace
 from repro.core import ArrivalEstimator, EcoLifeConfig, ObjectiveBuilder
@@ -75,7 +77,7 @@ def assert_swarm_equal(solo, fleet, i):
     assert np.array_equal(solo.velocities, fleet.velocities[i])
     assert np.array_equal(solo.pbest_positions, fleet.pbest_positions[i])
     assert np.array_equal(solo.pbest_scores, fleet.pbest_scores[i])
-    assert np.array_equal(solo.gbest_position, fleet.gbest_position(i))
+    assert np.array_equal(solo.gbest_position, fleet.gbest_positions([i])[0])
     assert solo.best_fitness == fleet.best_scores[i]
 
 
@@ -145,7 +147,7 @@ class TestFleetEquivalence:
 
     def test_perceive_batch_matches_scalar_perceive(self):
         """The vectorised perception pass (the KDM's fused path) is
-        bit-identical to per-swarm perceive(), including stream-mode
+        bit-identical to per-swarm perceive(), including the
         redistribution draw order."""
         _, batched, targets = make_pairing()
         _, scalar, _ = make_pairing()
@@ -192,7 +194,7 @@ class TestFleetEquivalence:
 
 
 class TestFixedLandscapeStep:
-    """Stream-mode ``step`` / ``step_one`` against a fixed landscape ==
+    """``step`` / ``step_one`` against a fixed landscape ==
     the oracles, which re-score every iteration and draw r1/r2 per
     iteration. The landscapes are table gathers, as the KDM's are: pure
     in the positions within a call, full of ties, and redrawn between
@@ -385,7 +387,7 @@ class TestRetirement:
         with pytest.raises(IndexError, match="live"):
             fleet.step(np.array([0, 3]), batch_spheres(targets))
         with pytest.raises(IndexError, match="live"):
-            fleet.gbest_position(3)
+            fleet.gbest_positions([3])
         with pytest.raises(IndexError, match="live"):
             fleet.rng_of(3)
 
@@ -395,6 +397,82 @@ class TestRetirement:
         other = SwarmFleet(dim=2, n_particles=5, params=DPSOParams())
         with pytest.raises(ValueError, match="does not match"):
             other.rehydrate(archive)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        ops=st.lists(
+            st.sampled_from(
+                ["step", "step_one", "perceive", "retire", "rehydrate", "compact"]
+            ),
+            min_size=4,
+            max_size=14,
+        ),
+        data=st.data(),
+    )
+    def test_random_lifecycle_matches_solo_twin(self, ops, data):
+        """Hypothesis: any interleaving of fused steps, single-swarm
+        steps and batched perception with retire/rehydrate/compact leaves
+        every swarm -- rows, weights and RNG stream position -- exactly
+        where a never-retired twin fleet stepped one swarm at a time is."""
+        n = 5
+        targets = np.linspace(0.15, 0.85, n)
+        subject = SwarmFleet(dim=2, n_particles=N_PARTICLES, params=DPSOParams())
+        twin = SwarmFleet(dim=2, n_particles=N_PARTICLES, params=DPSOParams())
+        for rng_a, rng_b in zip(seeded_rngs(n, base=900), seeded_rngs(n, base=900)):
+            subject.add_swarm(rng_a)
+            twin.add_swarm(rng_b)
+        slot = {i: i for i in range(n)}
+        archived: dict[int, object] = {}
+
+        for op in ops:
+            live = sorted(slot, key=lambda i: slot[i])
+            if op == "step" and live:
+                subject.step(
+                    [slot[i] for i in live],
+                    batch_spheres(targets[live]),
+                    iterations=1,
+                )
+                for i in live:
+                    twin.step_one(i, sphere_at(targets[i]), iterations=1)
+            elif op == "step_one" and live:
+                i = data.draw(st.sampled_from(live), label="step_one")
+                subject.step_one(slot[i], sphere_at(targets[i]), iterations=2)
+                twin.step_one(i, sphere_at(targets[i]), iterations=2)
+            elif op == "perceive" and live:
+                # Large deltas fire redistribution, which draws from the
+                # swarm's stream.
+                df, dci = data.draw(
+                    st.sampled_from([(0.0, 0.0), (0.01, 0.1), (5.0, 40.0)]),
+                    label="deltas",
+                )
+                fired = subject.perceive_batch(
+                    [slot[i] for i in live],
+                    np.full(len(live), df),
+                    np.full(len(live), dci),
+                )
+                assert fired.tolist() == [twin.perceive(i, df, dci) for i in live]
+            elif op == "retire" and slot:
+                i = data.draw(st.sampled_from(sorted(slot)), label="retire")
+                archived[i] = subject.retire(slot.pop(i))
+            elif op == "rehydrate" and archived:
+                i = data.draw(st.sampled_from(sorted(archived)), label="rehydrate")
+                slot[i] = subject.rehydrate(archived.pop(i))
+            elif op == "compact":
+                remap = subject.compact()
+                slot = {i: remap.get(s, s) for i, s in slot.items()}
+
+        for i, arch in archived.items():
+            slot[i] = subject.rehydrate(arch)
+        for i in range(n):
+            a, b = slot[i], i
+            for name in subject._STACKED_STATE:
+                assert np.array_equal(
+                    getattr(subject, name)[a], getattr(twin, name)[b]
+                ), name
+            assert (
+                subject.rng_of(a).bit_generator.state
+                == twin.rng_of(b).bit_generator.state
+            )
 
 
 class TestFleetValidation:
@@ -518,11 +596,7 @@ class TestKDMBatchDecisions:
     def _kdm(self, batch: bool, dynamic: bool = True):
         """``batch``: the fleet KDM; otherwise the sequential oracle."""
         env = make_env()
-        # Pinned to the stream RNG: this class asserts bit-identity
-        # against the sequential per-function oracle, which only the
-        # stream contract provides (counter mode is self-consistent but
-        # intentionally different; see tests/test_rng_counter.py).
-        cfg = EcoLifeConfig(use_dynamic_pso=dynamic, rng_mode="stream")
+        cfg = EcoLifeConfig(use_dynamic_pso=dynamic)
         arrivals = ArrivalRegistry()
         kdm_cls = KeepAliveDecisionMaker if batch else SequentialKDM
         return kdm_cls(env, cfg, arrivals), arrivals
@@ -558,7 +632,6 @@ class TestKDMBatchDecisions:
         f = self._funcs(1)[0]
         fleet_kdm, fa = self._kdm(batch=True)
         solo_kdm, fb = self._kdm(batch=False)
-        assert fleet_kdm.config.rng_mode == "stream"
         fa.observe(f.name, 0.0)
         fb.observe(f.name, 0.0)
         batched = fleet_kdm.decide_batch([(f, 1.0), (f, 1.0), (f, 1.0)])
@@ -605,9 +678,7 @@ class TestEngineGrouping:
             ci_trace=CarbonIntensityTrace.constant(250.0),
             config=SimulationConfig(**cfg_kw),
         )
-        # Stream RNG pinned: fleet-vs-sequential bit-identity is the
-        # stream contract (counter mode is covered by test_rng_counter).
-        config = EcoLifeConfig(rng_mode="stream")
+        config = EcoLifeConfig()
         sched = EcoLifeScheduler(config) if batch else sequential_ecolife(config)
         return engine.run(sched)
 

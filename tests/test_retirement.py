@@ -75,7 +75,7 @@ class TestKDMSweep:
     def _kdm(self, batch, **retire_kw):
         """``batch``: the fleet KDM; otherwise the sequential oracle."""
         env = make_env()
-        cfg = EcoLifeConfig(rng_mode="stream", **retire_kw)
+        cfg = EcoLifeConfig(**retire_kw)
         arrivals = ArrivalRegistry()
         kdm_cls = KeepAliveDecisionMaker if batch else SequentialKDM
         return kdm_cls(env, cfg, arrivals), arrivals
@@ -171,7 +171,7 @@ class TestEngineChurnReplay:
         """Retired per-function optimizer objects (the oracle) and
         retired swarm rows (the fleet) rehydrate to the same decisions."""
         trace = _churn_trace(n_functions=16, hours=1.5)
-        config = EcoLifeConfig(rng_mode="stream", **RETIRE)
+        config = EcoLifeConfig(**RETIRE)
         fleet, _ = _replay(trace, config)
         oracle, sched = _replay(trace, config, scheduler_cls=sequential_ecolife)
         assert_records_identical(fleet, oracle)
@@ -429,9 +429,7 @@ class TestArchiveSpill:
 
         import numpy as np
 
-        fleet = SwarmFleet(
-            dim=2, n_particles=5, params=DPSOParams(), rng_mode="counter"
-        )
+        fleet = SwarmFleet(dim=2, n_particles=5, params=DPSOParams())
         fleet.add_swarm(np.random.default_rng(3))
         fleet.step_one(0, lambda x: (x**2).sum(axis=1), iterations=2)
         archive = fleet.retire(0)
@@ -443,10 +441,44 @@ class TestArchiveSpill:
         assert "fn" not in store and len(store) == 0
         assert np.array_equal(loaded.positions, archive.positions)
         assert loaded.bit_generator_state == archive.bit_generator_state
-        assert loaded.ctr_key == archive.ctr_key
-        assert loaded.ctr_step == archive.ctr_step
         with pytest.raises(KeyError):
             store.take("fn")
+
+    def test_archive_pickled_with_counter_fields_rehydrates(self):
+        """Archives pickled while ``SwarmArchive`` still carried the
+        counter-RNG fields (``ctr_key``/``ctr_step``) hold them in their
+        pickled state. They must still load, and the swarm must resume
+        bit-identically: unpickling restores the instance dict, and
+        rehydrate() reads only the current fields."""
+        import pickle
+
+        import numpy as np
+
+        from repro.optimizers import DPSOParams, SwarmFleet
+        from repro.optimizers.batch import SwarmArchive
+
+        def sphere(x):
+            return ((x - 0.3) ** 2).sum(axis=1)
+
+        def fresh():
+            return SwarmFleet(dim=2, n_particles=5, params=DPSOParams())
+
+        fleet = fresh()
+        fleet.add_swarm(np.random.default_rng(3))
+        fleet.step_one(0, sphere, iterations=2)
+        archive = fleet.retire(0)
+        legacy = object.__new__(SwarmArchive)
+        legacy.__dict__.update(vars(archive), ctr_key=0, ctr_step=0)
+        loaded = pickle.loads(pickle.dumps(legacy))
+        assert loaded.ctr_step == 0  # the stale entry rode along
+
+        a, b = fresh(), fresh()
+        ia, ib = a.rehydrate(archive), b.rehydrate(loaded)
+        for fleet_, i in ((a, ia), (b, ib)):
+            fleet_.perceive(i, 5.0, 40.0)
+            fleet_.step_one(i, sphere, iterations=3)
+        for name in a._STACKED_STATE:
+            assert np.array_equal(getattr(a, name)[ia], getattr(b, name)[ib])
 
     def test_shared_spill_dir_does_not_cross_read(self, tmp_path):
         """Two stores pointed at one spill_dir (e.g. sweep workers

@@ -3,7 +3,7 @@
 The ISSUE 9 acceptance anchors: partition-by-function replay on 2 and 4
 shards -- through both the in-process :class:`ThreadShardRunner` and the
 TCP process coordinator -- reproduces the sequential engine's records
-bit-for-bit on an Azure-family trace with churn, retirement, counter-RNG
+bit-for-bit on an Azure-family trace with churn, retirement, shelf spill
 and memory pressure; and a SIGKILLed worker is replaced mid-run with the
 merged result still identical (determinism *is* the checkpoint).
 """
@@ -37,10 +37,9 @@ def churn_trace(n_funcs=30, horizon_s=5400.0, seed=11):
 
 
 def hard_config(tmp_path):
-    """Counter RNG + retirement + shelf spill: the adversarial replay."""
+    """Retirement + shelf spill under churn: the adversarial replay."""
     return EcoLifeConfig(
         seed=3,
-        rng_mode="counter",
         retire_after_s=120.0,
         max_live_swarms=6,
         spill_dir=str(tmp_path / "shelf"),
@@ -235,7 +234,7 @@ class TestProcessSharding:
 class TestForeignFastPath:
     """ISSUE 10 layer 2: vectorized foreign replay, bit-identical.
 
-    The churned trace + tight pools + counter RNG + retirement scenario
+    The churned trace + tight pools + retirement scenario
     puts warm hits of foreign functions *inside* bulk-candidate runs, so
     the prefix-splitting (bulk to the first warm/heap boundary, per-event
     the boundary, continue) is exercised, not just the all-cold case.

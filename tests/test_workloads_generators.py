@@ -275,9 +275,7 @@ class TestFleetEquivalenceOnGeneratedTraces:
             scenario = workload_scenario(
                 workload=workload, n_functions=8, hours=0.5, seed=3
             )
-            # Stream RNG pinned: fleet-vs-solo bit-identity is the
-            # stream contract (counter mode intentionally differs).
-            cfg = EcoLifeConfig(rng_mode="stream")
+            cfg = EcoLifeConfig()
             on = run_scheduler(EcoLifeScheduler(cfg), scenario)
             off = run_scheduler(sequential_ecolife(cfg), scenario)
             assert on.total_carbon_g == off.total_carbon_g, workload

@@ -131,8 +131,7 @@ class Eco001AmbientRng(Rule):
     description = (
         "No module-level RNG: np.random.<fn> draws, np.random.seed, and the "
         "stdlib random module share hidden global state that breaks replay "
-        "determinism; thread an explicit np.random.Generator (or the "
-        "counter-based CounterRng) instead."
+        "determinism; thread an explicit np.random.Generator instead."
     )
 
     def check(self, tree: ast.AST, relpath: str) -> list[Violation]:
@@ -186,7 +185,7 @@ class Eco001AmbientRng(Rule):
                                 relpath,
                                 f"call to {full}(): ambient global-stream "
                                 "RNG; draw from an explicitly-threaded "
-                                "np.random.Generator (or CounterRng)",
+                                "np.random.Generator",
                             )
                         )
         return out
