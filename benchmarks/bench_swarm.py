@@ -1,6 +1,6 @@
 """Swarm-fleet benchmark: fused stepping vs per-function loops.
 
-Six measurements:
+Seven measurements:
 
 1. **Step throughput** -- N live DPSO swarms advanced for one EcoLife
    decision (perceive + refresh + iterations) as N independent
@@ -38,6 +38,12 @@ Six measurements:
    asserted on full >=4-core runs), and shard-worker peak RSS via mmap
    vs a fully materialized per-event Python trace (mmap must stay
    below, asserted on full runs).
+7. **Pool adjustment** -- section 4's Poisson trace replayed with pools
+   small enough that most activations overflow, recording every
+   ``AdjustmentRequest``; the one-pass ``WarmPoolAdjuster.rank`` is then
+   timed against the scalar per-candidate ranker from ``tests/oracles``
+   on the recorded requests, and the orderings must be identical
+   (asserted).
 
 Run directly (no pytest-benchmark dependency, so CI can invoke it as a
 plain script)::
@@ -79,6 +85,7 @@ DynamicPSO = oracles().DynamicPSO
 sequential_ecolife = oracles().sequential_ecolife
 reference_replay = oracles().reference_replay
 looped_batch_fitness = oracles().objective.looped_batch_fitness
+oracle_rank = oracles().adjustment.rank
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -915,6 +922,70 @@ def bench_trace(
 
 
 # ---------------------------------------------------------------------------
+# 7. Pool adjustment: one-pass ranker vs the scalar per-candidate ranker.
+# ---------------------------------------------------------------------------
+
+
+def bench_adjust(
+    n_funcs: int, hours: float, mean_iat_s: float, pool_gb: float, repeats: int
+) -> dict:
+    """Rank the overflow requests of an over-full replay both ways.
+
+    The requests are recorded during one replay and ranked afterwards
+    against the final arrival state; both rankers read that same state,
+    so their orderings must agree exactly (asserted).
+    """
+    trace = _continuous_trace(n_funcs, hours * 3600.0, mean_iat_s)
+    engine = SimulationEngine(
+        pair=PAIR_A,
+        trace=trace,
+        ci_trace=CarbonIntensityTrace.constant(250.0),
+        config=SimulationConfig(
+            pool_capacity_old_gb=pool_gb,
+            pool_capacity_new_gb=pool_gb,
+            measure_decision_overhead=False,
+        ),
+    )
+    scheduler = EcoLifeScheduler(EcoLifeConfig())
+    requests = []
+    rank = scheduler.rank_keepalive_candidates
+
+    def recording(req):
+        requests.append(req)
+        return rank(req)
+
+    scheduler.rank_keepalive_candidates = recording
+    result = engine.run(scheduler)
+    adjuster = scheduler.adjuster
+
+    def timed(fn):
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            out = [fn(req) for req in requests]
+            best = min(best, time.perf_counter() - t0)
+        return best, [[c.name for c in ranked] for ranked in out]
+
+    vector_s, vector_orders = timed(adjuster.rank)
+    oracle_s, oracle_orders = timed(lambda req: oracle_rank(adjuster, req))
+    mismatches = sum(a != b for a, b in zip(vector_orders, oracle_orders))
+    assert mismatches == 0, f"{mismatches} rankings differ from the oracle"
+
+    return {
+        "n_functions": n_funcs,
+        "n_invocations": len(result.records),
+        "pool_gb": pool_gb,
+        "n_requests": len(requests),
+        "candidates_mean": sum(len(r.candidates) for r in requests)
+        / max(len(requests), 1),
+        "vector_s": vector_s,
+        "oracle_s": oracle_s,
+        "speedup": oracle_s / vector_s,
+        "mismatches": mismatches,
+    }
+
+
+# ---------------------------------------------------------------------------
 # Entry point.
 # ---------------------------------------------------------------------------
 
@@ -936,6 +1007,9 @@ def main(argv=None) -> int:
         fused_kw = dict(n_swarms=256, decisions=8, iterations=8, repeats=1)
         replay_kw = dict(n_funcs=50, n_ticks=20, repeats=1)
         cont_kw = dict(n_funcs=48, hours=0.5, mean_iat_s=20.0, repeats=1)
+        adjust_kw = dict(
+            n_funcs=48, hours=0.5, mean_iat_s=20.0, pool_gb=4.0, repeats=1
+        )
         shard_kw = dict(
             n_funcs=24,
             horizon_s=1200.0,
@@ -959,6 +1033,9 @@ def main(argv=None) -> int:
         fused_kw = dict(n_swarms=256, decisions=30, iterations=8, repeats=3)
         replay_kw = dict(n_funcs=50, n_ticks=60, repeats=3)
         cont_kw = dict(n_funcs=48, hours=2.0, mean_iat_s=20.0, repeats=3)
+        adjust_kw = dict(
+            n_funcs=48, hours=2.0, mean_iat_s=20.0, pool_gb=4.0, repeats=3
+        )
         # The ISSUE 9 acceptance scale: a 10k-function trace, exec floor
         # ~10s so barriers stay ~100 wide, where 4 process shards must
         # clear 1.8x on a >=4-core host (asserted inside bench_shard).
@@ -989,6 +1066,7 @@ def main(argv=None) -> int:
     fused = bench_fused_step(**fused_kw)
     replay = bench_replay(**replay_kw)
     continuous = bench_continuous(**cont_kw)
+    adjust = bench_adjust(**adjust_kw)
     shard = bench_shard(quick=args.quick, **shard_kw)
     trace = bench_trace(quick=args.quick, **trace_kw)
     payload = {
@@ -1000,6 +1078,7 @@ def main(argv=None) -> int:
         "fused_step": fused,
         "replay": replay,
         "continuous": continuous,
+        "adjust": adjust,
         "shard": shard,
         "trace": trace,
     }
@@ -1066,6 +1145,12 @@ def main(argv=None) -> int:
         f"-> {continuous['speedup']:.2f}x "
         f"(objective error {continuous['objective_error_carbon']:.1e}, "
         f"bit-identical)"
+    )
+    print(
+        f"pool adjustment ({adjust['n_requests']} overflows, "
+        f"{adjust['candidates_mean']:.1f} candidates each): "
+        f"scalar {adjust['oracle_s']:.2f}s, one-pass {adjust['vector_s']:.2f}s "
+        f"-> {adjust['speedup']:.2f}x (identical orderings)"
     )
     for row in shard["curve"]:
         print(

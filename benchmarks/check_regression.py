@@ -70,6 +70,10 @@ SUITES: dict[str, dict] = {
             # bit-identical by construction, so only the speedup is
             # gated; the (zero) objective error is recorded.
             "continuous.speedup",
+            # Pool adjustment: the one-pass WarmPoolAdjuster.rank vs the
+            # scalar per-candidate ranker on the overflow requests of an
+            # over-full Poisson replay (identical orderings asserted).
+            "adjust.speedup",
         ),
         "info": (
             "step_throughput.loop_s",
@@ -82,6 +86,11 @@ SUITES: dict[str, dict] = {
             "continuous.per_arrival_s",
             "continuous.objective_error_carbon",
             "continuous.decisions_changed",
+            "adjust.n_requests",
+            "adjust.candidates_mean",
+            "adjust.vector_s",
+            "adjust.oracle_s",
+            "adjust.mismatches",
         ),
         "threshold": 0.25,
     },

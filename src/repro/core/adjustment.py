@@ -20,15 +20,24 @@ never be hit has no realisable benefit; this keeps the pool packed with
 containers that convert memory into avoided cold starts. The weighting can
 be disabled via ``EcoLifeConfig.adjustment_arrival_weighting`` to recover
 the paper-literal ranking.
+
+A request is scored in one pass: one CI read, the benefit terms from the
+pool generation's column of every candidate's packed
+:class:`~repro.core.objective.FunctionCostVectors`, and every arrival
+mass from one :meth:`~repro.core.arrival.ArrivalRegistry.p_warm_each`
+call. ``tests/test_core_adjustment.py`` checks it against the scalar
+per-candidate ranker in ``tests/oracles/adjustment.py``.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro import units
 from repro.core.arrival import ArrivalRegistry
 from repro.core.config import EcoLifeConfig
-from repro.core.objective import CostModel
+from repro.core.objective import CostModel, FunctionCostVectors
 from repro.simulator.scheduler import AdjustmentRequest, PoolCandidate, SchedulerEnv
-from repro.workloads.functions import FunctionProfile
 
 
 class WarmPoolAdjuster:
@@ -46,34 +55,40 @@ class WarmPoolAdjuster:
         self.costs = costs
         self.arrivals = arrivals
 
-    def benefit_score(self, func: FunctionProfile, gen, ci: float) -> float:
-        """Warm-vs-cold benefit of keeping ``func`` alive on ``gen``."""
-        s_max = max(self.costs.s_max(func), 1e-9)
-        sc_max = max(self.costs.sc_max(func, max(ci, 1e-12)), 1e-12)
-        ds = self.costs.service_time(func, gen, cold=True) - self.costs.service_time(
-            func, gen, cold=False
-        )
-        dsc = self.costs.service_carbon(
-            func, gen, cold=True, ci=ci
-        ) - self.costs.service_carbon(func, gen, cold=False, ci=ci)
-        return (
-            self.config.lambda_s * ds / s_max + self.config.lambda_c * dsc / sc_max
-        )
+    def priorities(self, req: AdjustmentRequest) -> np.ndarray:
+        """Expected realisable keep-alive benefit of every candidate.
 
-    def arrival_mass(self, candidate: PoolCandidate, t: float) -> float:
-        """P(the function arrives while this container is still warm)."""
-        if self.arrivals is None or not self.config.adjustment_arrival_weighting:
-            return 1.0
-        remaining = max(candidate.expire_s - t, 0.0)
-        est = self.arrivals.get(candidate.name)
-        return float(est.p_warm([remaining])[0])
-
-    def priority(self, candidate: PoolCandidate, req: AdjustmentRequest) -> float:
-        """Expected realisable benefit of keeping this candidate warm."""
+        ``req.generation`` must be one of ``config.locations``: pools
+        only overflow when a keep-alive decision's container activates,
+        and the KDM decides among those locations.
+        """
+        cfg = self.config
+        costs = self.costs
+        cands = req.candidates
         ci = self.env.ci_at(req.t)
-        return self.benefit_score(
-            candidate.func, req.generation, ci
-        ) * self.arrival_mass(candidate, req.t)
+        ci_norm = max(ci, 1e-12)
+        col = cfg.locations.index(req.generation)
+        packed_rows: list[np.ndarray] = []
+        norm_rows: list[tuple[float, float, float]] = []
+        for c in cands:
+            packed_rows.append(costs.vectors(c.func).packed)
+            norm_rows.append(costs.normalisers(c.func, ci_norm))
+        # (n, 8): the pool generation's column of each packed array.
+        packed = np.array(packed_rows)[:, :, col]
+        norms = np.array(norm_rows)
+        fcv = FunctionCostVectors
+        sc = (
+            units.operational_carbon_g(packed[:, fcv.ENERGY], ci)
+            + packed[:, fcv.EMBODIED]
+        )
+        ds = packed[:, fcv.S_COLD] - packed[:, fcv.S_WARM]
+        dsc = sc[:, fcv.COLD] - sc[:, fcv.WARM]
+        score = cfg.lambda_s * ds / norms[:, 0] + cfg.lambda_c * dsc / norms[:, 1]
+        if self.arrivals is None or not cfg.adjustment_arrival_weighting:
+            return score
+        # P(the function arrives while its container is still warm).
+        remaining = [max(c.expire_s - req.t, 0.0) for c in cands]
+        return score * self.arrivals.p_warm_each([c.name for c in cands], remaining)
 
     def rank(self, req: AdjustmentRequest) -> list[PoolCandidate]:
         """Candidates ordered by descending expected keep-alive benefit.
@@ -81,7 +96,9 @@ class WarmPoolAdjuster:
         Deterministic tie-breaks: smaller memory footprint first (fits more
         functions), then name.
         """
-        return sorted(
-            req.candidates,
-            key=lambda c: (-self.priority(c, req), c.mem_gb, c.name),
+        cands = req.candidates
+        order = sorted(
+            (-p, c.mem_gb, c.name, i)
+            for i, (p, c) in enumerate(zip(self.priorities(req).tolist(), cands))
         )
+        return [cands[key[-1]] for key in order]

@@ -23,7 +23,7 @@ repeated per particle or per iteration.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, cast
+from typing import Any, Sequence, cast
 
 import numpy as np
 import numpy.typing as npt
@@ -230,6 +230,37 @@ class ArrivalRegistry:
                 est = ArrivalEstimator(**self._kw)
                 self._by_name[name] = est
         return est
+
+    def p_warm_each(self, names: Sequence[str], k_s: Sequence[float]) -> np.ndarray:
+        """``get(names[i]).p_warm([k_s[i]])[0]`` for every ``i``, in one pass.
+
+        The warm-pool adjuster's arrival mass: one period per function (a
+        container's remaining lifetime), not the K_AT grid. Estimators
+        are fetched through :meth:`get` -- peek, spill read-through and
+        create-on-miss as for a single query -- and each answers with one
+        ``searchsorted``; the exponential prior is one ``np.exp`` over the
+        whole vector. An empty history blends with ``w = 0``, and
+        ``0.0 * 0.0 + 1.0 * prior`` is the scalar path's bare ``prior``,
+        so every element equals the scalar query bit for bit.
+        """
+        prior_mean: list[float] = []
+        emp: list[float] = []
+        w: list[float] = []
+        for name, k in zip(names, k_s):
+            est = self.get(name)
+            prior_mean.append(est.prior_mean)
+            n = est.n_samples
+            if n:
+                est._ensure_cache()
+                assert est._sorted is not None
+                emp.append(int(est._sorted.searchsorted(k, side="right")) / n)
+                w.append(n / (n + est.prior_strength))
+            else:
+                emp.append(0.0)
+                w.append(0.0)
+        prior = 1.0 - np.exp(-np.asarray(k_s, dtype=float) / np.array(prior_mean))
+        w_arr = np.array(w)
+        return w_arr * np.array(emp) + (1.0 - w_arr) * prior
 
     def observe(self, name: str, t: float) -> ArrivalEstimator:
         est = self.get(name)

@@ -12,11 +12,12 @@ only), otherwise it pays a cold start at the EPDM's best cold location.
 ``KC`` is the keep-alive carbon; see
 :class:`repro.core.config.KeepAliveExpectation` for the two charging modes.
 
-:class:`CostModel` centralises every decision-time estimate (service time,
-service carbon, keep-alive rate, normalisers, EPDM scores) so the KDM, the
-EPDM and the warm-pool adjuster stay numerically consistent with each other
--- and, through :class:`~repro.carbon.footprint.CarbonModel`, with the
-simulator's exact accounting.
+:class:`CostModel` centralises every decision-time estimate (the packed
+per-location cost vectors, the guarded normalisers, the EPDM's cold
+choice) so the KDM, the EPDM and the warm-pool adjuster stay numerically
+consistent with each other -- and, through
+:class:`~repro.carbon.footprint.CarbonModel`, with the simulator's exact
+accounting.
 """
 
 from __future__ import annotations
@@ -217,56 +218,7 @@ class CostModel:
             self.env.server(gen), cold=cold, setup_s=self.env.setup_delay_s
         )
 
-    def service_carbon(
-        self, func: FunctionProfile, gen: Generation, cold: bool, ci: float
-    ) -> float:
-        server = self.env.server(gen)
-        busy = self.env.setup_delay_s + func.exec_time_s(server)
-        overhead = func.cold_overhead_s(server) if cold else 0.0
-        return self.env.carbon_model.est_service_g(
-            server, func.mem_gb, busy, overhead, ci
-        )
-
-    def keepalive_rate(
-        self, func: FunctionProfile, gen: Generation, ci: float
-    ) -> float:
-        return self.env.carbon_model.est_keepalive_rate_g_per_s(
-            self.env.server(gen), func.mem_gb, ci
-        )
-
-    # -- normalisers -------------------------------------------------------------
-
-    def s_max(self, func: FunctionProfile) -> float:
-        """Max service time: cold start on the slowest allowed location."""
-        return self.vectors(func).s_max
-
-    def sc_max(self, func: FunctionProfile, ci_ref: float) -> float:
-        """Max service carbon across allowed locations at the reference CI."""
-        return float(self.vectors(func).sc_cold(ci_ref).max())
-
-    def kc_max(self, func: FunctionProfile, ci_ref: float) -> float:
-        """Max keep-alive carbon: highest-rate location for the full k_max."""
-        rate = float(self.vectors(func).ka_rate(ci_ref).max())
-        return rate * self.env.kmax_s
-
     # -- EPDM -----------------------------------------------------------------------
-
-    def fscore(
-        self, func: FunctionProfile, gen: Generation, cold: bool, ci: float
-    ) -> float:
-        """The EPDM placement score (Sec. IV-D): weighted time + carbon.
-
-        Normalisers are guarded the same way :meth:`ObjectiveBuilder.fitness`
-        guards them, so a degenerate zero-cost configuration scores finite
-        instead of dividing by zero.
-        """
-        s_max, sc_max, _ = self.normalisers(func, max(ci, 1e-12))
-        s = self.service_time(func, gen, cold)
-        sc = self.service_carbon(func, gen, cold, ci)
-        return (
-            self.config.lambda_s * s / s_max
-            + self.config.lambda_c * sc / sc_max
-        )
 
     def best_cold(
         self, func: FunctionProfile, ci: float

@@ -365,34 +365,6 @@ class BaseScheduler(abc.ABC):
             reverse=True,
         )
 
-    # -- shared helpers -----------------------------------------------------------
-
-    def service_time(self, func: FunctionProfile, gen: Generation, cold: bool) -> float:
-        """Service time of ``func`` on generation ``gen``."""
-        assert self.env is not None
-        return func.service_time_s(
-            self.env.server(gen), cold=cold, setup_s=self.env.setup_delay_s
-        )
-
-    def service_carbon_est(
-        self, func: FunctionProfile, gen: Generation, cold: bool, ci: float
-    ) -> float:
-        """Estimated service carbon of ``func`` on ``gen`` at intensity ``ci``."""
-        assert self.env is not None
-        server = self.env.server(gen)
-        busy = self.env.setup_delay_s + func.exec_time_s(server)
-        overhead = func.cold_overhead_s(server) if cold else 0.0
-        return self.env.carbon_model.est_service_g(
-            server, func.mem_gb, busy, overhead, ci
-        )
-
-    def keepalive_rate(self, func: FunctionProfile, gen: Generation, ci: float) -> float:
-        """Estimated keep-alive carbon rate (g/s) of ``func`` on ``gen``."""
-        assert self.env is not None
-        return self.env.carbon_model.est_keepalive_rate_g_per_s(
-            self.env.server(gen), func.mem_gb, ci
-        )
-
 
 def overrides_hook(scheduler: BaseScheduler, hook: str) -> bool:
     """Whether ``scheduler``'s class overrides the base ``hook`` method."""

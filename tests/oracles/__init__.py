@@ -9,12 +9,17 @@
   closures (and the padded ``ArrivalBatch`` queries) that
   :class:`~repro.core.objective.ObjectiveBuilder`'s table gather must
   equal bit for bit.
+- :mod:`tests.oracles.adjustment` -- the scalar per-location cost
+  estimates, the per-candidate warm-pool ranker and the ``min``-over-
+  ``fscore`` EPDM that :class:`~repro.core.adjustment.WarmPoolAdjuster`
+  and :class:`~repro.core.epdm.ExecutionPlacementDecisionMaker` must
+  reproduce.
 - :mod:`tests.oracles.replay` -- the per-arrival engine replay (drain,
   place, ``keepalive``, admit, one arrival at a time) that the engine's
   grouped stepping loop must reproduce.
 """
 
-from tests.oracles import objective
+from tests.oracles import adjustment, objective
 from tests.oracles.dynamic_pso import DynamicPSO
 from tests.oracles.pso import ParticleSwarm
 from tests.oracles.replay import reference_replay
@@ -24,6 +29,7 @@ __all__ = [
     "DynamicPSO",
     "ParticleSwarm",
     "SequentialKDM",
+    "adjustment",
     "objective",
     "reference_replay",
     "sequential_ecolife",

@@ -9,7 +9,8 @@ from repro.core.config import KeepAliveExpectation
 from repro.hardware import PAIR_A, Generation
 from repro.simulator import SimulationConfig, WarmPool
 from repro.simulator.scheduler import SchedulerEnv
-from repro.workloads import FunctionProfile, InvocationTrace, get_function
+from repro.workloads import InvocationTrace, get_function
+from tests.oracles import adjustment as oracle
 
 
 def make_env(ci=250.0, kmax_minutes=30.0):
@@ -86,18 +87,18 @@ class TestDecoding:
 
 class TestNormalisers:
     def test_s_max_is_cold_on_slowest(self, builder, bfs):
-        s_max = builder.costs.s_max(bfs)
+        s_max = oracle.s_max(builder.costs, bfs)
         cold_old = builder.costs.service_time(bfs, Generation.OLD, cold=True)
         assert s_max == pytest.approx(cold_old)
 
     def test_sc_max_positive(self, builder, bfs):
-        assert builder.costs.sc_max(bfs, 250.0) > 0.0
+        assert oracle.sc_max(builder.costs, bfs, 250.0) > 0.0
 
     def test_kc_max_scales_with_kmax(self, bfs):
         short = ObjectiveBuilder(make_env(kmax_minutes=10.0), EcoLifeConfig())
         long = ObjectiveBuilder(make_env(kmax_minutes=30.0), EcoLifeConfig())
-        assert long.costs.kc_max(bfs, 250.0) == pytest.approx(
-            3.0 * short.costs.kc_max(bfs, 250.0)
+        assert oracle.kc_max(long.costs, bfs, 250.0) == pytest.approx(
+            3.0 * oracle.kc_max(short.costs, bfs, 250.0)
         )
 
 
@@ -114,13 +115,13 @@ class TestCostCache:
                 builder.costs.service_time(bfs, g, cold=True)
             )
             assert v.sc_warm(250.0)[i] == pytest.approx(
-                builder.costs.service_carbon(bfs, g, cold=False, ci=250.0)
+                oracle.service_carbon(builder.costs, bfs, g, cold=False, ci=250.0)
             )
             assert v.sc_cold(100.0)[i] == pytest.approx(
-                builder.costs.service_carbon(bfs, g, cold=True, ci=100.0)
+                oracle.service_carbon(builder.costs, bfs, g, cold=True, ci=100.0)
             )
             assert v.ka_rate(250.0)[i] == pytest.approx(
-                builder.costs.keepalive_rate(bfs, g, ci=250.0)
+                oracle.keepalive_rate(builder.costs, bfs, g, ci=250.0)
             )
 
     def test_vectors_memoised_by_name(self, builder, bfs):
@@ -134,7 +135,7 @@ class TestCostCache:
         gen, s, sc = builder.costs.best_cold(bfs, 250.0)
         by_score = min(
             builder.config.locations,
-            key=lambda g: builder.costs.fscore(bfs, g, cold=True, ci=250.0),
+            key=lambda g: oracle.fscore(builder.costs, bfs, g, cold=True, ci=250.0),
         )
         assert gen is by_score
         assert s == pytest.approx(builder.costs.service_time(bfs, gen, cold=True))
@@ -156,12 +157,12 @@ class TestFscoreGuards:
         monkeypatch.setattr(builder.costs, "vectors", lambda f: degenerate)
         s_max, sc_max, kc_max = builder.costs.normalisers(bfs, 0.0)
         assert s_max > 0.0 and sc_max > 0.0 and kc_max > 0.0
-        score = builder.costs.fscore(bfs, Generation.NEW, cold=True, ci=0.0)
+        score = oracle.fscore(builder.costs, bfs, Generation.NEW, cold=True, ci=0.0)
         assert np.isfinite(score)
 
     def test_fscore_finite_at_zero_ci(self, builder, bfs):
         for gen in builder.config.locations:
-            assert np.isfinite(builder.costs.fscore(bfs, gen, cold=True, ci=0.0))
+            assert np.isfinite(oracle.fscore(builder.costs, bfs, gen, cold=True, ci=0.0))
 
 
 class TestFitness:

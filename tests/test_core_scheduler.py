@@ -169,18 +169,26 @@ class TestMemoryPressureBehaviour:
 class TestAdjusterScoring:
     def test_benefit_score_higher_for_expensive_cold_start(self):
         from repro.core import WarmPoolAdjuster
+        from repro.core.objective import CostModel
+        from repro.simulator.scheduler import AdjustmentRequest, PoolCandidate
         from tests.test_core_objective import make_env
 
         env = make_env()
         cfg = EcoLifeConfig()
-        from repro.core.objective import CostModel
-
-        costs = CostModel(env, cfg)
-        adj = WarmPoolAdjuster(env, cfg, costs)
+        adj = WarmPoolAdjuster(env, cfg, CostModel(env, cfg))
         heavy_cold = _func("h", cold_s=6.0)
         light_cold = _func("l", cold_s=0.3)
-        s_h = adj.benefit_score(heavy_cold, Generation.NEW, 250.0)
-        s_l = adj.benefit_score(light_cold, Generation.NEW, 250.0)
+        req = AdjustmentRequest(
+            t=0.0,
+            generation=Generation.NEW,
+            candidates=tuple(
+                PoolCandidate(func=f, expire_s=600.0, is_incoming=False)
+                for f in (heavy_cold, light_cold)
+            ),
+            capacity_gb=1.0,
+        )
+        # No arrival registry: the priority is the bare benefit score.
+        s_h, s_l = adj.priorities(req)
         assert s_h > s_l
 
 
