@@ -653,8 +653,9 @@ def bench_trace(
 
     - **Compile throughput** -- CSV rows/s through the chunked compiler.
     - **Foreign-replay throughput** -- shard 0 of 4 replays the merged
-      trace with the foreign fast path on vs off (per-event), barrier
-      rounds served from a cache so only replay cost is on the clock.
+      trace with the foreign fast path and with the per-event oracle
+      (``tests/oracles/shard.py``), barrier rounds served from a cache
+      so only replay cost is on the clock.
       The metric is *net of drain/flush time*: heap drains and staged
       flushes do identical work in both modes (same events, same pops),
       so subtracting them isolates the foreign-replay machinery the
@@ -774,7 +775,7 @@ def bench_trace(
             def exchange(self, seq, shard_id, outbox):
                 return list(self._merged[seq])
 
-        class _TimedEngine(ShardEngine):
+        class _ForeignTimer:
             """Accumulate foreign-replay CPU time net of drain/flush."""
 
             def __init__(self, *a, **kw):
@@ -821,13 +822,22 @@ def bench_trace(
                 finally:
                     self.inner_engine_s += time.process_time() - t0
 
+        class _TimedEngine(_ForeignTimer, ShardEngine):
+            pass
+
+        class _TimedPerEvent(_ForeignTimer, oracles().PerEventShardEngine):
+            pass
+
         n_foreign = int((~trace.event_mask(buckets[0])).sum())
         nets = {}
         shard0 = {}
-        for fast in (True, False):
+        for fast, engine_cls in (
+            (True, _TimedEngine),
+            (False, _TimedPerEvent),
+        ):
             best = float("inf")
             for _ in range(repeats):
-                eng = _TimedEngine(
+                eng = engine_cls(
                     pair=PAIR_A,
                     trace=trace,
                     ci_trace=ci,
@@ -836,7 +846,6 @@ def bench_trace(
                     own_names=buckets[0],
                     transport=_CachedBarrier(prep._merged),
                     config=sim_config,
-                    foreign_fast_path=fast,
                 )
                 shard0[fast] = eng.run_shard(EcoLifeScheduler(config))
                 best = min(best, eng.foreign_cpu_s - eng.inner_engine_s)

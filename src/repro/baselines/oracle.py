@@ -52,10 +52,9 @@ class OracleObjective(enum.Enum):
 class OracleScheduler(BaseScheduler):
     """Per-invocation brute force with trace lookahead."""
 
+    #: Also makes the experiment runner give oracles unlimited
+    #: keep-alive memory, as in the paper.
     requires_lookahead = True
-    #: The experiment runner gives oracles unlimited keep-alive memory.
-    wants_uncapped_memory = True
-    allow_spill = True
 
     def __init__(
         self,

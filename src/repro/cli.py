@@ -120,7 +120,8 @@ def _simulate_sharded(args, scenario, factories, config) -> int:
     if not factories[args.scheduler]().supports_sharding:
         print(
             f"scheduler {args.scheduler!r} does not support sharded replay "
-            "(needs a place_foreign override; see docs/sharding.md)"
+            "(needs place_foreign and observe_foreign_run overrides; see "
+            "docs/sharding.md)"
         )
         return 2
     transport = args.shard_transport
@@ -128,8 +129,7 @@ def _simulate_sharded(args, scenario, factories, config) -> int:
         from repro.experiments import run_scheduler
 
         result = run_scheduler(
-            factories[args.scheduler], scenario, shards=args.shards,
-            foreign_fast_path=args.foreign_fast_path,
+            factories[args.scheduler], scenario, shards=args.shards
         )
     elif transport == "process" or transport.startswith("tcp://"):
         from repro.distributed import ShardJob, run_sharded_tcp
@@ -152,7 +152,6 @@ def _simulate_sharded(args, scenario, factories, config) -> int:
             config=config,
             sim_config=scenario.sim_config,
             trace_path=trace_path,
-            foreign_fast_path=args.foreign_fast_path,
         )
         if transport == "process":
             result = run_sharded_tcp(job)
@@ -605,12 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard execution: 'thread' (in-process), 'process' (local "
         "worker processes), or 'tcp://host:port' to bind a coordinator "
         "and wait for `ecolife work ADDR --shard` workers",
-    )
-    sim_p.add_argument(
-        "--no-foreign-fast-path", dest="foreign_fast_path",
-        action="store_false",
-        help="force per-event foreign replay on shards (A/B identity "
-        "knob; bit-identical either way, just slower)",
     )
 
     sweep_p = sub.add_parser(

@@ -66,57 +66,34 @@ class ArrivalEstimator:
             self._sorted = None  # invalidate cache
         self._last_arrival = t
 
-    def observe_many(self, times: npt.ArrayLike) -> None:
+    def observe_many(self, times: Sequence[float]) -> None:
         """Record a sorted run of arrivals in one call.
 
         Bit-identical to calling :meth:`observe` per instant: the gaps
-        are float64 differences of the same operands (IEEE subtraction
-        does not care whether the operands were boxed), appended as
+        are float64 differences of the same operands, appended as
         Python floats so the deque state -- including pickle/checkpoint
         round trips -- matches the per-event path exactly.
         """
-        if isinstance(times, np.ndarray) and times.size > 32:
-            ts = times.astype(float, copy=False)
-            gaps_arr = (
-                np.diff(ts)
-                if self._last_arrival is None
-                else np.concatenate(
-                    ([float(ts[0]) - self._last_arrival], np.diff(ts))
-                )
-            )
-            if gaps_arr.size and float(gaps_arr.min()) < 0.0:
-                raise ValueError("arrivals must be observed in time order")
-            if gaps_arr.size:
-                # Only the trailing window survives the deque's maxlen.
-                self._iats.extend(gaps_arr[-self.history :].tolist())
-                self._sorted = None
-            self._last_arrival = float(ts[-1])
+        if not times:
             return
-        # Short runs (the common sharded-replay chunk is a handful of
-        # instants) skip ndarray round trips: float64 subtraction gives
-        # the same IEEE doubles whether or not the operands were boxed.
-        ts_list = times if type(times) is list else [float(t) for t in times]
-        if not ts_list:
-            return
-        if len(ts_list) == 1:
-            self.observe(ts_list[0])
+        if len(times) == 1:
+            self.observe(times[0])
             return
         prev = self._last_arrival
         if prev is None:
-            prev = ts_list[0]
-            rest = ts_list[1:]
+            prev = times[0]
+            rest = times[1:]
         else:
-            rest = ts_list
+            rest = times
         gaps = []
         for t in rest:
             gaps.append(t - prev)
             prev = t
-        if gaps and min(gaps) < 0.0:
+        if min(gaps) < 0.0:
             raise ValueError("arrivals must be observed in time order")
-        if gaps:
-            self._iats.extend(gaps[-self.history :])
-            self._sorted = None
-        self._last_arrival = ts_list[-1]
+        self._iats.extend(gaps[-self.history :])
+        self._sorted = None
+        self._last_arrival = times[-1]
 
     @property
     def n_samples(self) -> int:

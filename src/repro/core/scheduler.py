@@ -19,9 +19,7 @@ Named variants of the paper are exposed as small factory helpers:
 
 from __future__ import annotations
 
-from typing import Sequence, cast
-
-import numpy.typing as npt
+from typing import Sequence
 
 from repro.core.adjustment import WarmPoolAdjuster
 from repro.core.arrival import ArrivalRegistry
@@ -118,7 +116,7 @@ class EcoLifeScheduler(BaseScheduler):
         return self.epdm.choose(req.func, req.t, req.warm_locations)
 
     def observe_foreign_run(
-        self, groups: Sequence[tuple[FunctionProfile, npt.ArrayLike]]
+        self, groups: Sequence[tuple[FunctionProfile, list[float]]]
     ) -> None:
         # The bulk form of place_foreign for an inert run: nothing is
         # warm (so the pure EPDM choice is dead code, its return value
@@ -127,12 +125,11 @@ class EcoLifeScheduler(BaseScheduler):
         # bit-identical to per-event.
         # Most groups are singletons (a hash-partitioned run rarely
         # repeats a function), so dispatch straight to the estimator.
-        seqs = cast("Sequence[tuple[FunctionProfile, Sequence[float]]]", groups)
         get = self.arrivals.get
-        for func, times in seqs:
+        for func, times in groups:
             est = get(func.name)
             if len(times) == 1:
-                est.observe(float(times[0]))
+                est.observe(times[0])
             else:
                 est.observe_many(times)
 

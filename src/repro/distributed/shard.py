@@ -84,7 +84,6 @@ class ShardJob:
     sim_config: SimulationConfig | None = None
     by: str = "hash"
     trace_path: str | None = None
-    foreign_fast_path: bool = True
 
     def __post_init__(self) -> None:
         if (self.trace is None) == (self.trace_path is None):
@@ -347,7 +346,6 @@ async def shard_worker_loop(
             own_names=buckets[shard_id],
             transport=_WireBarrier(loop, reader, writer),
             config=job.sim_config,
-            foreign_fast_path=job.foreign_fast_path,
         )
         scheduler = make_scheduler(job.scheduler, job.config)
         run = asyncio.ensure_future(asyncio.to_thread(engine.run_shard, scheduler))

@@ -191,18 +191,16 @@ def run_scheduler(
     scheduler: BaseScheduler | SchedulerFactory,
     scenario: Scenario,
     shards: int = 1,
-    foreign_fast_path: bool = True,
 ) -> SimulationResult:
     """Run one scheduler over a scenario (fresh engine each call).
 
-    Oracle schedulers that declare ``wants_uncapped_memory`` run with
-    unlimited keep-alive memory, as in the paper. With ``shards > 1``
-    the replay executes function-partitioned on the in-process
+    Oracle schedulers (``requires_lookahead``) run with unlimited
+    keep-alive memory, as in the paper. With ``shards > 1`` the replay
+    executes function-partitioned on the in-process
     :class:`~repro.simulator.shard.ThreadShardRunner` -- bit-identical
     to ``shards=1`` (the scheduler must declare ``supports_sharding``,
-    so a factory is required: each shard gets its own instance).
-    ``foreign_fast_path=False`` forces per-event foreign replay (an A/B
-    identity knob; bit-identical either way).
+    which no oracle does, so a factory is required: each shard gets its
+    own instance).
     """
     if shards > 1:
         if not callable(scheduler):
@@ -212,24 +210,18 @@ def run_scheduler(
             )
         from repro.simulator.shard import ThreadShardRunner
 
-        probe = scheduler()
-        cfg = scenario.sim_config
-        if getattr(probe, "wants_uncapped_memory", False):
-            cfg = cfg.uncapped()
-        result = ThreadShardRunner(
-            shards, foreign_fast_path=foreign_fast_path
-        ).run(
+        result = ThreadShardRunner(shards).run(
             pair=scenario.pair,
             trace=scenario.trace,
             ci_trace=scenario.ci_trace,
             scheduler_factory=scheduler,
-            config=cfg,
+            config=scenario.sim_config,
         )
         result.meta["scenario"] = scenario.label
         return result
     sched = scheduler() if callable(scheduler) else scheduler
     cfg = scenario.sim_config
-    if getattr(sched, "wants_uncapped_memory", False):
+    if sched.requires_lookahead:
         cfg = cfg.uncapped()
     engine = SimulationEngine(
         pair=scenario.pair,

@@ -22,11 +22,10 @@ intensity, recent invocation rate, pool occupancy, hardware pair, carbon
 model, and -- only for oracle schedulers that declare
 ``requires_lookahead`` -- the trace's next-arrival index.
 
-Optional capabilities are declared by overriding their hook, never by a
-flag: a scheduler that overrides :meth:`BaseScheduler.place_foreign` can
-run sharded, and one that also overrides
-:meth:`BaseScheduler.observe_foreign_run` gets the sharded replay's bulk
-foreign fast path (see :func:`overrides_hook`).
+Optional capabilities are declared by overriding their hooks, never by a
+flag: a scheduler that overrides both :meth:`BaseScheduler.place_foreign`
+and :meth:`BaseScheduler.observe_foreign_run` can run sharded (see
+:func:`overrides_hook`).
 """
 
 from __future__ import annotations
@@ -268,9 +267,13 @@ class BaseScheduler(abc.ABC):
     def supports_sharding(self) -> bool:
         """Whether the scheduler can run a function-sharded replay.
 
-        True exactly when it overrides :meth:`place_foreign`.
+        True exactly when it overrides both :meth:`place_foreign` and
+        :meth:`observe_foreign_run`: a shard replays every foreign
+        arrival through one of the two.
         """
-        return overrides_hook(self, "place_foreign")
+        return overrides_hook(self, "place_foreign") and overrides_hook(
+            self, "observe_foreign_run"
+        )
 
     # -- decision points --------------------------------------------------------
 
@@ -294,21 +297,21 @@ class BaseScheduler(abc.ABC):
         while touching only state every shard replicates (the placement
         decision must be a pure function of the request plus globally
         shared inputs such as the carbon-intensity clock). Overriding it
-        is what makes :attr:`supports_sharding` true.
+        and :meth:`observe_foreign_run` is what makes
+        :attr:`supports_sharding` true.
         """
         raise NotImplementedError(
             f"{self.name}: sharded replay requires place_foreign"
         )
 
     def observe_foreign_run(
-        self, groups: Sequence[tuple[FunctionProfile, npt.ArrayLike]]
+        self, groups: Sequence[tuple[FunctionProfile, list[float]]]
     ) -> None:
         """Absorb a bulk run of provably inert foreign arrivals.
 
         ``groups`` holds, per function appearing in the run, its sorted
-        arrival instants (a float64 array or list). The sharded replay
-        calls it instead of per-event :meth:`place_foreign` -- and only
-        for schedulers that override it -- when the run is inert: every
+        arrival instants. The sharded replay calls it instead of
+        per-event :meth:`place_foreign` when the run is inert: every
         arrival in it is a cold foreign placement (no warm pool holds
         any of the run's functions) and no simulator event fires before
         the run's last instant. The scheduler's state afterwards must be
@@ -317,7 +320,7 @@ class BaseScheduler(abc.ABC):
         then provably unused (see ``docs/sharding.md``).
         """
         raise NotImplementedError(
-            f"{self.name}: the foreign fast path requires observe_foreign_run"
+            f"{self.name}: sharded replay requires observe_foreign_run"
         )
 
     def keepalive_batch(

@@ -60,11 +60,7 @@ from repro.hardware.specs import GENERATIONS, HardwarePair
 from repro.simulator.containers import WarmContainer
 from repro.simulator.engine import ShardStep, SimulationConfig, SimulationEngine
 from repro.simulator.records import SimulationResult
-from repro.simulator.scheduler import (
-    BaseScheduler,
-    PlacementRequest,
-    overrides_hook,
-)
+from repro.simulator.scheduler import BaseScheduler, PlacementRequest
 from repro.workloads.functions import FunctionProfile
 from repro.workloads.trace import InvocationTrace
 
@@ -149,7 +145,6 @@ class ShardEngine(SimulationEngine):
         "_outbox": "exchanged",
         "_by_index": "shard-local",
         "_barrier_seq": "replicated",
-        "foreign_fast_path": "replicated",
         "_warm_table_cache": "shard-local",
     }
 
@@ -164,7 +159,6 @@ class ShardEngine(SimulationEngine):
         transport: BarrierTransport,
         config: SimulationConfig | None = None,
         energy_model: EnergyModel = DEFAULT_ENERGY_MODEL,
-        foreign_fast_path: bool = True,
     ) -> None:
         super().__init__(
             pair=pair,
@@ -182,16 +176,9 @@ class ShardEngine(SimulationEngine):
         self._outbox: list[ShardDecision] = []
         self._by_index: dict[int, object] = {}
         self._barrier_seq = 0
-        #: Bulk-skip provably inert foreign runs (requires a scheduler
-        #: that overrides ``observe_foreign_run``); off forces the
-        #: per-event replay, which the identity tests and the trace
-        #: bench compare against.
-        self.foreign_fast_path = foreign_fast_path
         #: (pool versions, bool table over intern ids) -- a derived view
         #: of the replicated pools, rebuilt on version mismatch.
-        self._warm_table_cache: (
-            tuple[int, int, np.ndarray, list[bool]] | None
-        ) = None
+        self._warm_table_cache: tuple[int, int, list[bool]] | None = None
 
     # -- ownership hooks ----------------------------------------------------
 
@@ -224,7 +211,8 @@ class ShardEngine(SimulationEngine):
         if not scheduler.supports_sharding:
             raise ValueError(
                 f"{scheduler.name} does not support sharded replay "
-                "(supports_sharding is False: no place_foreign override)"
+                "(supports_sharding is False: it must override both "
+                "place_foreign and observe_foreign_run)"
             )
         if not isinstance(self.trace, InvocationTrace):
             raise TypeError("sharded replay requires a full InvocationTrace")
@@ -246,9 +234,6 @@ class ShardEngine(SimulationEngine):
         own = trace.event_mask(self.own_names)
         rounds = np.floor_divide(times, width)
         n = int(times.size)
-        fast = self.foreign_fast_path and overrides_hook(
-            scheduler, "observe_foreign_run"
-        )
         if n:
             # Segment starts: first event, round transitions, and
             # own/foreign flips. Within a segment all events share one
@@ -274,13 +259,10 @@ class ShardEngine(SimulationEngine):
                 if own[a]:
                     for t, fid in zip(times[a:b].tolist(), ids[a:b].tolist()):
                         step.feed(t, funcs[fid])
-                elif fast:
+                else:
                     self._replay_foreign_run(
                         scheduler, step, times, ids, funcs, index, a, b
                     )
-                else:
-                    for t, fid in zip(times[a:b].tolist(), ids[a:b].tolist()):
-                        self._replay_foreign(scheduler, step, t, funcs[fid])
         step.flush()
         self._exchange_barrier()
         self._horizon = max(self._horizon, step.horizon)
@@ -339,244 +321,119 @@ class ShardEngine(SimulationEngine):
         detour through :meth:`_admit_keepalive`, never the heap), (b) an
         event drain up to the arrival, (c) the estimator observation +
         pure EPDM choice inside ``place_foreign``, and (d) a warm-hit
-        pool consume. Effects (a) and (b) are *time-triggered*: the loop
-        performs them at the head of each chunk exactly as the per-event
-        path would have (flush first, then drain, both up to the chunk's
-        first arrival) and then splits the chunk just before the next
-        instant either could act again -- the staged group's
-        ``flush_at``, the heap head's due time. Only effect (d) makes an
-        arrival itself non-inert, so only the first currently-warm
-        arrival replays through the exact per-event path; every maximal
+        pool consume. Effects (a) and (b) are *time-triggered*: the scan
+        performs them at the first arrival at or past the staged group's
+        ``flush_at`` or the heap head's due time, exactly as the
+        per-event path would have (flush first, then drain, both up to
+        that arrival). Only effect (d) makes an arrival itself
+        non-inert, so only currently-warm arrivals replay through the
+        exact per-event path (:meth:`_replay_foreign`); every maximal
         cold stretch in between is absorbed with one batched estimator
         observation (:meth:`_absorb_foreign_chunk`) plus one counter
         bump.
 
-        A hash-partitioned foreign run between two own arrivals averages
-        ``n_shards`` events, so for short runs the vectorised split loop
-        (:meth:`_replay_foreign_run_long`) spends more on boundary
-        bookkeeping than on the events. Short runs instead walk a plain
-        Python scan holding the three boundary sentinels -- ``flush_at``,
-        the heap head's due time, the warm table -- in locals: all three
-        mutate only at flush/drain/warm boundaries, so between
-        boundaries each arrival costs two float compares and one table
-        probe.
+        The three boundary sentinels -- ``flush_at``, the heap head's
+        due time, the warm table -- live in locals: all three mutate
+        only at flush/drain/warm boundaries, so between boundaries each
+        arrival costs two float compares and one list probe.
         """
-        if stop - start > 64:
-            return self._replay_foreign_run_long(
-                scheduler, step, times, ids, funcs, index, start, stop
-            )
         tl = times[start:stop].tolist()
         il = ids[start:stop].tolist()
-        warm_table = self._warm_fid_table(funcs, index)[3]
+        warm_table = self._warm_fid_table(funcs, index)
         flush_at = step.flush_at
         head_t = self._events[0][0] if self._events else _INF
-        chunk_at = start
+        chunk_at = 0
         for k, t in enumerate(tl):
             if flush_at <= t or head_t <= t:
                 # Absorb arrivals before this boundary, then replay the
-                # per-event path's time-triggered prefix: flush first,
-                # then drain, both up to this arrival.
-                here = start + k
-                if chunk_at < here:
+                # per-event path's time-triggered prefix: flush first
+                # (it may push activation events due <= t), then drain,
+                # both up to this arrival.
+                if chunk_at < k:
                     self._absorb_foreign_chunk(
-                        scheduler, times, ids, funcs, chunk_at, here,
-                        tl, il, start,
+                        scheduler, funcs, tl, il, chunk_at, k
                     )
-                    chunk_at = here
+                    chunk_at = k
                 if flush_at <= t:
-                    # The flush may push activation events due <= t, so
-                    # a drain always follows a sync (per-event order).
                     step.sync(t)
-                    self._drain_events(until=t)
-                elif head_t <= t:
-                    self._drain_events(until=t)
+                self._drain_events(until=t)
                 flush_at = step.flush_at
                 head_t = self._events[0][0] if self._events else _INF
-                warm_table = self._warm_fid_table(funcs, index)[3]
+                warm_table = self._warm_fid_table(funcs, index)
             if warm_table[il[k]]:
-                here = start + k
-                if chunk_at < here:
+                if chunk_at < k:
                     self._absorb_foreign_chunk(
-                        scheduler, times, ids, funcs, chunk_at, here,
-                        tl, il, start,
+                        scheduler, funcs, tl, il, chunk_at, k
                     )
                 self._replay_foreign(scheduler, step, t, funcs[il[k]])
-                chunk_at = here + 1
+                chunk_at = k + 1
                 flush_at = step.flush_at
                 head_t = self._events[0][0] if self._events else _INF
-                warm_table = self._warm_fid_table(funcs, index)[3]
-        if chunk_at < stop:
+                warm_table = self._warm_fid_table(funcs, index)
+        if chunk_at < len(tl):
             self._absorb_foreign_chunk(
-                scheduler, times, ids, funcs, chunk_at, stop, tl, il, start
+                scheduler, funcs, tl, il, chunk_at, len(tl)
             )
-
-    def _replay_foreign_run_long(
-        self,
-        scheduler: BaseScheduler,
-        step: ShardStep,
-        times: np.ndarray,
-        ids: np.ndarray,
-        funcs: list[FunctionProfile],
-        index: dict[str, int],
-        start: int,
-        stop: int,
-    ) -> None:
-        """Vectorised split loop for long foreign runs (wide barriers)."""
-        while start < stop:
-            t0 = float(times[start])
-            # Same prefix as the per-event path: a staged group is
-            # decided before time advances to its earliest completion
-            # (the flush may push activation events at or before t0),
-            # then every event due by this arrival drains.
-            if step.flush_at <= t0:
-                step.sync(t0)
-            if self._events and self._events[0][0] <= t0:
-                self._drain_events(until=t0)
-            split = stop
-            if step.flush_at <= float(times[stop - 1]):
-                # Arrivals strictly before flush_at replay without a
-                # flush; the next loop iteration syncs at the split.
-                split = start + int(
-                    np.searchsorted(
-                        times[start:stop], step.flush_at, side="left"
-                    )
-                )
-            if self._events:
-                # Arrivals strictly before the heap head's due time
-                # drain nothing; the next iteration drains at the split
-                # (a drained activation may warm a later function, which
-                # the re-read warm table then sees).
-                head_t = self._events[0][0]
-                if head_t <= float(times[split - 1]):
-                    split = start + int(
-                        np.searchsorted(
-                            times[start:split], head_t, side="left"
-                        )
-                    )
-            # Both boundaries now lie strictly beyond t0 (the sync
-            # flushed every group due by t0, the drain emptied the heap
-            # up to it), so split > start and the loop always advances.
-            # Warm-function boundary: arrivals of currently-warm
-            # functions consume pool entries, so the first one replays
-            # per-event; everything before it is provably cold. The
-            # intern-id table over pool membership is cached against the
-            # pools' version counters -- pools mutate on decisions and
-            # expiries, orders of magnitude rarer than foreign arrivals.
-            warm_table = self._warm_fid_table(funcs, index)[2]
-            hits = np.flatnonzero(warm_table[ids[start:split]])
-            first_warm = start + int(hits[0]) if hits.size else split
-            if first_warm > start:
-                self._absorb_foreign_chunk(
-                    scheduler, times, ids, funcs, start, first_warm
-                )
-            if first_warm < split:
-                self._replay_foreign(
-                    scheduler,
-                    step,
-                    float(times[first_warm]),
-                    funcs[ids[first_warm]],
-                )
-                start = first_warm + 1
-            else:
-                start = split
 
     def _warm_fid_table(
         self, funcs: list[FunctionProfile], index: dict[str, int]
-    ) -> tuple[int, int, np.ndarray, list[bool]]:
+    ) -> list[bool]:
         """Boolean table over intern ids: is the function warm anywhere?
 
-        Returned in two forms sharing one build -- an ndarray for the
-        long path's fancy indexing ([2]) and a plain list for the short
-        path's per-event probe ([3], a list probe is ~3x cheaper than
-        numpy scalar indexing). Rebuilt only when a pool's version
-        counter moved since the last call; between mutations the lookup
-        is two int compares (this is on the per-boundary hot path of
-        the foreign fast path).
+        A plain list (a list probe is ~3x cheaper than numpy scalar
+        indexing). Rebuilt only when a pool's version counter moved
+        since the last call; between mutations the lookup is two int
+        compares (this is on the per-boundary hot path of the foreign
+        replay).
         """
         pools = self.pools
         v_old = pools[GENERATIONS[0]].version
         v_new = pools[GENERATIONS[1]].version
         cached = self._warm_table_cache
         if cached is None or cached[0] != v_old or cached[1] != v_new:
-            table = np.zeros(len(funcs), dtype=bool)
+            table = [False] * len(funcs)
             for g in GENERATIONS:
                 for name in pools[g].names():
                     table[index[name]] = True
-            cached = (v_old, v_new, table, table.tolist())
+            cached = (v_old, v_new, table)
             self._warm_table_cache = cached
-        return cached
+        return cached[2]
 
     def _absorb_foreign_chunk(
         self,
         scheduler: BaseScheduler,
-        times: np.ndarray,
-        ids: np.ndarray,
         funcs: list[FunctionProfile],
+        tl: list[float],
+        il: list[int],
         start: int,
         stop: int,
-        run_tl: list[float] | None = None,
-        run_il: list[int] | None = None,
-        run_base: int = 0,
     ) -> None:
-        """Absorb an inert chunk ``[start, stop)`` in one bulk step.
+        """Absorb the inert arrivals ``tl[start:stop]`` in one bulk step.
 
         The caller established inertness: no heap event is due within
         the chunk and no chunk function is warm anywhere, so per-event
         replay would have been exactly the estimator observations. The
-        chunk's instants are grouped per function via one stable argsort
-        (arrival order within each function is preserved), with groups
-        emitted in first-arrival order so estimator-registry insertion
-        order matches the per-event path.
+        chunk's instants are grouped per function (arrival order within
+        each function is preserved) in a dict, whose insertion order is
+        first-arrival order -- so estimator-registry insertion order
+        matches the per-event path.
         """
-        n = stop - start
-        if n == 1:
-            # Singleton chunk (the tail after a warm hit or boundary):
-            # no grouping to do at all.
-            if run_il is not None and run_tl is not None:
-                j = start - run_base
-                fid, t = run_il[j], run_tl[j]
-            else:
-                fid, t = int(ids[start]), float(times[start])
-            scheduler.observe_foreign_run([(funcs[fid], [t])])
+        if stop - start == 1:
+            # Singleton chunk (the tail after a warm hit or boundary,
+            # and the most common size): no grouping to do at all.
+            scheduler.observe_foreign_run([(funcs[il[start]], [tl[start]])])
             self._next_index += 1
             return
-        if n <= 8:
-            # Short chunk (the common case: a hash-partitioned foreign
-            # run between two own arrivals averages ``n_shards`` events)
-            # -- plain dict grouping beats the vectorised machinery, and
-            # dict insertion order IS first-arrival order. The caller
-            # may hand down the run's already-unboxed columns.
-            if run_il is not None and run_tl is not None:
-                il = run_il[start - run_base : stop - run_base]
-                tl = run_tl[start - run_base : stop - run_base]
+        groups: dict[int, list[float]] = {}
+        for fid, t in zip(il[start:stop], tl[start:stop]):
+            bucket = groups.get(fid)
+            if bucket is None:
+                groups[fid] = [t]
             else:
-                il = ids[start:stop].tolist()
-                tl = times[start:stop].tolist()
-            small: dict[int, list[float]] = {}
-            for fid, t in zip(il, tl):
-                bucket = small.get(fid)
-                if bucket is None:
-                    small[fid] = [t]
-                else:
-                    bucket.append(t)
-            scheduler.observe_foreign_run(
-                [(funcs[fid], ts) for fid, ts in small.items()]
-            )
-            self._next_index += n
-            return
-        chunk_ids = ids[start:stop]
-        uniq, first_pos = np.unique(chunk_ids, return_index=True)
-        order = np.argsort(chunk_ids, kind="stable")
-        sorted_ids = chunk_ids[order]
-        sorted_times = times[start:stop][order]
-        seg = np.searchsorted(sorted_ids, uniq, side="left")
-        seg = np.append(seg, sorted_ids.size)
-        pos_of = {int(uniq[i]): i for i in range(uniq.size)}
-        groups = []
-        for fid in uniq[np.argsort(first_pos, kind="stable")].tolist():
-            i = pos_of[fid]
-            groups.append((funcs[fid], sorted_times[seg[i] : seg[i + 1]]))
-        scheduler.observe_foreign_run(groups)
+                bucket.append(t)
+        scheduler.observe_foreign_run(
+            [(funcs[fid], ts) for fid, ts in groups.items()]
+        )
         self._next_index += stop - start
 
     def _exchange_barrier(self) -> None:
@@ -664,17 +521,11 @@ class ThreadShardRunner:
     in ``repro.distributed.shard``.
     """
 
-    def __init__(
-        self,
-        n_shards: int,
-        by: str = "hash",
-        foreign_fast_path: bool = True,
-    ) -> None:
+    def __init__(self, n_shards: int, by: str = "hash") -> None:
         if n_shards <= 0:
             raise ValueError("n_shards must be positive")
         self.n_shards = n_shards
         self.by = by
-        self.foreign_fast_path = foreign_fast_path
 
     def run(
         self,
@@ -700,7 +551,6 @@ class ThreadShardRunner:
                     own_names=buckets[i],
                     transport=barrier,
                     config=config,
-                    foreign_fast_path=self.foreign_fast_path,
                 )
                 results[i] = engine.run_shard(scheduler_factory())
             except BaseException as exc:  # noqa: BLE001 -- relayed below

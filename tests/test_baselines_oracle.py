@@ -123,8 +123,19 @@ class TestLookaheadDecisions:
 
 class TestOracleMechanics:
     def test_requires_lookahead_flag(self):
+        # The flag alone also buys the paper's uncapped keep-alive memory.
+        from repro.experiments import default_scenario, run_scheduler
+
         assert OracleScheduler.requires_lookahead is True
-        assert OracleScheduler.wants_uncapped_memory is True
+        assert not hasattr(OracleScheduler, "wants_uncapped_memory")
+        # A 0.5 GB pool would overflow; the oracle's is unlimited.
+        scenario = default_scenario(
+            n_functions=12, hours=0.5, seed=3, pool_gb=0.5
+        )
+        capped = run_scheduler(new_only(), scenario)
+        assert any(r.evicted for r in capped.records)
+        result = run_scheduler(oracle(), scenario)
+        assert not any(r.evicted or r.spilled for r in result.records)
 
     def test_objective_names(self):
         assert oracle().name == "oracle"

@@ -106,7 +106,7 @@ def scenarios():
 def test_grouped_loop_matches_per_arrival_replay(name, trace_kind, scenarios):
     scenario = scenarios[trace_kind]
     config = scenario.sim_config
-    if getattr(make_scheduler(name), "wants_uncapped_memory", False):
+    if make_scheduler(name).requires_lookahead:
         config = config.uncapped()
 
     def engine() -> SimulationEngine:

@@ -11,8 +11,10 @@ merged result still identical (determinism *is* the checkpoint).
 import multiprocessing
 import os
 import signal
+import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.carbon.regions import region_trace_for
@@ -27,8 +29,11 @@ from repro.simulator import (
     ThreadShardRunner,
 )
 from repro.simulator.scheduler import BaseScheduler
-from repro.simulator.shard import ShardEngine, barrier_width_s
+from repro.simulator.shard import ShardEngine, ThreadBarrier, barrier_width_s
+from repro.workloads.functions import FunctionProfile
 from repro.workloads.generators import WorkloadSpec, build_trace
+from repro.workloads.trace import InvocationTrace
+from tests.oracles import PerEventShardEngine
 
 
 def churn_trace(n_funcs=30, horizon_s=5400.0, seed=11):
@@ -231,8 +236,64 @@ class TestProcessSharding:
         assert_identical(merged, baseline)
 
 
+def run_shards(engine_cls, trace, ci, buckets, factory):
+    """Run one shard engine per bucket on threads; (result, scheduler)s."""
+    barrier = ThreadBarrier(len(buckets))
+    out = [None] * len(buckets)
+
+    def work(i):
+        try:
+            scheduler = factory()
+            engine = engine_cls(
+                pair=PAIR_A,
+                trace=trace,
+                ci_trace=ci,
+                shard_id=i,
+                n_shards=len(buckets),
+                own_names=buckets[i],
+                transport=barrier,
+                config=SIM_CONFIG,
+            )
+            out[i] = (engine.run_shard(scheduler), scheduler)
+        except BaseException as exc:  # noqa: BLE001 -- surfaced below
+            barrier.fail(exc)
+            out[i] = exc
+
+    threads = [
+        threading.Thread(target=work, args=(i,)) for i in range(len(buckets))
+    ]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=300.0)
+        assert not th.is_alive(), "shard thread did not finish"
+    for item in out:
+        if isinstance(item, BaseException):
+            raise item
+    return out
+
+
+def estimator_state(scheduler):
+    return {
+        name: (list(est._iats), est._last_arrival)
+        for name, est in scheduler.arrivals.export_shelf().items()
+    }
+
+
+def assert_matches_per_event(trace, ci, buckets, factory):
+    """Every shard's records and estimator state equal the oracle's."""
+    fast = run_shards(ShardEngine, trace, ci, buckets, factory)
+    slow = run_shards(PerEventShardEngine, trace, ci, buckets, factory)
+    for (res_f, sched_f), (res_s, sched_s) in zip(fast, slow):
+        assert_identical(res_f, res_s)
+        state_f = estimator_state(sched_f)
+        assert list(state_f) == list(estimator_state(sched_s))
+        assert state_f == estimator_state(sched_s)
+    return SimulationResult.merge([res for res, _ in fast])
+
+
 class TestForeignFastPath:
-    """ISSUE 10 layer 2: vectorized foreign replay, bit-identical.
+    """Bulk absorption of inert foreign runs vs the per-event oracle.
 
     The churned trace + tight pools + retirement scenario
     puts warm hits of foreign functions *inside* bulk-candidate runs, so
@@ -245,31 +306,64 @@ class TestForeignFastPath:
         trace = churn_trace()
         ci = region_trace_for("CAL", 7200.0, seed=11)
         baseline = sequential(trace, ci, hard_config(tmp_path / "seq"))
-        results = {}
-        for fast in (True, False):
-            results[fast] = ThreadShardRunner(
-                n_shards, foreign_fast_path=fast
-            ).run(
-                pair=PAIR_A,
-                trace=trace,
-                ci_trace=ci,
-                scheduler_factory=lambda: EcoLifeScheduler(
-                    hard_config(tmp_path / f"fp{fast}")
-                ),
-                config=SIM_CONFIG,
-            )
-        assert_identical(results[True], baseline)
-        assert_identical(results[False], baseline)
+        merged = assert_matches_per_event(
+            trace,
+            ci,
+            trace.partition_names(n_shards),
+            lambda: EcoLifeScheduler(hard_config(tmp_path / "fp")),
+        )
+        assert_identical(merged, baseline)
+
+    def test_long_runs_and_repeated_chunks_match_oracle(self, monkeypatch):
+        """A shard owning one sparse function while dense functions
+        live elsewhere sees foreign runs of well over 64 events and
+        absorbs chunks that repeat a function."""
+        dense = [
+            FunctionProfile(f"dense-{i}", 0.25, 30.0, 2.0) for i in range(3)
+        ]
+        sparse = FunctionProfile("sparse", 0.25, 30.0, 2.0)
+        rng = np.random.default_rng(5)
+        events = [(float(t), sparse) for t in np.arange(5.0, 600.0, 97.0)]
+        for f in dense:
+            events += [
+                (float(t), f)
+                for t in np.cumsum(rng.exponential(1.2, size=480))
+            ]
+        trace = InvocationTrace.from_events(events)
+        ci = region_trace_for("CAL", 1800.0, seed=4)
+
+        runs, chunks = [], []
+        run = ShardEngine._replay_foreign_run
+        absorb = ShardEngine._absorb_foreign_chunk
+
+        def run_spy(self, scheduler, step, times, ids, funcs, index, a, b):
+            if self.shard_id == 0:
+                runs.append(b - a)
+            return run(self, scheduler, step, times, ids, funcs, index, a, b)
+
+        def absorb_spy(self, scheduler, funcs, tl, il, start, stop):
+            if self.shard_id == 0:
+                chunks.append(il[start:stop])
+            return absorb(self, scheduler, funcs, tl, il, start, stop)
+
+        monkeypatch.setattr(ShardEngine, "_replay_foreign_run", run_spy)
+        monkeypatch.setattr(ShardEngine, "_absorb_foreign_chunk", absorb_spy)
+        assert_matches_per_event(
+            trace,
+            ci,
+            [{"sparse"}, {f.name for f in dense}],
+            lambda: EcoLifeScheduler(EcoLifeConfig(seed=2)),
+        )
+        assert max(runs) > 64
+        assert any(len(set(c)) < len(c) for c in chunks)
 
     def test_fast_path_actually_bulk_absorbs(self, tmp_path, monkeypatch):
         absorbed = []
         orig = ShardEngine._absorb_foreign_chunk
 
-        def spy(self, scheduler, times, ids, funcs, start, stop, *a, **kw):
+        def spy(self, scheduler, funcs, tl, il, start, stop):
             absorbed.append(stop - start)
-            return orig(
-                self, scheduler, times, ids, funcs, start, stop, *a, **kw
-            )
+            return orig(self, scheduler, funcs, tl, il, start, stop)
 
         monkeypatch.setattr(ShardEngine, "_absorb_foreign_chunk", spy)
         trace = churn_trace()
@@ -285,32 +379,41 @@ class TestForeignFastPath:
         )
         assert sum(absorbed) > 0
 
-    def test_unsafe_scheduler_takes_per_event_path(self, tmp_path, monkeypatch):
-        # A scheduler that does not override observe_foreign_run must
-        # keep the engine off the bulk path entirely (the base hook
-        # raises).
-        def boom(self, scheduler, times, ids, funcs, start, stop, *a, **kw):
-            raise AssertionError("bulk path reached for unsafe scheduler")
+    def test_place_foreign_alone_is_not_sharding_capable(
+        self, capsys, monkeypatch
+    ):
+        # Sharding needs both foreign hooks: a shard replays every
+        # foreign arrival through one or the other.
+        from repro.cli import main
 
-        monkeypatch.setattr(ShardEngine, "_absorb_foreign_chunk", boom)
-
-        class PerEventEcoLife(EcoLifeScheduler):
-            observe_foreign_run = BaseScheduler.observe_foreign_run
-
-        def unsafe_factory():
-            return PerEventEcoLife(hard_config(tmp_path / "unsafe"))
-
-        trace = churn_trace(n_funcs=10, horizon_s=1200.0)
-        ci = region_trace_for("CAL", 2400.0, seed=11)
-        baseline = sequential(trace, ci, hard_config(tmp_path / "seq"))
-        result = ThreadShardRunner(2).run(
+        monkeypatch.setattr(
+            EcoLifeScheduler,
+            "observe_foreign_run",
+            BaseScheduler.observe_foreign_run,
+        )
+        scheduler = EcoLifeScheduler()
+        assert not scheduler.supports_sharding
+        trace = churn_trace(n_funcs=6, horizon_s=600.0)
+        engine = ShardEngine(
             pair=PAIR_A,
             trace=trace,
-            ci_trace=ci,
-            scheduler_factory=unsafe_factory,
+            ci_trace=region_trace_for("CAL", 1200.0, seed=1),
+            shard_id=0,
+            n_shards=2,
+            own_names=trace.partition_names(2)[0],
+            transport=None,
             config=SIM_CONFIG,
         )
-        assert_identical(result, baseline)
+        with pytest.raises(ValueError, match="observe_foreign_run"):
+            engine.run_shard(scheduler)
+        code = main(
+            [
+                "simulate", "--scheduler", "ecolife", "--functions", "4",
+                "--hours", "0.1", "--shards", "2",
+            ]
+        )
+        assert code == 2
+        assert "does not support sharded replay" in capsys.readouterr().out
 
 
 class TestTraceFileSharding:
