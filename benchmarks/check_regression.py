@@ -17,8 +17,9 @@ gated is per **suite** (``--suite``, default ``swarm``):
 - ``service``    -- end-to-end /decide throughput and p99 per-decision
   latency from ``bench_service.py``.
 - ``shard``      -- the sharded-replay bit-identity flags (2/4 shards,
-  thread and process transports) from ``bench_swarm.py``'s shard
-  section; speedups are info-only at CI scale.
+  process transport and the thread harness from ``tests/oracles``) from
+  ``bench_swarm.py``'s shard section; speedups are info-only at CI
+  scale.
 - ``trace``      -- the trace-file flags from ``bench_swarm.py``'s trace
   section: merged-shard and foreign-fast-path bit-identity plus the
   mmap-worker RSS check; throughputs are info-only at CI scale.
@@ -153,7 +154,7 @@ SUITES: dict[str, dict] = {
     "shard": {
         # Sharded-replay curve from bench_swarm.py's shard section: the
         # gated metrics are the *bit-identity* flags at every point of
-        # the 2/4-shard x thread/process curve (1.0 or bust; the
+        # the 2/4-shard x thread-harness/process curve (1.0 or bust; the
         # threshold is irrelevant for a 0/1 metric). Wall clocks and
         # speedups stay info-only -- the quick bench runs on whatever
         # core count CI hands out (sharding can only lose on one core),

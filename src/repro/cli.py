@@ -112,10 +112,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _simulate_sharded(args, scenario, factories, config) -> int:
     """The ``simulate --shards N`` path (bit-identical to 1 process).
 
-    Transports: ``thread`` (in-process runner), ``process`` (local worker
-    processes via the TCP coordinator), or ``tcp://host:port`` (bind a
-    coordinator and wait for ``ecolife work ADDR --shard`` processes --
-    the CI smoke mode).
+    Transports: ``process`` (local worker processes via the TCP
+    coordinator) or ``tcp://host:port`` (bind a coordinator and wait for
+    ``ecolife work ADDR --shard`` processes -- the CI smoke mode).
     """
     if not factories[args.scheduler]().supports_sharding:
         print(
@@ -125,61 +124,47 @@ def _simulate_sharded(args, scenario, factories, config) -> int:
         )
         return 2
     transport = args.shard_transport
-    if transport == "thread":
-        from repro.experiments import run_scheduler
-
-        result = run_scheduler(
-            factories[args.scheduler], scenario, shards=args.shards
-        )
-    elif transport == "process" or transport.startswith("tcp://"):
-        from repro.distributed import ShardJob, run_sharded_tcp
-        from repro.distributed.protocol import parse_address
-
-        # With a compiled trace file, workers get the *path* and
-        # memory-map the columns themselves instead of receiving a
-        # pickled in-memory copy in the hello payload.
-        import os
-
-        trace_path = (
-            os.path.abspath(args.trace) if getattr(args, "trace", None) else None
-        )
-        job = ShardJob(
-            scheduler=args.scheduler,
-            pair=scenario.pair,
-            trace=None if trace_path else scenario.trace,
-            ci_trace=scenario.ci_trace,
-            n_shards=args.shards,
-            config=config,
-            sim_config=scenario.sim_config,
-            trace_path=trace_path,
-        )
-        if transport == "process":
-            result = run_sharded_tcp(job)
-        else:
-            host, port = parse_address(transport)
-            print(
-                f"shard coordinator on tcp://{host}:{port} -- attach "
-                f"{args.shards} worker(s) with "
-                f"`ecolife work tcp://{host}:{port} --shard`"
-            )
-            result = run_sharded_tcp(job, host=host, port=port, spawn_workers=False)
-        result.meta["scenario"] = scenario.label
-    else:
+    if transport != "process" and not transport.startswith("tcp://"):
         print(
             f"unknown shard transport {transport!r}; "
-            "options: thread, process, tcp://host:port"
+            "options: process, tcp://host:port"
         )
         return 2
+    import os
+
+    from repro.distributed import ShardJob, run_sharded_tcp
+    from repro.distributed.protocol import parse_address
+
+    # With a compiled trace file, workers get the *path* and memory-map
+    # the columns themselves instead of receiving a pickled in-memory
+    # copy in the hello payload.
+    trace_path = os.path.abspath(args.trace) if args.trace else None
+    job = ShardJob(
+        scheduler=args.scheduler,
+        pair=scenario.pair,
+        trace=None if trace_path else scenario.trace,
+        ci_trace=scenario.ci_trace,
+        n_shards=args.shards,
+        config=config,
+        sim_config=scenario.sim_config,
+        trace_path=trace_path,
+    )
+    if transport == "process":
+        result = run_sharded_tcp(job)
+    else:
+        host, port = parse_address(transport)
+        print(
+            f"shard coordinator on tcp://{host}:{port} -- attach "
+            f"{args.shards} worker(s) with "
+            f"`ecolife work tcp://{host}:{port} --shard`"
+        )
+        result = run_sharded_tcp(job, host=host, port=port, spawn_workers=False)
+    result.meta["scenario"] = scenario.label
     print(result.summary())
     print(
-        f"shards: {result.meta.get('n_shards')} "
-        f"(transport={result.meta.get('transport', 'thread')}"
-        + (
-            f", reassignments={result.meta['reassignments']}"
-            if "reassignments" in result.meta
-            else ""
-        )
-        + ")"
+        f"shards: {result.meta['n_shards']} "
+        f"(transport={result.meta['transport']}, "
+        f"reassignments={result.meta['reassignments']})"
     )
     return 0
 
@@ -237,20 +222,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.store_records and not args.cache_dir:
         print("--store-records requires --cache-dir")
         return 2
-    if args.shards > 1:
-        from repro.experiments.runner import make_scheduler
-
-        unsupported = [
-            s
-            for s in args.schedulers
-            if not make_scheduler(s).supports_sharding
-        ]
-        if unsupported:
-            print(
-                f"schedulers {unsupported} do not support sharded replay "
-                "(--shards); see docs/sharding.md"
-            )
-            return 2
     grid = ScenarioGrid(
         regions=tuple(args.regions),
         pairs=tuple(args.pairs),
@@ -280,7 +251,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         n_workers=args.workers, cache=cache, executor=executor
     )
     try:
-        result = runner.run_grid(grid, args.schedulers, shards=args.shards)
+        result = runner.run_grid(grid, args.schedulers)
         if executor is not None:
             stats = executor.stats()
             print(
@@ -600,10 +571,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(bit-identical at any count; see docs/sharding.md)",
     )
     sim_p.add_argument(
-        "--shard-transport", default="thread", metavar="SPEC",
-        help="shard execution: 'thread' (in-process), 'process' (local "
-        "worker processes), or 'tcp://host:port' to bind a coordinator "
-        "and wait for `ecolife work ADDR --shard` workers",
+        "--shard-transport", default="process", metavar="SPEC",
+        help="shard execution: 'process' (local worker processes) or "
+        "'tcp://host:port' to bind a coordinator and wait for "
+        "`ecolife work ADDR --shard` workers",
     )
 
     sweep_p = sub.add_parser(
@@ -645,12 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument(
         "--relative-to", default="oracle",
         help="reference scheme for the %%-increase table",
-    )
-    sweep_p.add_argument(
-        "--shards", type=int, default=1,
-        help="run every job's replay function-partitioned across this "
-        "many in-process shards (bit-identical; cache entries are "
-        "shared with 1-shard runs)",
     )
     sweep_p.add_argument(
         "--executor", default="local", metavar="SPEC",

@@ -1,7 +1,7 @@
 """Process coordinator for the function-sharded replay.
 
-The TCP counterpart of :class:`repro.simulator.shard.ThreadShardRunner`:
-one :class:`ShardCoordinator` drives ``n_shards`` worker processes
+The transport behind ``ecolife simulate --shards N``: one
+:class:`ShardCoordinator` drives ``n_shards`` worker processes
 (``python -m repro.cli work tcp://host:port --shard``) in barrier
 lockstep over the line protocol from :mod:`repro.distributed.protocol`
 -- the same greppable newline-JSON framing, base64-pickle payloads, and
@@ -27,7 +27,9 @@ replacement connects, receives the same shard id and job, and replays
 from round zero; every barrier it has "missed" is served instantly from
 cache, so it fast-forwards to the frontier where the healthy shards are
 still blocked, and the run completes bit-identically. No partial state
-crosses the wire -- determinism *is* the checkpoint.
+crosses the wire -- determinism *is* the checkpoint. Resumption needs
+someone to start the replacement: :func:`run_sharded_tcp` with spawned
+workers fails closed instead when one of them dies.
 
 Trust boundary: identical to the job fabric -- payloads are pickles, so
 only run this between machines under one operator's control.
@@ -36,6 +38,7 @@ only run this between machines under one operator's control.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import socket
 from dataclasses import dataclass
 
@@ -122,6 +125,7 @@ class ShardCoordinator:
         self.address: str | None = None
         self._server: asyncio.AbstractServer | None = None
         self._free_ids = set(range(job.n_shards))
+        self._issued: set[int] = set()
         self._contrib: dict[int, dict[int, list[ShardDecision]]] = {}
         self._merged: dict[int, list[ShardDecision]] = {}
         self._waiters: dict[int, list[asyncio.Future]] = {}
@@ -170,10 +174,9 @@ class ShardCoordinator:
                 return
             shard_id = min(self._free_ids)
             self._free_ids.discard(shard_id)
-            if shard_id in self._contrib.get(0, {}) or any(
-                shard_id in c for c in self._contrib.values()
-            ):
+            if shard_id in self._issued:
                 self.reassignments += 1
+            self._issued.add(shard_id)
             await send(
                 writer,
                 type="hello_ack",
@@ -378,21 +381,40 @@ def _spawned_worker(address: str) -> None:  # pragma: no cover - subprocess
     run_shard_worker(address)
 
 
+async def _watch_spawned(procs: list[multiprocessing.Process]) -> None:
+    """Raise once a spawned worker exits non-zero.
+
+    A spawned worker exits 0 only after its shard's result landed, and
+    nothing else will ever claim the shard id it frees, so an early
+    failure means the run can no longer complete.
+    """
+    while True:
+        codes = [p.exitcode for p in procs]
+        if any(code not in (None, 0) for code in codes):
+            raise RuntimeError(
+                "shard worker process(es) died before the merged result "
+                f"arrived (exit codes {codes})"
+            )
+        await asyncio.sleep(0.05)
+
+
 def run_sharded_tcp(
     job: ShardJob,
     host: str = "127.0.0.1",
     port: int = 0,
     spawn_workers: bool = True,
 ) -> SimulationResult:
-    """One-call process-sharded replay (bench and test harness).
+    """One-call process-sharded replay (``simulate --shards``, tests, bench).
 
     Starts a coordinator and, when ``spawn_workers`` is set, one local
     worker **process** per shard (``multiprocessing`` spawn-or-fork
-    default), then blocks until the merged result is in. With
-    ``spawn_workers=False`` the coordinator waits for externally started
-    ``work --shard`` processes -- the CI smoke mode.
+    default), then blocks until the merged result is in. A spawned
+    worker that exits non-zero first raises :class:`RuntimeError` and
+    terminates its siblings. With ``spawn_workers=False`` the
+    coordinator waits for externally started ``work --shard`` processes
+    -- the CI smoke mode, where a replacement worker may resume a dead
+    one's shard.
     """
-    import multiprocessing
 
     async def _run() -> SimulationResult:
         coordinator = ShardCoordinator(job, host=host, port=port)
@@ -405,9 +427,19 @@ def run_sharded_tcp(
                 )
                 p.start()
                 procs.append(p)
+        wait = asyncio.ensure_future(coordinator.wait())
+        watch = asyncio.ensure_future(_watch_spawned(procs))
         try:
-            return await coordinator.wait()
+            await asyncio.wait({wait, watch}, return_when=asyncio.FIRST_COMPLETED)
+            if not wait.done():
+                watch.result()  # a worker died: raises
+            return wait.result()
         finally:
+            if not wait.done():
+                for p in procs:
+                    p.terminate()
+            wait.cancel()
+            watch.cancel()
             await coordinator.close()
             for p in procs:
                 p.join(timeout=10.0)

@@ -190,35 +190,12 @@ def quick_scenario(seed: int = 7) -> Scenario:
 def run_scheduler(
     scheduler: BaseScheduler | SchedulerFactory,
     scenario: Scenario,
-    shards: int = 1,
 ) -> SimulationResult:
     """Run one scheduler over a scenario (fresh engine each call).
 
     Oracle schedulers (``requires_lookahead``) run with unlimited
-    keep-alive memory, as in the paper. With ``shards > 1`` the replay
-    executes function-partitioned on the in-process
-    :class:`~repro.simulator.shard.ThreadShardRunner` -- bit-identical
-    to ``shards=1`` (the scheduler must declare ``supports_sharding``,
-    which no oracle does, so a factory is required: each shard gets its
-    own instance).
+    keep-alive memory, as in the paper.
     """
-    if shards > 1:
-        if not callable(scheduler):
-            raise ValueError(
-                "sharded runs need a scheduler *factory* (one fresh "
-                "instance per shard), not a scheduler object"
-            )
-        from repro.simulator.shard import ThreadShardRunner
-
-        result = ThreadShardRunner(shards).run(
-            pair=scenario.pair,
-            trace=scenario.trace,
-            ci_trace=scenario.ci_trace,
-            scheduler_factory=scheduler,
-            config=scenario.sim_config,
-        )
-        result.meta["scenario"] = scenario.label
-        return result
     sched = scheduler() if callable(scheduler) else scheduler
     cfg = scenario.sim_config
     if sched.requires_lookahead:

@@ -306,11 +306,10 @@ class ScenarioGrid:
         self,
         schedulers: Sequence[str],
         config: EcoLifeConfig | None = None,
-        shards: int = 1,
     ) -> list["RunnerJob"]:
         """One job per (scenario, scheduler), scenario-major order."""
         return [
-            RunnerJob(scheduler=name, spec=spec, config=config, shards=shards)
+            RunnerJob(scheduler=name, spec=spec, config=config)
             for spec in self.specs()
             for name in schedulers
         ]
@@ -335,18 +334,10 @@ class RunnerJob:
     spec: ScenarioSpec | None = None
     scenario: Scenario | None = None
     config: EcoLifeConfig | None = None
-    #: Partition the single replay across this many in-process shards
-    #: (:class:`~repro.simulator.shard.ThreadShardRunner`). Bit-identical
-    #: to ``shards=1`` by the sharding contract, so it deliberately does
-    #: NOT enter the :class:`ResultCache` key: a cached 1-shard result
-    #: satisfies a 4-shard job and vice versa.
-    shards: int = 1
 
     def __post_init__(self) -> None:
         if (self.spec is None) == (self.scenario is None):
             raise ValueError("exactly one of spec/scenario must be provided")
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
         if not is_registered(self.scheduler):
             raise KeyError(
                 f"unknown scheduler {self.scheduler!r}; "
@@ -479,11 +470,7 @@ def execute_job(job: RunnerJob) -> ResultSummary:
     makes ``n_workers > 1`` results identical to the serial path.
     """
     scenario = job.build_scenario()
-    result = run_scheduler(
-        lambda: make_scheduler(job.scheduler, job.config),
-        scenario,
-        shards=job.shards,
-    )
+    result = run_scheduler(make_scheduler(job.scheduler, job.config), scenario)
     return ResultSummary.from_result(result, scenario_label=scenario.label)
 
 
@@ -492,11 +479,7 @@ def execute_job_with_records(job: RunnerJob) -> tuple[ResultSummary, RecordArray
     records in columnar form (what the record-persisting cache stores as
     compressed ``.npz``). The simulation itself is identical."""
     scenario = job.build_scenario()
-    result = run_scheduler(
-        lambda: make_scheduler(job.scheduler, job.config),
-        scenario,
-        shards=job.shards,
-    )
+    result = run_scheduler(make_scheduler(job.scheduler, job.config), scenario)
     summary = ResultSummary.from_result(result, scenario_label=scenario.label)
     return summary, result.record_arrays()
 
@@ -1013,14 +996,13 @@ class ParallelRunner:
         grid: ScenarioGrid | Iterable[ScenarioSpec],
         schedulers: Sequence[str],
         config: EcoLifeConfig | None = None,
-        shards: int = 1,
     ) -> GridResult:
         """Run every scheduler over every scenario of the grid."""
         if isinstance(grid, ScenarioGrid):
-            jobs = grid.jobs(schedulers, config=config, shards=shards)
+            jobs = grid.jobs(schedulers, config=config)
         else:
             jobs = [
-                RunnerJob(scheduler=name, spec=spec, config=config, shards=shards)
+                RunnerJob(scheduler=name, spec=spec, config=config)
                 for spec in grid
                 for name in schedulers
             ]

@@ -6,8 +6,6 @@ from repro.simulator.shard import (
     BarrierTransport,
     ShardDecision,
     ShardEngine,
-    ThreadBarrier,
-    ThreadShardRunner,
     barrier_width_s,
 )
 from repro.simulator.records import (
@@ -47,7 +45,5 @@ __all__ = [
     "ShardDecision",
     "ShardEngine",
     "ShardStep",
-    "ThreadBarrier",
-    "ThreadShardRunner",
     "barrier_width_s",
 ]

@@ -48,9 +48,8 @@ say which side of the barrier it lives on.
 from __future__ import annotations
 
 import heapq
-import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -460,114 +459,3 @@ class ShardEngine(SimulationEngine):
                 self._events, (d.t_end, 0, d.index, "activate", container)
             )
 
-
-class ThreadBarrier:
-    """In-process :class:`BarrierTransport` over a condition variable.
-
-    Caches each round's merged outboxes by sequence number, so a shard
-    re-running from round zero (crash resume in tests) is served
-    instantly from cache while live shards wait at the frontier.
-    """
-
-    def __init__(self, n_shards: int, timeout_s: float = 120.0) -> None:
-        self.n_shards = n_shards
-        self.timeout_s = timeout_s
-        self._cond = threading.Condition()
-        self._contrib: dict[int, dict[int, list[ShardDecision]]] = {}
-        self._merged: dict[int, list[ShardDecision]] = {}
-        self._failed: BaseException | None = None
-
-    def fail(self, exc: BaseException) -> None:
-        """Wake every waiter with a failure (a sibling shard died)."""
-        with self._cond:
-            self._failed = exc
-            self._cond.notify_all()
-
-    def exchange(
-        self, seq: int, shard_id: int, outbox: Sequence[ShardDecision]
-    ) -> list[ShardDecision]:
-        with self._cond:
-            if seq not in self._merged:
-                contrib = self._contrib.setdefault(seq, {})
-                contrib[shard_id] = list(outbox)
-                if len(contrib) == self.n_shards:
-                    self._merged[seq] = [
-                        d for s in sorted(contrib) for d in contrib[s]
-                    ]
-                    self._cond.notify_all()
-                else:
-                    ok = self._cond.wait_for(
-                        lambda: seq in self._merged or self._failed is not None,
-                        timeout=self.timeout_s,
-                    )
-                    if self._failed is not None:
-                        raise RuntimeError(
-                            f"sibling shard failed: {self._failed!r}"
-                        ) from self._failed
-                    if not ok:
-                        raise TimeoutError(
-                            f"barrier {seq}: not all {self.n_shards} shards "
-                            f"arrived within {self.timeout_s}s"
-                        )
-            return list(self._merged[seq])
-
-
-class ThreadShardRunner:
-    """Run an N-shard replay on threads and merge the results.
-
-    The in-process coordinator: exact on any machine (synchronization
-    correctness does not need true parallelism), which is what the
-    identity tests use. Real speedups come from the process coordinator
-    in ``repro.distributed.shard``.
-    """
-
-    def __init__(self, n_shards: int, by: str = "hash") -> None:
-        if n_shards <= 0:
-            raise ValueError("n_shards must be positive")
-        self.n_shards = n_shards
-        self.by = by
-
-    def run(
-        self,
-        pair: HardwarePair,
-        trace: InvocationTrace,
-        ci_trace: CarbonIntensityTrace,
-        scheduler_factory: Callable[[], BaseScheduler],
-        config: SimulationConfig | None = None,
-    ) -> SimulationResult:
-        buckets = trace.partition_names(self.n_shards, by=self.by)
-        barrier = ThreadBarrier(self.n_shards)
-        results: list[SimulationResult | None] = [None] * self.n_shards
-        errors: list[BaseException] = []
-
-        def work(i: int) -> None:
-            try:
-                engine = ShardEngine(
-                    pair=pair,
-                    trace=trace,
-                    ci_trace=ci_trace,
-                    shard_id=i,
-                    n_shards=self.n_shards,
-                    own_names=buckets[i],
-                    transport=barrier,
-                    config=config,
-                )
-                results[i] = engine.run_shard(scheduler_factory())
-            except BaseException as exc:  # noqa: BLE001 -- relayed below
-                errors.append(exc)
-                barrier.fail(exc)
-
-        threads = [
-            threading.Thread(target=work, args=(i,), name=f"shard-{i}")
-            for i in range(self.n_shards)
-        ]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        if errors:
-            raise errors[0]
-        done = [r for r in results if r is not None]
-        merged = SimulationResult.merge(done)
-        merged.meta["transport"] = "thread"
-        return merged

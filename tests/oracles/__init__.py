@@ -19,7 +19,9 @@
   grouped stepping loop must reproduce.
 - :mod:`tests.oracles.shard` -- a shard engine that replays every
   foreign arrival per event, the reference for ``ShardEngine``'s bulk
-  absorption of inert foreign runs.
+  absorption of inert foreign runs; and the in-process thread harness
+  (``ThreadShardRunner`` over ``ThreadBarrier``) that drives shard
+  engines without worker processes.
 """
 
 from tests.oracles import adjustment, objective
@@ -27,13 +29,19 @@ from tests.oracles.dynamic_pso import DynamicPSO
 from tests.oracles.pso import ParticleSwarm
 from tests.oracles.replay import reference_replay
 from tests.oracles.sequential import SequentialKDM, sequential_ecolife
-from tests.oracles.shard import PerEventShardEngine
+from tests.oracles.shard import (
+    PerEventShardEngine,
+    ThreadBarrier,
+    ThreadShardRunner,
+)
 
 __all__ = [
     "DynamicPSO",
     "ParticleSwarm",
     "PerEventShardEngine",
     "SequentialKDM",
+    "ThreadBarrier",
+    "ThreadShardRunner",
     "adjustment",
     "objective",
     "reference_replay",

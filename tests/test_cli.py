@@ -105,6 +105,22 @@ class TestCommands:
         assert main(argv) == 0
         assert "cache:" in capsys.readouterr().out
 
+    def test_simulate_rejects_thread_shard_transport(self, capsys):
+        argv = [
+            "simulate", "--functions", "4", "--hours", "0.1",
+            "--shards", "2", "--shard-transport", "thread",
+        ]
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert "unknown shard transport 'thread'" in out
+        assert "options: process, tcp://host:port" in out
+
+    def test_sweep_has_no_shards_flag(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            build_parser().parse_args(["sweep", "--shards", "2"])
+        assert e.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+
     def test_sweep_store_records_requires_cache_dir(self, capsys):
         assert main(["sweep", "--store-records"]) == 2
         assert "--cache-dir" in capsys.readouterr().out

@@ -1,18 +1,18 @@
 """Sharded single-simulation replay: bit-identical at any shard count.
 
-The ISSUE 9 acceptance anchors: partition-by-function replay on 2 and 4
-shards -- through both the in-process :class:`ThreadShardRunner` and the
-TCP process coordinator -- reproduces the sequential engine's records
+Partition-by-function replay on 2 and 4 shards -- through the TCP
+process coordinator and the in-process thread harness from
+``tests/oracles`` -- reproduces the sequential engine's records
 bit-for-bit on an Azure-family trace with churn, retirement, shelf spill
-and memory pressure; and a SIGKILLed worker is replaced mid-run with the
-merged result still identical (determinism *is* the checkpoint).
+and memory pressure; a SIGKILLed worker is replaced mid-run with the
+merged result still identical (determinism *is* the checkpoint); and a
+spawned worker that dies fails the run instead of hanging it.
 """
 
 import multiprocessing
 import os
 import signal
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -22,18 +22,13 @@ from repro.core import EcoLifeConfig, EcoLifeScheduler
 from repro.distributed import ShardJob, run_sharded_tcp
 from repro.distributed.shard import ShardCoordinator, _spawned_worker
 from repro.hardware import PAIR_A
-from repro.simulator import (
-    SimulationConfig,
-    SimulationEngine,
-    SimulationResult,
-    ThreadShardRunner,
-)
+from repro.simulator import SimulationConfig, SimulationEngine, SimulationResult
 from repro.simulator.scheduler import BaseScheduler
-from repro.simulator.shard import ShardEngine, ThreadBarrier, barrier_width_s
+from repro.simulator.shard import ShardEngine, barrier_width_s
 from repro.workloads.functions import FunctionProfile
 from repro.workloads.generators import WorkloadSpec, build_trace
 from repro.workloads.trace import InvocationTrace
-from tests.oracles import PerEventShardEngine
+from tests.oracles import PerEventShardEngine, ThreadBarrier, ThreadShardRunner
 
 
 def churn_trace(n_funcs=30, horizon_s=5400.0, seed=11):
@@ -120,22 +115,6 @@ class TestThreadSharding:
             config=SIM_CONFIG,
         )
         assert_identical(sharded, baseline)
-
-    def test_run_scheduler_shards_path(self, tmp_path):
-        from repro.experiments import run_scheduler, workload_scenario
-
-        scenario = workload_scenario(
-            workload="azure", n_functions=15, hours=1.0, seed=9
-        )
-        config = EcoLifeConfig(seed=9)
-        plain = run_scheduler(lambda: EcoLifeScheduler(config), scenario)
-        sharded = run_scheduler(
-            lambda: EcoLifeScheduler(config), scenario, shards=2
-        )
-        assert sharded.meta["scenario"] == scenario.label
-        assert_identical(sharded, plain)
-        with pytest.raises(ValueError, match="factory"):
-            run_scheduler(EcoLifeScheduler(config), scenario, shards=2)
 
     def test_unsupported_scheduler_rejected(self):
         from repro.baselines import oracle
@@ -234,6 +213,87 @@ class TestProcessSharding:
         merged, reassignments = asyncio.run(drive())
         assert merged.meta["reassignments"] == reassignments
         assert_identical(merged, baseline)
+
+    def test_spawned_worker_failure_raises_instead_of_hanging(self):
+        # Oracle is not sharding-capable: both spawned workers raise and
+        # exit non-zero, so no replacement can ever finish their shards.
+        trace = churn_trace(n_funcs=6, horizon_s=600.0)
+        job = ShardJob(
+            scheduler="oracle",
+            pair=PAIR_A,
+            trace=trace,
+            ci_trace=region_trace_for("CAL", 1200.0, seed=1),
+            n_shards=2,
+        )
+        outcome = []
+
+        def run():
+            try:
+                outcome.append(run_sharded_tcp(job))
+            except BaseException as exc:  # noqa: BLE001 -- asserted below
+                outcome.append(exc)
+
+        th = threading.Thread(target=run, daemon=True)
+        th.start()
+        th.join(timeout=60.0)
+        assert not th.is_alive(), "run_sharded_tcp hung after its workers died"
+        (exc,) = outcome
+        assert isinstance(exc, RuntimeError)
+        assert "died before the merged result" in str(exc)
+        assert "exit codes [" in str(exc)
+
+    def test_reassignment_counts_reissue_before_first_barrier(self):
+        """A worker that leaves between ``hello_ack`` and its first
+        barrier still has its shard id counted when re-issued."""
+        import asyncio
+
+        from repro.distributed.protocol import (
+            STREAM_LIMIT,
+            parse_address,
+            read_msg,
+            send,
+        )
+
+        trace = churn_trace(n_funcs=4, horizon_s=300.0)
+        job = ShardJob(
+            scheduler="ecolife",
+            pair=PAIR_A,
+            trace=trace,
+            ci_trace=region_trace_for("CAL", 600.0, seed=1),
+            n_shards=1,
+        )
+
+        async def hello(address):
+            host, port = parse_address(address)
+            reader, writer = await asyncio.open_connection(
+                host, port, limit=STREAM_LIMIT
+            )
+            await send(writer, type="hello", role="shard", worker="probe")
+            ack = await read_msg(reader)
+            writer.close()
+            await writer.wait_closed()
+            return ack
+
+        async def drive():
+            coordinator = ShardCoordinator(job)
+            address = await coordinator.start()
+            try:
+                first = await hello(address)
+                # The id is freed once the coordinator sees the close;
+                # until then a hello is refused ("all shard ids assigned").
+                for _ in range(200):
+                    second = await hello(address)
+                    if second["type"] == "hello_ack":
+                        break
+                    await asyncio.sleep(0.01)
+                return first, second, coordinator.reassignments
+            finally:
+                await coordinator.close()
+
+        first, second, reassignments = asyncio.run(drive())
+        assert first["type"] == second["type"] == "hello_ack"
+        assert first["shard"] == second["shard"] == 0
+        assert reassignments == 1
 
 
 def run_shards(engine_cls, trace, ci, buckets, factory):
