@@ -1,6 +1,6 @@
 """Swarm-fleet benchmark: fused stepping vs per-function loops.
 
-Seven measurements:
+Six measurements:
 
 1. **Step throughput** -- N live DPSO swarms advanced for one EcoLife
    decision (perceive + refresh + iterations) as N independent
@@ -27,24 +27,16 @@ Seven measurements:
    ``keepalive`` per arrival). The completion-bounded flush keeps the
    grouped replay bit-identical, so the measured objective error must
    be exactly zero (asserted).
-5. **Sharded replay** -- the same simulation partitioned by function
-   across 2 and 4 shards: TCP-coordinated worker processes (the shipped
-   transport) and the in-process thread harness from ``tests/oracles``.
-   Bit-identity to the sequential replay is asserted at every point of
-   the curve; full runs on >=4-core hosts additionally assert the
-   >=1.8x @ 4 shards throughput acceptance bar on the process transport.
-6. **Trace files** -- the Azure-day sample written, compiled to the
-   columnar format, and replayed from mmap: compiler rows/s, the
-   foreign-replay fast path vs per-event replay (bit-identical; >=3x
-   asserted on full >=4-core runs), and shard-worker peak RSS via mmap
-   vs a fully materialized per-event Python trace (mmap must stay
-   below, asserted on full runs).
-7. **Pool adjustment** -- section 4's Poisson trace replayed with pools
+5. **Trace files** -- the Azure-day sample written, compiled to the
+   columnar format, and replayed from mmap: compiler rows/s, and the
+   replay's peak RSS via mmap vs a fully materialized per-event Python
+   trace (mmap must stay below, asserted on full runs).
+6. **Pool adjustment** -- section 4's Poisson trace replayed with pools
    small enough that most activations overflow, recording every
    ``AdjustmentRequest``; the one-pass ``WarmPoolAdjuster.rank`` is then
    timed against the scalar per-candidate ranker from ``tests/oracles``
-   on the recorded requests, and the orderings must be identical
-   (asserted).
+   on the recorded requests, alternating the two within each repeat,
+   and the orderings must be identical (asserted).
 
 Run directly (no pytest-benchmark dependency, so CI can invoke it as a
 plain script)::
@@ -87,8 +79,6 @@ sequential_ecolife = oracles().sequential_ecolife
 reference_replay = oracles().reference_replay
 looped_batch_fitness = oracles().objective.looped_batch_fitness
 oracle_rank = oracles().adjustment.rank
-ThreadShardRunner = oracles().ThreadShardRunner
-ThreadBarrier = oracles().ThreadBarrier
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -425,164 +415,7 @@ def bench_continuous(
 
 
 # ---------------------------------------------------------------------------
-# 5. Sharded replay: partition-by-function across shards, process + thread.
-# ---------------------------------------------------------------------------
-
-
-def _shard_trace(
-    n_funcs: int,
-    horizon_s: float,
-    mean_iat_s: float,
-    min_exec_s: float,
-    seed: int = 17,
-) -> InvocationTrace:
-    """Shard-throughput trace: exec-time floor keeps barriers wide.
-
-    The barrier width is the minimum warm service time, so an exec
-    floor of ``min_exec_s`` caps the barrier count near
-    ``horizon_s / min_exec_s`` and keeps synchronization off the
-    critical path -- the regime where sharding pays.
-    """
-    rng = np.random.default_rng(seed)
-    funcs = [
-        FunctionProfile(
-            name=f"f{i}",
-            mem_gb=0.4 + 0.1 * (i % 4),
-            exec_ref_s=min_exec_s + 0.25 * (i % 8),
-            cold_ref_s=0.8,
-        )
-        for i in range(n_funcs)
-    ]
-    events = []
-    for f in funcs:
-        t = float(rng.exponential(mean_iat_s))
-        while t < horizon_s:
-            events.append((t, f))
-            t += float(rng.exponential(mean_iat_s))
-    return InvocationTrace.from_events(events)
-
-
-def bench_shard(
-    n_funcs: int,
-    horizon_s: float,
-    mean_iat_s: float,
-    min_exec_s: float,
-    shard_counts: tuple[int, ...],
-    repeats: int,
-    quick: bool,
-) -> dict:
-    """Shard-throughput curve: sequential vs process/thread sharding.
-
-    Bit-identity at every shard count is *asserted* (a fast-but-wrong
-    shard run is not a result) and also reported as 1.0/0.0 flags so
-    the regression gate can hold the line. Speedups are info: the
-    thread harness (``tests/oracles``) is GIL-bound, and the >=1.8x @ 4
-    shards acceptance assert reads the process transport only, on full
-    (non-quick) runs on hosts with at least 4 cores.
-    """
-    import os
-
-    from repro.distributed import ShardJob, run_sharded_tcp
-
-    trace = _shard_trace(n_funcs, horizon_s, mean_iat_s, min_exec_s)
-    ci = CarbonIntensityTrace.constant(250.0)
-    sim_config = SimulationConfig(
-        pool_capacity_old_gb=0.5 * n_funcs,
-        pool_capacity_new_gb=0.5 * n_funcs,
-        measure_decision_overhead=False,
-    )
-    config = EcoLifeConfig(seed=17)
-
-    def identical(a, b) -> float:
-        if len(a.records) != len(b.records):
-            return 0.0
-        ok = all(
-            ra.cold == rb.cold
-            and ra.location is rb.location
-            and ra.keepalive_decision == rb.keepalive_decision
-            and ra.keepalive_s == rb.keepalive_s
-            and ra.keepalive_carbon == rb.keepalive_carbon
-            for ra, rb in zip(a.records, b.records)
-        )
-        return 1.0 if ok and a.total_carbon_g == b.total_carbon_g else 0.0
-
-    baseline_s = float("inf")
-    baseline = None
-    for _ in range(repeats):
-        engine = SimulationEngine(
-            pair=PAIR_A, trace=trace, ci_trace=ci, config=sim_config
-        )
-        t0 = time.perf_counter()
-        baseline = engine.run(EcoLifeScheduler(config))
-        baseline_s = min(baseline_s, time.perf_counter() - t0)
-
-    curve = []
-    for n in shard_counts:
-        thread_s = process_s = float("inf")
-        thread_res = process_res = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            thread_res = ThreadShardRunner(n).run(
-                pair=PAIR_A,
-                trace=trace,
-                ci_trace=ci,
-                scheduler_factory=lambda: EcoLifeScheduler(config),
-                config=sim_config,
-            )
-            thread_s = min(thread_s, time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            process_res = run_sharded_tcp(
-                ShardJob(
-                    scheduler="ecolife",
-                    pair=PAIR_A,
-                    trace=trace,
-                    ci_trace=ci,
-                    n_shards=n,
-                    config=config,
-                    sim_config=sim_config,
-                )
-            )
-            process_s = min(process_s, time.perf_counter() - t0)
-        row = {
-            "name": str(n),
-            "n_shards": n,
-            "thread_wall_s": thread_s,
-            "thread_speedup": baseline_s / thread_s,
-            "thread_identical": identical(thread_res, baseline),
-            "process_wall_s": process_s,
-            "process_speedup": baseline_s / process_s,
-            "process_identical": identical(process_res, baseline),
-        }
-        assert row["thread_identical"] == 1.0, (
-            f"thread-sharded replay diverged at {n} shards"
-        )
-        assert row["process_identical"] == 1.0, (
-            f"process-sharded replay diverged at {n} shards"
-        )
-        curve.append(row)
-
-    cores = os.cpu_count() or 1
-    if not quick and cores >= 4:
-        at4 = next((r for r in curve if r["n_shards"] == 4), None)
-        if at4 is not None:
-            speedup = at4["process_speedup"]
-            assert speedup >= 1.8, (
-                f"4-shard process speedup {speedup:.2f}x below the 1.8x "
-                f"acceptance bar on a {cores}-core host"
-            )
-
-    return {
-        "n_functions": n_funcs,
-        "n_invocations": len(trace),
-        "min_exec_s": min_exec_s,
-        "sequential_wall_s": baseline_s,
-        "cpu_count": cores,
-        "curve": curve,
-    }
-
-
-# ---------------------------------------------------------------------------
-# 6. Trace files: compile throughput, foreign fast path, mmap RSS.
+# 5. Trace files: compile throughput, mmap RSS.
 # ---------------------------------------------------------------------------
 
 
@@ -645,31 +478,17 @@ def bench_trace(
     kmax_minutes: float,
     pool_gb: float,
     rss_duration_hours: float,
-    repeats: int,
     quick: bool,
 ) -> dict:
-    """Azure-day trace files: compiler, foreign fast path, mmap worker RSS.
+    """Azure-day trace files: compiler throughput and mmap replay RSS.
 
-    Three measurements on the bundled Azure-shaped sample (written and
+    Two measurements on the bundled Azure-shaped sample (written and
     compiled into a temp dir, so the bench is self-contained):
 
     - **Compile throughput** -- CSV rows/s through the chunked compiler.
-    - **Foreign-replay throughput** -- shard 0 of 4 replays the merged
-      trace with the foreign fast path and with the per-event oracle
-      (``tests/oracles/shard.py``), barrier rounds served from a cache
-      so only replay cost is on the clock.
-      The metric is *net of drain/flush time*: heap drains and staged
-      flushes do identical work in both modes (same events, same pops),
-      so subtracting them isolates the foreign-replay machinery the
-      fast path actually replaces. CPU time (``process_time``), best of
-      ``repeats``, to shrug off preemption on shared runners. Shard-0
-      results must be bit-identical between modes (asserted), and the
-      merged 2- and 4-shard replays must be bit-identical to the
-      one-process engine (asserted). The >=3x acceptance bar applies to
-      full runs on >=4-core hosts.
-    - **Worker RSS** -- peak resident set of a subprocess replaying the
+    - **Replay RSS** -- peak resident set of a subprocess replaying the
       compiled sample via mmap vs the same replay holding a fully
-      materialized per-event Python trace. The mmap worker must stay
+      materialized per-event Python trace. The mmap replay must stay
       below the in-memory one (asserted on full runs, where the RSS
       sample is big enough that the gap dwarfs allocator noise).
     """
@@ -677,35 +496,11 @@ def bench_trace(
     import subprocess
     import sys
     import tempfile
-    import threading
 
-    from repro.carbon.regions import region_trace_for
-    from repro.simulator.shard import ShardEngine
     from repro.workloads.tracefile import (
         compile_azure_csv,
         write_azure_sample_csv,
     )
-
-    config = EcoLifeConfig(seed=7)
-    sim_config = SimulationConfig(
-        pool_capacity_old_gb=pool_gb,
-        pool_capacity_new_gb=pool_gb,
-        kmax_minutes=kmax_minutes,
-        measure_decision_overhead=False,
-    )
-
-    def identical(a, b) -> float:
-        if len(a.records) != len(b.records):
-            return 0.0
-        ok = all(
-            ra.cold == rb.cold
-            and ra.location is rb.location
-            and ra.keepalive_decision == rb.keepalive_decision
-            and ra.keepalive_s == rb.keepalive_s
-            and ra.keepalive_carbon == rb.keepalive_carbon
-            for ra, rb in zip(a.records, b.records)
-        )
-        return 1.0 if ok and a.total_carbon_g == b.total_carbon_g else 0.0
 
     with tempfile.TemporaryDirectory(prefix="bench-trace-") as td:
         tdir = pathlib.Path(td)
@@ -723,147 +518,9 @@ def bench_trace(
         compile_azure_csv(csv_path, npz_path)
         compile_s = time.perf_counter() - t0
 
-        trace = InvocationTrace.open(npz_path)
-        ci = region_trace_for("CAL", trace.duration_s + 3600.0, seed=7)
+        n_functions_compiled = len(InvocationTrace.open(npz_path).names)
 
-        # Merged sharded replay vs the one-process engine, mmap-backed.
-        baseline = SimulationEngine(
-            pair=PAIR_A, trace=trace, ci_trace=ci, config=sim_config
-        ).run(EcoLifeScheduler(config))
-        identity = {}
-        for n in (2, 4):
-            merged = ThreadShardRunner(n).run(
-                pair=PAIR_A,
-                trace=trace,
-                ci_trace=ci,
-                scheduler_factory=lambda: EcoLifeScheduler(config),
-                config=sim_config,
-            )
-            flag = identical(merged, baseline)
-            assert flag == 1.0, (
-                f"{n}-shard trace-file replay diverged from one-process"
-            )
-            identity[f"shards{n}"] = flag
-
-        # Foreign-replay throughput: shard 0 of 4, rounds from cache.
-        buckets = trace.partition_names(4)
-        prep = ThreadBarrier(4)
-
-        def _prep_shard(i: int) -> None:
-            ShardEngine(
-                pair=PAIR_A,
-                trace=trace,
-                ci_trace=ci,
-                shard_id=i,
-                n_shards=4,
-                own_names=buckets[i],
-                transport=prep,
-                config=sim_config,
-            ).run_shard(EcoLifeScheduler(config))
-
-        threads = [
-            threading.Thread(target=_prep_shard, args=(i,)) for i in range(4)
-        ]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-
-        class _CachedBarrier:
-            def __init__(self, merged_rounds):
-                self._merged = merged_rounds
-
-            def exchange(self, seq, shard_id, outbox):
-                return list(self._merged[seq])
-
-        class _ForeignTimer:
-            """Accumulate foreign-replay CPU time net of drain/flush."""
-
-            def __init__(self, *a, **kw):
-                super().__init__(*a, **kw)
-                self.foreign_cpu_s = 0.0
-                self.inner_engine_s = 0.0
-                self._depth = 0
-
-            def _foreign_timed(self, fn, *a, **kw):
-                t0 = time.process_time()
-                # ecolint: disable=ECO003 -- integer recursion depth counter, exact +1/-1 pairs in try/finally; not a float ledger
-                self._depth += 1
-                try:
-                    return fn(*a, **kw)
-                finally:
-                    # ecolint: disable=ECO003 -- integer recursion depth counter, exact +1/-1 pairs in try/finally; not a float ledger
-                    self._depth -= 1
-                    if self._depth == 0:
-                        self.foreign_cpu_s += time.process_time() - t0
-
-            def _replay_foreign_run(self, *a, **kw):
-                return self._foreign_timed(
-                    super()._replay_foreign_run, *a, **kw
-                )
-
-            def _replay_foreign(self, *a, **kw):
-                return self._foreign_timed(super()._replay_foreign, *a, **kw)
-
-            def _drain_events(self, until):
-                if self._depth == 0:
-                    return super()._drain_events(until)
-                t0 = time.process_time()
-                try:
-                    return super()._drain_events(until)
-                finally:
-                    self.inner_engine_s += time.process_time() - t0
-
-            def _flush_staged(self, *a, **kw):
-                if self._depth == 0:
-                    return super()._flush_staged(*a, **kw)
-                t0 = time.process_time()
-                try:
-                    return super()._flush_staged(*a, **kw)
-                finally:
-                    self.inner_engine_s += time.process_time() - t0
-
-        class _TimedEngine(_ForeignTimer, ShardEngine):
-            pass
-
-        class _TimedPerEvent(_ForeignTimer, oracles().PerEventShardEngine):
-            pass
-
-        n_foreign = int((~trace.event_mask(buckets[0])).sum())
-        nets = {}
-        shard0 = {}
-        for fast, engine_cls in (
-            (True, _TimedEngine),
-            (False, _TimedPerEvent),
-        ):
-            best = float("inf")
-            for _ in range(repeats):
-                eng = engine_cls(
-                    pair=PAIR_A,
-                    trace=trace,
-                    ci_trace=ci,
-                    shard_id=0,
-                    n_shards=4,
-                    own_names=buckets[0],
-                    transport=_CachedBarrier(prep._merged),
-                    config=sim_config,
-                )
-                shard0[fast] = eng.run_shard(EcoLifeScheduler(config))
-                best = min(best, eng.foreign_cpu_s - eng.inner_engine_s)
-            nets[fast] = best
-        foreign_identical = identical(shard0[True], shard0[False])
-        assert foreign_identical == 1.0, (
-            "foreign fast path diverged from the per-event replay"
-        )
-        speedup = nets[False] / nets[True]
-        cores = os.cpu_count() or 1
-        if not quick and cores >= 4:
-            assert speedup >= 3.0, (
-                f"foreign fast path {speedup:.2f}x below the 3x acceptance "
-                f"bar on a {cores}-core host"
-            )
-
-        # Worker RSS: mmap vs fully materialized Python trace.
+        # Replay RSS: mmap vs fully materialized Python trace.
         if rss_duration_hours == duration_hours:
             rss_npz, rss_rows = npz_path, n_rows
         else:
@@ -902,37 +559,27 @@ def bench_trace(
         rss_ok = 1.0 if rss_mmap_kb < rss_inmem_kb else 0.0
         if not quick:
             assert rss_ok == 1.0, (
-                f"mmap worker RSS {rss_mmap_kb} KB not below in-memory "
+                f"mmap replay RSS {rss_mmap_kb} KB not below in-memory "
                 f"trace RSS {rss_inmem_kb} KB"
             )
 
     return {
         "n_rows": n_rows,
-        "n_functions": len(trace.names),
+        "n_functions": n_functions_compiled,
         "compile_s": compile_s,
         "compile_rows_per_s": n_rows / compile_s,
-        "identity": identity,
-        "foreign": {
-            "n_foreign": n_foreign,
-            "fast_net_s": nets[True],
-            "perevent_net_s": nets[False],
-            "fast_ev_per_s": n_foreign / nets[True],
-            "perevent_ev_per_s": n_foreign / nets[False],
-            "speedup": speedup,
-            "identical": foreign_identical,
-        },
         "rss": {
             "n_rows": rss_rows,
             "mmap_kb": rss_mmap_kb,
             "inmem_kb": rss_inmem_kb,
             "ok": rss_ok,
         },
-        "cpu_count": cores,
+        "cpu_count": os.cpu_count() or 1,
     }
 
 
 # ---------------------------------------------------------------------------
-# 7. Pool adjustment: one-pass ranker vs the scalar per-candidate ranker.
+# 6. Pool adjustment: one-pass ranker vs the scalar per-candidate ranker.
 # ---------------------------------------------------------------------------
 
 
@@ -943,7 +590,10 @@ def bench_adjust(
 
     The requests are recorded during one replay and ranked afterwards
     against the final arrival state; both rankers read that same state,
-    so their orderings must agree exactly (asserted).
+    so their orderings must agree exactly (asserted). Each repeat times
+    the one-pass ranker and then the scalar one back to back, so host
+    speed drift lands on both sides of a pair alike; the speedup is the
+    median of the per-repeat ratios.
     """
     trace = _continuous_trace(n_funcs, hours * 3600.0, mean_iat_s)
     engine = SimulationEngine(
@@ -969,15 +619,15 @@ def bench_adjust(
     adjuster = scheduler.adjuster
 
     def timed(fn):
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            out = [fn(req) for req in requests]
-            best = min(best, time.perf_counter() - t0)
-        return best, [[c.name for c in ranked] for ranked in out]
+        t0 = time.perf_counter()
+        out = [fn(req) for req in requests]
+        return time.perf_counter() - t0, [[c.name for c in r] for r in out]
 
-    vector_s, vector_orders = timed(adjuster.rank)
-    oracle_s, oracle_orders = timed(lambda req: oracle_rank(adjuster, req))
+    pairs = []
+    for _ in range(repeats):
+        vector_s, vector_orders = timed(adjuster.rank)
+        oracle_s, oracle_orders = timed(lambda req: oracle_rank(adjuster, req))
+        pairs.append((vector_s, oracle_s))
     mismatches = sum(a != b for a, b in zip(vector_orders, oracle_orders))
     assert mismatches == 0, f"{mismatches} rankings differ from the oracle"
 
@@ -988,9 +638,10 @@ def bench_adjust(
         "n_requests": len(requests),
         "candidates_mean": sum(len(r.candidates) for r in requests)
         / max(len(requests), 1),
-        "vector_s": vector_s,
-        "oracle_s": oracle_s,
-        "speedup": oracle_s / vector_s,
+        "repeats": repeats,
+        "vector_s": min(v for v, _ in pairs),
+        "oracle_s": min(o for _, o in pairs),
+        "speedup": float(np.median([o / v for v, o in pairs])),
         "mismatches": mismatches,
     }
 
@@ -1004,7 +655,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help="CI-scale run (fewer decisions/ticks, single repeat)",
+        help="CI-scale run (fewer decisions/ticks, fewer repeats)",
     )
     parser.add_argument(
         "--out", default=str(RESULTS_DIR / "BENCH_swarm.json"),
@@ -1018,15 +669,7 @@ def main(argv=None) -> int:
         replay_kw = dict(n_funcs=50, n_ticks=20, repeats=1)
         cont_kw = dict(n_funcs=48, hours=0.5, mean_iat_s=20.0, repeats=1)
         adjust_kw = dict(
-            n_funcs=48, hours=0.5, mean_iat_s=20.0, pool_gb=4.0, repeats=1
-        )
-        shard_kw = dict(
-            n_funcs=24,
-            horizon_s=1200.0,
-            mean_iat_s=20.0,
-            min_exec_s=2.0,
-            shard_counts=(2, 4),
-            repeats=1,
+            n_funcs=48, hours=0.5, mean_iat_s=20.0, pool_gb=4.0, repeats=5
         )
         trace_kw = dict(
             n_functions=400,
@@ -1036,7 +679,6 @@ def main(argv=None) -> int:
             kmax_minutes=5.0,
             pool_gb=1.0,
             rss_duration_hours=0.25,
-            repeats=1,
         )
     else:
         step_kw = dict(n_swarms=50, decisions=100, iterations=8, repeats=3)
@@ -1044,22 +686,9 @@ def main(argv=None) -> int:
         replay_kw = dict(n_funcs=50, n_ticks=60, repeats=3)
         cont_kw = dict(n_funcs=48, hours=2.0, mean_iat_s=20.0, repeats=3)
         adjust_kw = dict(
-            n_funcs=48, hours=2.0, mean_iat_s=20.0, pool_gb=4.0, repeats=3
+            n_funcs=48, hours=2.0, mean_iat_s=20.0, pool_gb=4.0, repeats=5
         )
-        # The ISSUE 9 acceptance scale: a 10k-function trace, exec floor
-        # ~10s so barriers stay ~100 wide, where 4 process shards must
-        # clear 1.8x on a >=4-core host (asserted inside bench_shard).
-        shard_kw = dict(
-            n_funcs=10_000,
-            horizon_s=1000.0,
-            mean_iat_s=120.0,
-            min_exec_s=10.0,
-            shard_counts=(2, 4),
-            repeats=1,
-        )
-        # The ISSUE 10 acceptance scenario: the dense exec-floored
-        # Azure-day sample where the foreign fast path must clear 3x
-        # over per-event replay on a >=4-core host, plus a longer RSS
+        # The dense exec-floored Azure-day sample, plus a longer RSS
         # sample so the mmap-vs-materialized gap dwarfs allocator noise.
         trace_kw = dict(
             n_functions=400,
@@ -1069,7 +698,6 @@ def main(argv=None) -> int:
             kmax_minutes=5.0,
             pool_gb=1.0,
             rss_duration_hours=2.0,
-            repeats=3,
         )
 
     step = bench_step_throughput(**step_kw)
@@ -1077,7 +705,6 @@ def main(argv=None) -> int:
     replay = bench_replay(**replay_kw)
     continuous = bench_continuous(**cont_kw)
     adjust = bench_adjust(**adjust_kw)
-    shard = bench_shard(quick=args.quick, **shard_kw)
     trace = bench_trace(quick=args.quick, **trace_kw)
     payload = {
         "bench": "swarm",
@@ -1089,7 +716,6 @@ def main(argv=None) -> int:
         "replay": replay,
         "continuous": continuous,
         "adjust": adjust,
-        "shard": shard,
         "trace": trace,
     }
 
@@ -1106,19 +732,8 @@ def main(argv=None) -> int:
         )
         + "\n"
     )
-    # The shard section too: the `shard` regression suite gates its
-    # identity flags against benchmarks/baselines/BENCH_shard.json.
-    shard_out = out.parent / "BENCH_shard.json"
-    shard_out.write_text(
-        json.dumps(
-            {"bench": "shard", "quick": args.quick, **shard},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
     # And the trace-file section: the `trace` regression suite gates its
-    # identity/RSS flags against benchmarks/baselines/BENCH_trace.json.
+    # RSS flag against benchmarks/baselines/BENCH_trace.json.
     trace_out = out.parent / "BENCH_trace.json"
     trace_out.write_text(
         json.dumps(
@@ -1162,29 +777,13 @@ def main(argv=None) -> int:
         f"scalar {adjust['oracle_s']:.2f}s, one-pass {adjust['vector_s']:.2f}s "
         f"-> {adjust['speedup']:.2f}x (identical orderings)"
     )
-    for row in shard["curve"]:
-        print(
-            f"sharded replay ({shard['n_functions']} funcs, "
-            f"{shard['n_invocations']} invocations, "
-            f"{row['n_shards']} shards): "
-            f"thread {row['thread_wall_s']:.2f}s "
-            f"({row['thread_speedup']:.2f}x), "
-            f"process {row['process_wall_s']:.2f}s "
-            f"({row['process_speedup']:.2f}x) "
-            f"vs sequential {shard['sequential_wall_s']:.2f}s "
-            "-- bit-identical"
-        )
-    tf = trace["foreign"]
     print(
         f"trace files ({trace['n_rows']} rows, {trace['n_functions']} funcs): "
         f"compile {trace['compile_rows_per_s']:.0f} rows/s; "
-        f"foreign replay per-event {tf['perevent_ev_per_s']:.0f} ev/s, "
-        f"fast {tf['fast_ev_per_s']:.0f} ev/s -> {tf['speedup']:.2f}x "
-        "(bit-identical, merged 2/4-shard == one-process); "
-        f"worker RSS mmap {trace['rss']['mmap_kb']} KB "
+        f"replay RSS mmap {trace['rss']['mmap_kb']} KB "
         f"vs in-memory {trace['rss']['inmem_kb']} KB"
     )
-    print(f"archived -> {out} (+ {cont_out}, {shard_out}, {trace_out})")
+    print(f"archived -> {out} (+ {cont_out}, {trace_out})")
     return 0
 
 

@@ -16,13 +16,8 @@ gated is per **suite** (``--suite``, default ``swarm``):
   state-retirement sweep against slowing replays down).
 - ``service``    -- end-to-end /decide throughput and p99 per-decision
   latency from ``bench_service.py``.
-- ``shard``      -- the sharded-replay bit-identity flags (2/4 shards,
-  process transport and the thread harness from ``tests/oracles``) from
-  ``bench_swarm.py``'s shard section; speedups are info-only at CI
-  scale.
-- ``trace``      -- the trace-file flags from ``bench_swarm.py``'s trace
-  section: merged-shard and foreign-fast-path bit-identity plus the
-  mmap-worker RSS check; throughputs are info-only at CI scale.
+- ``trace``      -- the mmap-replay RSS check from ``bench_swarm.py``'s
+  trace section; the compile throughput is info-only at CI scale.
 
 A metric regresses when it drops more than ``--threshold`` below the
 baseline value (higher is better for ``gated`` metrics); suites may
@@ -151,54 +146,17 @@ SUITES: dict[str, dict] = {
         ),
         "threshold": 0.25,
     },
-    "shard": {
-        # Sharded-replay curve from bench_swarm.py's shard section: the
-        # gated metrics are the *bit-identity* flags at every point of
-        # the 2/4-shard x thread-harness/process curve (1.0 or bust; the
-        # threshold is irrelevant for a 0/1 metric). Wall clocks and
-        # speedups stay info-only -- the quick bench runs on whatever
-        # core count CI hands out (sharding can only lose on one core),
-        # and the >=1.8x @ 4 shards acceptance assert lives inside the
-        # bench itself, applied on full runs on >=4-core hosts.
-        "gated": (
-            "curve[2].thread_identical",
-            "curve[2].process_identical",
-            "curve[4].thread_identical",
-            "curve[4].process_identical",
-        ),
-        "info": (
-            "n_invocations",
-            "cpu_count",
-            "sequential_wall_s",
-            "curve[2].thread_speedup",
-            "curve[2].process_speedup",
-            "curve[4].thread_speedup",
-            "curve[4].process_speedup",
-        ),
-        "threshold": 0.25,
-    },
     "trace": {
-        # Trace-file section from bench_swarm.py: gated metrics are the
-        # 0/1 flags -- merged 2/4-shard mmap replay identical to the
-        # one-process engine, foreign fast path identical to per-event
-        # replay, and the mmap worker's peak RSS below the fully
-        # materialized Python trace. Compile and foreign-replay
-        # throughputs stay info-only (absolute numbers on shared
-        # runners); the >=3x fast-path acceptance assert lives inside
-        # the bench, applied on full runs on >=4-core hosts.
-        "gated": (
-            "identity.shards2",
-            "identity.shards4",
-            "foreign.identical",
-            "rss.ok",
-        ),
+        # Trace-file section from bench_swarm.py: the gated metric is
+        # the 0/1 flag that an mmap-backed replay's peak RSS stays below
+        # the same replay holding a fully materialized Python trace.
+        # Compile throughput stays info-only (an absolute number on
+        # shared runners).
+        "gated": ("rss.ok",),
         "info": (
             "n_rows",
             "cpu_count",
             "compile_rows_per_s",
-            "foreign.fast_ev_per_s",
-            "foreign.perevent_ev_per_s",
-            "foreign.speedup",
             "rss.mmap_kb",
             "rss.inmem_kb",
         ),

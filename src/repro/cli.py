@@ -10,7 +10,7 @@ Examples::
     ecolife work tcp://sweep-host:7044
     ecolife trace compile azure.csv azure.npz
     ecolife trace info azure.npz
-    ecolife simulate --scheduler ecolife --trace azure.npz --shards 4
+    ecolife simulate --scheduler ecolife --trace azure.npz
     ecolife catalog
 """
 
@@ -102,70 +102,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             pair=args.pair,
             pool_gb=args.pool_gb,
         )
-    if args.shards > 1:
-        return _simulate_sharded(args, scenario, factories, config)
     result = run_scheduler(factories[args.scheduler], scenario)
     print(result.summary())
-    return 0
-
-
-def _simulate_sharded(args, scenario, factories, config) -> int:
-    """The ``simulate --shards N`` path (bit-identical to 1 process).
-
-    Transports: ``process`` (local worker processes via the TCP
-    coordinator) or ``tcp://host:port`` (bind a coordinator and wait for
-    ``ecolife work ADDR --shard`` processes -- the CI smoke mode).
-    """
-    if not factories[args.scheduler]().supports_sharding:
-        print(
-            f"scheduler {args.scheduler!r} does not support sharded replay "
-            "(needs place_foreign and observe_foreign_run overrides; see "
-            "docs/sharding.md)"
-        )
-        return 2
-    transport = args.shard_transport
-    if transport != "process" and not transport.startswith("tcp://"):
-        print(
-            f"unknown shard transport {transport!r}; "
-            "options: process, tcp://host:port"
-        )
-        return 2
-    import os
-
-    from repro.distributed import ShardJob, run_sharded_tcp
-    from repro.distributed.protocol import parse_address
-
-    # With a compiled trace file, workers get the *path* and memory-map
-    # the columns themselves instead of receiving a pickled in-memory
-    # copy in the hello payload.
-    trace_path = os.path.abspath(args.trace) if args.trace else None
-    job = ShardJob(
-        scheduler=args.scheduler,
-        pair=scenario.pair,
-        trace=None if trace_path else scenario.trace,
-        ci_trace=scenario.ci_trace,
-        n_shards=args.shards,
-        config=config,
-        sim_config=scenario.sim_config,
-        trace_path=trace_path,
-    )
-    if transport == "process":
-        result = run_sharded_tcp(job)
-    else:
-        host, port = parse_address(transport)
-        print(
-            f"shard coordinator on tcp://{host}:{port} -- attach "
-            f"{args.shards} worker(s) with "
-            f"`ecolife work tcp://{host}:{port} --shard`"
-        )
-        result = run_sharded_tcp(job, host=host, port=port, spawn_workers=False)
-    result.meta["scenario"] = scenario.label
-    print(result.summary())
-    print(
-        f"shards: {result.meta['n_shards']} "
-        f"(transport={result.meta['transport']}, "
-        f"reassignments={result.meta['reassignments']})"
-    )
     return 0
 
 
@@ -310,21 +248,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_work(args: argparse.Namespace) -> int:
     from repro.distributed import run_worker
 
-    if args.shard:
-        from repro.distributed import run_shard_worker
-
-        for module in args.imports:
-            __import__(module)
-        try:
-            shard_id = run_shard_worker(args.address, name=args.name)
-        except (ConnectionError, ValueError) as exc:
-            print(f"shard worker: {exc}")
-            return 1
-        except KeyboardInterrupt:
-            print("shard worker interrupted")
-            return 130
-        print(f"shard worker exiting: shard {shard_id} complete")
-        return 0
     try:
         completed = run_worker(
             args.address,
@@ -356,11 +279,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.carbon.regions import REGION_NAMES, region_trace_for
     from repro.core import EcoLifeConfig
     from repro.hardware import PAIRS
-    from repro.service import (
-        DecisionServer,
-        DecisionService,
-        ShardedDecisionService,
-    )
+    from repro.service import DecisionServer, DecisionService
     from repro.simulator.engine import SimulationConfig
 
     if args.pair.upper() not in PAIRS:
@@ -398,10 +317,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         provider.poll(0.0)
         clock = lambda: time.time() - t0  # noqa: E731
 
-    if args.shards < 1:
-        print(f"--shards must be >= 1, got {args.shards}")
-        return 2
-    service_cls = DecisionService
     kwargs = dict(
         provider=provider,
         pair=PAIRS[args.pair.upper()],
@@ -414,15 +329,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
         checkpoint_dir=args.checkpoint_dir,
     )
-    if args.shards > 1:
-        # One front door, per-shard services: /decide batches route by
-        # the stable function-name hash (see docs/sharding.md).
-        service_cls = ShardedDecisionService
-        kwargs["n_shards"] = args.shards
     if args.restore:
-        service = service_cls.restore(args.restore, **kwargs)
+        service = DecisionService.restore(args.restore, **kwargs)
     else:
-        service = service_cls(**kwargs)
+        service = DecisionService(**kwargs)
     server = DecisionServer(
         service, host=args.host, port=args.port, clock=clock
     )
@@ -565,17 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
         "trace compile`) instead of generating a synthetic trace; "
         "--functions/--hours are ignored",
     )
-    sim_p.add_argument(
-        "--shards", type=int, default=1,
-        help="partition the replay by function across this many shards "
-        "(bit-identical at any count; see docs/sharding.md)",
-    )
-    sim_p.add_argument(
-        "--shard-transport", default="process", metavar="SPEC",
-        help="shard execution: 'process' (local worker processes) or "
-        "'tcp://host:port' to bind a coordinator and wait for "
-        "`ecolife work ADDR --shard` workers",
-    )
 
     sweep_p = sub.add_parser(
         "sweep", help="run a scenario grid (regions x pairs x seeds x pools)"
@@ -648,12 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--exit-when-drained", action="store_true",
         help="exit once the server reports every job terminal",
     )
-    work_p.add_argument(
-        "--shard", action="store_true",
-        help="join a sharded single-simulation replay instead of the "
-        "sweep job fabric (address is a ShardCoordinator; see "
-        "docs/sharding.md)",
-    )
 
     serve_p = sub.add_parser(
         "serve",
@@ -695,11 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument(
         "--restore", default=None,
         help="restore scheduler + engine state from this checkpoint directory",
-    )
-    serve_p.add_argument(
-        "--shards", type=int, default=1,
-        help="route /decide batches across this many per-shard decision "
-        "services by stable function-name hash (see docs/sharding.md)",
     )
 
     trace_p = sub.add_parser(

@@ -66,35 +66,6 @@ class ArrivalEstimator:
             self._sorted = None  # invalidate cache
         self._last_arrival = t
 
-    def observe_many(self, times: Sequence[float]) -> None:
-        """Record a sorted run of arrivals in one call.
-
-        Bit-identical to calling :meth:`observe` per instant: the gaps
-        are float64 differences of the same operands, appended as
-        Python floats so the deque state -- including pickle/checkpoint
-        round trips -- matches the per-event path exactly.
-        """
-        if not times:
-            return
-        if len(times) == 1:
-            self.observe(times[0])
-            return
-        prev = self._last_arrival
-        if prev is None:
-            prev = times[0]
-            rest = times[1:]
-        else:
-            rest = times
-        gaps = []
-        for t in rest:
-            gaps.append(t - prev)
-            prev = t
-        if min(gaps) < 0.0:
-            raise ValueError("arrivals must be observed in time order")
-        self._iats.extend(gaps[-self.history :])
-        self._sorted = None
-        self._last_arrival = times[-1]
-
     @property
     def n_samples(self) -> int:
         return len(self._iats)

@@ -38,7 +38,6 @@ from repro.simulator.scheduler import (
     PoolCandidate,
     SchedulerEnv,
 )
-from repro.workloads.functions import FunctionProfile
 
 
 class EcoLifeScheduler(BaseScheduler):
@@ -104,34 +103,6 @@ class EcoLifeScheduler(BaseScheduler):
         self.kdm.on_arrival(req.func.name, req.t)
         self.arrivals.observe(req.func.name, req.t)
         return self.epdm.choose(req.func, req.t, req.warm_locations)
-
-    def place_foreign(self, req: PlacementRequest) -> Generation:
-        # Foreign arrivals still feed the estimator (the warm-pool
-        # adjuster's arrival-mass ranking reads every function's p_warm),
-        # and their placement replays bit-identically because the EPDM
-        # choice depends only on the warm locations in the request and
-        # the shared carbon-intensity clock -- never on KDM/swarm state.
-        # No kdm.on_arrival: the owning shard keeps the only swarm.
-        self.arrivals.observe(req.func.name, req.t)
-        return self.epdm.choose(req.func, req.t, req.warm_locations)
-
-    def observe_foreign_run(
-        self, groups: Sequence[tuple[FunctionProfile, list[float]]]
-    ) -> None:
-        # The bulk form of place_foreign for an inert run: nothing is
-        # warm (so the pure EPDM choice is dead code, its return value
-        # unused) and no kdm state exists for foreign functions, leaving
-        # exactly the estimator observations -- applied batched,
-        # bit-identical to per-event.
-        # Most groups are singletons (a hash-partitioned run rarely
-        # repeats a function), so dispatch straight to the estimator.
-        get = self.arrivals.get
-        for func, times in groups:
-            est = get(func.name)
-            if len(times) == 1:
-                est.observe(times[0])
-            else:
-                est.observe_many(times)
 
     def keepalive(self, req: KeepAliveRequest) -> KeepAliveDecision:
         return self.kdm.decide(req.func, req.t_end)

@@ -13,37 +13,21 @@ Layers (see :doc:`docs/distributed` for the deployment recipe):
   :class:`repro.experiments.runner.Executor` backend gluing it into
   ``ParallelRunner`` (with graceful local fallback when no workers
   connect).
-- :mod:`repro.distributed.shard` -- :class:`ShardCoordinator` and the
-  ``work --shard`` client, driving a *single* function-partitioned
-  simulation across worker processes in barrier lockstep (see
-  ``docs/sharding.md``).
 """
 
 from repro.distributed.executor import LOCAL_WORKER, TcpExecutor, fetch_stats
 from repro.distributed.protocol import format_address, parse_address
 from repro.distributed.server import JobServer, backoff_s
-from repro.distributed.shard import (
-    ShardCoordinator,
-    ShardJob,
-    run_shard_worker,
-    run_sharded_tcp,
-    shard_worker_loop,
-)
 from repro.distributed.worker import run_worker, worker_loop
 
 __all__ = [
     "LOCAL_WORKER",
     "JobServer",
-    "ShardCoordinator",
-    "ShardJob",
     "TcpExecutor",
     "backoff_s",
     "fetch_stats",
     "format_address",
     "parse_address",
-    "run_shard_worker",
-    "run_sharded_tcp",
     "run_worker",
-    "shard_worker_loop",
     "worker_loop",
 ]

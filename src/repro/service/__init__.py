@@ -10,7 +10,6 @@ server; carbon intensity comes from the pluggable providers in
 from repro.service.http import DecisionServer
 from repro.service.metrics import LatencyWindow, ServiceMetrics
 from repro.service.online import DecisionService, LiveArrivalLog, StaleCarbonFeed
-from repro.service.sharded import ShardedDecisionService
 
 __all__ = [
     "DecisionServer",
@@ -18,6 +17,5 @@ __all__ = [
     "LatencyWindow",
     "LiveArrivalLog",
     "ServiceMetrics",
-    "ShardedDecisionService",
     "StaleCarbonFeed",
 ]

@@ -59,9 +59,9 @@ from repro.simulator.records import InvocationRecord
 from repro.workloads.functions import FunctionProfile
 from repro.workloads.sebs import SEBS_FUNCTIONS
 
-#: Version 2: the engine's single push counter became the deterministic
-#: pair (expiry-only ``seq``, global invocation ``next_index``) when the
-#: sharded replay landed; v1 checkpoints cannot restore the split.
+#: Version 2: the engine keys its event heap by two counters, the
+#: expiry-only ``seq`` and the invocation index ``next_index``, in place
+#: of version 1's single push counter; v1 checkpoints cannot restore them.
 CHECKPOINT_VERSION = 2
 
 

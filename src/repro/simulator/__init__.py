@@ -1,13 +1,7 @@
 """Serverless cluster simulator: containers, pools, engine, scheduler API."""
 
 from repro.simulator.containers import PoolFullError, WarmContainer, WarmPool
-from repro.simulator.engine import ShardStep, SimulationConfig, SimulationEngine
-from repro.simulator.shard import (
-    BarrierTransport,
-    ShardDecision,
-    ShardEngine,
-    barrier_width_s,
-)
+from repro.simulator.engine import SimulationConfig, SimulationEngine
 from repro.simulator.records import (
     InvocationRecord,
     KeepAliveDecision,
@@ -41,9 +35,4 @@ __all__ = [
     "AdjustmentRequest",
     "PoolCandidate",
     "DEFAULT_KEEPALIVE_S",
-    "BarrierTransport",
-    "ShardDecision",
-    "ShardEngine",
-    "ShardStep",
-    "barrier_width_s",
 ]

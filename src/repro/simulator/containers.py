@@ -60,10 +60,6 @@ class WarmPool:
     capacity_gb: float = math.inf
     _containers: dict[str, WarmContainer] = field(default_factory=dict)
     _used_gb: float = 0.0
-    #: Bumped on every membership change; lets callers cache derived
-    #: views (e.g. the shard fast path's warm-function table) and
-    #: invalidate them exactly when the pool actually mutated.
-    version: int = 0
 
     def __post_init__(self) -> None:
         if self.capacity_gb < 0.0:
@@ -117,13 +113,11 @@ class WarmPool:
                 f"({self._used_gb:.2f}/{self.capacity_gb:.2f} GB used)"
             )
         self._containers[container.name] = container
-        self.version += 1
         self._recount()
 
     def remove(self, name: str) -> WarmContainer:
         """Remove and return a container (KeyError if absent)."""
         container = self._containers.pop(name)
-        self.version += 1
         self._recount()
         return container
 

@@ -125,21 +125,14 @@ class SimulationEngine:
         # Deferred-event heap: (time, priority, key, kind, payload).
         # Activations (a container becoming warm at execution end) sort
         # before expiries at equal timestamps via their priority. The
-        # tiebreaker key is *deterministic*, not a push counter: an
-        # activation is keyed by its decider's global invocation index
-        # and an expiry by a dedicated expiry-only counter. In the
-        # sequential engine both reproduce push order exactly (decisions
-        # finish in record-index order; expiries are scheduled in pop
-        # order), and because the keys do not depend on *when* an event
-        # was pushed, a sharded replay that learns about remote
-        # activations late (at a barrier) still pops every event in the
-        # exact sequential order.
+        # tiebreaker key is an activation's decider index or an expiry's
+        # own counter; both equal push order (decisions finish in
+        # record-index order, expiries are scheduled in pop order). The
+        # service checkpoint stores both counters, so a restored engine
+        # keys its events exactly as the uninterrupted one does.
         self._events: list[tuple[float, int, int, str, object]] = []
         self._expiry_seq = 0
-        #: Global invocation counter: the index of the next record. In a
-        #: sharded replay this advances for *every* arrival of the merged
-        #: trace (own and foreign alike), so record indices are globally
-        #: unique and stable across any shard count.
+        #: Invocation counter: the index of the next record.
         self._next_index = 0
         self._token = 0
         self._ran = False
@@ -280,17 +273,27 @@ class SimulationEngine:
         bit, and the group width is bounded only by the distinct
         functions arriving within one in-flight service time.
         ``step_batch`` additionally flushes when it returns, so callers
-        always see completed decisions.
-
-        The grouping state machine itself lives in :class:`ShardStep` so
-        the sharded replay (``repro.simulator.shard``) can drive the
-        identical unit between its synchronization barriers.
+        always see completed decisions. Returns the largest decided
+        execution-end time.
         """
-        step = ShardStep(self, scheduler)
+        horizon = 0.0
+        staged: list[KeepAliveRequest] = []
+        names: set[str] = set()
+        flush_at = float("inf")  # earliest staged completion
         for t, func in arrivals:
-            step.feed(t, func)
-        step.flush()
-        return step.horizon
+            if func.name in names or t >= flush_at:
+                horizon = max(horizon, self._flush_staged(scheduler, staged))
+                staged = []
+                names = set()
+                flush_at = float("inf")
+            self._drain_events(until=t)
+            req = self._place_and_record(scheduler, t, func)
+            staged.append(req)
+            names.add(func.name)
+            flush_at = min(flush_at, req.t_end)
+        if staged:
+            horizon = max(horizon, self._flush_staged(scheduler, staged))
+        return horizon
 
     def _flush_staged(
         self, scheduler: BaseScheduler, staged: list[KeepAliveRequest]
@@ -400,9 +403,8 @@ class SimulationEngine:
             decider_index=record.index,
             token=self._new_token(),
         )
-        # Keyed by the decider's global index: deterministic, and equal
-        # to push order in the sequential engine (decisions finish in
-        # record-index order).
+        # Keyed by the decider's index, which equals push order
+        # (decisions finish in record-index order).
         heapq.heappush(self._events, (t, 0, record.index, "activate", container))
 
     def _activate(self, container: WarmContainer) -> None:
@@ -425,18 +427,8 @@ class SimulationEngine:
             container.location,
             container,
             t,
-            self._decider(container.decider_index),
+            self.records[container.decider_index],
         )
-
-    def _decider(self, index: int) -> InvocationRecord | None:
-        """The record that decided a container's keep-alive.
-
-        ``None`` means the deciding invocation is not tracked by this
-        engine -- a sharded replay returns ``None`` for containers whose
-        function belongs to another shard (their carbon/flags are billed
-        by the owning shard's identical replay of the same events).
-        """
-        return self.records[index]
 
     def _run_adjustment(
         self,
@@ -444,7 +436,7 @@ class SimulationEngine:
         gen: Generation,
         incoming: WarmContainer,
         t: float,
-        record: InvocationRecord | None,
+        record: InvocationRecord,
     ) -> None:
         """Overflow path: rank, pack, spill, drop (paper Fig. 6)."""
         pool = self.pools[gen]
@@ -466,8 +458,7 @@ class SimulationEngine:
             t=t, generation=gen, candidates=candidates, capacity_gb=pool.capacity_gb
         )
         ranked, wall = self._timed(scheduler.rank_keepalive_candidates, request)
-        if record is not None:
-            record.decision_wall_s += wall
+        record.decision_wall_s += wall
         if sorted(c.name for c in ranked) != sorted(c.name for c in candidates):
             raise RuntimeError(
                 f"{scheduler.name}: adjustment ranking must be a permutation of "
@@ -503,7 +494,7 @@ class SimulationEngine:
                 if cand.is_incoming
                 else cand.container.decider_index
             )
-            decider = record if cand.is_incoming else self._decider(decider_index)
+            decider = record if cand.is_incoming else self.records[decider_index]
             can_spill = (
                 scheduler.allow_spill
                 and other_pool.fits(cand.mem_gb)
@@ -520,9 +511,8 @@ class SimulationEngine:
                 )
                 other_pool.insert(moved)
                 self._schedule_expiry(moved)
-                if decider is not None:
-                    decider.spilled = True
-            elif decider is not None:
+                decider.spilled = True
+            else:
                 decider.evicted = True
                 if cand.is_incoming:
                     decider.dropped = True
@@ -554,11 +544,7 @@ class SimulationEngine:
             raise RuntimeError(
                 f"keep-alive segment for {container.name!r} closes before it opens"
             )
-        decider = self._decider(container.decider_index)
-        if decider is None:
-            # Foreign container in a sharded replay: the owning shard
-            # bills the identical segment against its own record.
-            return
+        decider = self.records[container.decider_index]
         server = self.pair.server(container.location)
         carbon = self.carbon_model.keepalive(server, container.mem_gb, t0, t_close)
         energy = self.carbon_model.keepalive_energy_wh(
@@ -568,8 +554,7 @@ class SimulationEngine:
 
     def _schedule_expiry(self, container: WarmContainer) -> None:
         # Expiry-only counter: expiries are scheduled while popping the
-        # heap (activations, spills), which happens in the same
-        # deterministic order on every shard of a sharded replay.
+        # heap (activations, spills), so it counts in pop order.
         self._expiry_seq += 1
         heapq.heappush(
             self._events,
@@ -595,80 +580,3 @@ class SimulationEngine:
         result = fn(*args)
         # ecolint: disable=ECO002 -- closes the decision_wall_s measurement started above
         return result, time.perf_counter() - start
-
-
-class ShardStep:
-    """The lookahead-grouping state machine behind ``_grouped_steps``.
-
-    One instance batches a time-ordered arrival stream into keep-alive
-    decision groups: ``feed`` places each arrival against drained engine
-    state and stages its KDM ask; the group closes (and is decided in
-    one ``keepalive_batch``) on a repeated function name or an arrival
-    at/past the earliest staged completion time -- the exactness bound
-    documented on :meth:`SimulationEngine._grouped_steps`.
-
-    It is a separate unit (rather than a loop body) so the sharded
-    replay (``repro.simulator.shard``) can drive the identical machine
-    between its synchronization barriers: a shard feeds only the
-    arrivals it owns, calls :meth:`sync` before replaying foreign
-    arrivals or crossing a barrier, and :meth:`flush` when its round
-    ends. Flushing at those extra boundaries is behaviour-preserving by
-    the batch-composition-independence contract (grouping never changes
-    decisions); ``sync`` additionally keeps the ``flush_at`` exactness
-    guarantee intact when time advances without a ``feed``.
-    """
-
-    def __init__(self, engine: SimulationEngine, scheduler: BaseScheduler) -> None:
-        self._engine = engine
-        self._scheduler = scheduler
-        #: Largest execution-end time decided so far.
-        self.horizon = 0.0
-        self._staged: list[KeepAliveRequest] = []
-        self._names: set[str] = set()
-        self._flush_at = float("inf")  # earliest staged completion
-
-    def feed(self, t: float, func: FunctionProfile) -> None:
-        """Place one owned arrival and stage its keep-alive decision."""
-        if func.name in self._names or t >= self._flush_at:
-            self.flush()
-        self._engine._drain_events(until=t)
-        req = self._engine._place_and_record(self._scheduler, t, func)
-        self._staged.append(req)
-        self._names.add(func.name)
-        self._flush_at = min(self._flush_at, req.t_end)
-
-    @property
-    def flush_at(self) -> float:
-        """Earliest staged completion time (``inf`` with nothing staged).
-
-        The sharded foreign fast path reads this to split a bulk run of
-        foreign arrivals at the first instant where the per-event path
-        would have flushed the staged group (see
-        ``ShardEngine._replay_foreign_run``).
-        """
-        return self._flush_at
-
-    def sync(self, t: float) -> None:
-        """Flush if the world is about to advance to ``t`` without a feed.
-
-        The sharded replay processes foreign arrivals (and barrier
-        crossings) outside this machine, and those drain the event heap
-        up to their own timestamps. A staged group must be decided
-        before any drain reaches its earliest completion time -- the
-        same exactness rule the ``t >= flush_at`` trigger enforces for
-        fed arrivals.
-        """
-        if self._staged and t >= self._flush_at:
-            self.flush()
-
-    def flush(self) -> None:
-        """Decide any staged group now."""
-        if not self._staged:
-            return
-        self.horizon = max(
-            self.horizon,
-            self._engine._flush_staged(self._scheduler, self._staged),
-        )
-        self._staged = []
-        self._names = set()
-        self._flush_at = float("inf")

@@ -13,7 +13,7 @@ import math
 import os
 import pathlib
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -175,35 +175,6 @@ class RecordArrays:
             cols[key] = _unicode_column(cols[key])
         return cls(**cols)
 
-    # -- sharding ------------------------------------------------------------
-
-    @classmethod
-    def concat(cls, parts: "Sequence[RecordArrays]") -> "RecordArrays":
-        """Concatenate per-shard column sets into one canonical ordering.
-
-        Rows are stably sorted by ``(t, func_name)`` -- deterministic
-        regardless of how many shards contributed or in which order they
-        were passed, which is what makes persisted merged arrays
-        byte-comparable across shard counts. (Row order within one exact
-        arrival instant may differ from a single-process
-        ``from_result``, whose tie order is the trace's; all aggregate
-        views are order-independent.)
-        """
-        if not parts:
-            raise ValueError("concat needs at least one RecordArrays")
-        cols = {
-            f.name: np.concatenate([getattr(p, f.name) for p in parts])
-            for f in fields(cls)
-        }
-        order = np.lexsort((cols["func_name"], cols["t"]))
-        merged = {
-            key: _unicode_column(col[order])
-            if key in ("location", "func_name")
-            else col[order]
-            for key, col in cols.items()
-        }
-        return cls(**merged)
-
 
 @dataclass
 class SimulationResult:
@@ -237,10 +208,9 @@ class SimulationResult:
     #
     # Totals use ``math.fsum``: correctly-rounded summation, so the
     # result is a function of the record *multiset* only -- the order in
-    # which shards (or anything else) happened to append records can
-    # never perturb a float total. Plain left-to-right ``sum`` would tie
-    # every reported figure to one accumulation order and break the
-    # bit-identical merge contract of ``SimulationResult.merge``.
+    # which records were appended can never perturb a float total. Plain
+    # left-to-right ``sum`` would tie every reported figure to one
+    # accumulation order.
 
     @property
     def total_service_s(self) -> float:
@@ -311,49 +281,6 @@ class SimulationResult:
     @property
     def total_decision_wall_s(self) -> float:
         return math.fsum(r.decision_wall_s for r in self.records)
-
-    # -- sharding --------------------------------------------------------------
-
-    @classmethod
-    def merge(cls, parts: "Iterable[SimulationResult]") -> "SimulationResult":
-        """Combine per-shard results into the single-process result.
-
-        Record indices are *global* (the engine numbers every arrival of
-        the merged trace, own and foreign alike), so sorting the union
-        by index reproduces the exact sequential record order. The parts
-        must be a disjoint cover: one record per index ``0..N-1``, all
-        from the same scheduler. Totals are fsum-based and therefore
-        independent of merge order by construction; this merge makes the
-        record *list* identical too.
-        """
-        shards = list(parts)
-        if not shards:
-            raise ValueError("merge needs at least one SimulationResult")
-        names = {s.scheduler_name for s in shards}
-        if len(names) > 1:
-            raise ValueError(f"cannot merge results of different schedulers: {names}")
-        records = sorted(
-            (r for s in shards for r in s.records), key=lambda r: r.index
-        )
-        indices = [r.index for r in records]
-        if indices != list(range(len(records))):
-            raise ValueError(
-                "shard records must cover indices 0..N-1 exactly once; "
-                f"got {len(records)} records"
-                + (
-                    f", first gap near index {next(i for i, v in enumerate(indices) if v != i)}"
-                    if any(v != i for i, v in enumerate(indices))
-                    else ""
-                )
-            )
-        merged_meta: dict[str, object] = {"n_shards": len(shards)}
-        return cls(
-            scheduler_name=shards[0].scheduler_name,
-            records=records,
-            horizon_s=max(s.horizon_s for s in shards),
-            wall_time_s=max(s.wall_time_s for s in shards),
-            meta=merged_meta,
-        )
 
     def location_counts(self) -> dict[Generation, int]:
         """How many executions landed on each generation."""

@@ -21,11 +21,6 @@ Schedulers observe the world through :class:`SchedulerEnv`: current carbon
 intensity, recent invocation rate, pool occupancy, hardware pair, carbon
 model, and -- only for oracle schedulers that declare
 ``requires_lookahead`` -- the trace's next-arrival index.
-
-Optional capabilities are declared by overriding their hooks, never by a
-flag: a scheduler that overrides both :meth:`BaseScheduler.place_foreign`
-and :meth:`BaseScheduler.observe_foreign_run` can run sharded (see
-:func:`overrides_hook`).
 """
 
 from __future__ import annotations
@@ -263,18 +258,6 @@ class BaseScheduler(abc.ABC):
         """Called once by the engine before the run starts."""
         self.env = env
 
-    @property
-    def supports_sharding(self) -> bool:
-        """Whether the scheduler can run a function-sharded replay.
-
-        True exactly when it overrides both :meth:`place_foreign` and
-        :meth:`observe_foreign_run`: a shard replays every foreign
-        arrival through one of the two.
-        """
-        return overrides_hook(self, "place_foreign") and overrides_hook(
-            self, "observe_foreign_run"
-        )
-
     # -- decision points --------------------------------------------------------
 
     @abc.abstractmethod
@@ -284,44 +267,6 @@ class BaseScheduler(abc.ABC):
     @abc.abstractmethod
     def keepalive(self, req: KeepAliveRequest) -> KeepAliveDecision:
         """Choose keep-alive location and period (KDM)."""
-
-    def place_foreign(self, req: PlacementRequest) -> Generation:
-        """Replay the placement of an arrival owned by another shard.
-
-        A sharded replay feeds every shard the full merged arrival
-        stream; arrivals of functions the shard does not own still move
-        the world (warm hits consume pool entries, estimators observe
-        all arrivals) but make no keep-alive decision locally. This hook
-        must reproduce exactly the :class:`Generation` that
-        :meth:`place` returns for the same request on the owning shard,
-        while touching only state every shard replicates (the placement
-        decision must be a pure function of the request plus globally
-        shared inputs such as the carbon-intensity clock). Overriding it
-        and :meth:`observe_foreign_run` is what makes
-        :attr:`supports_sharding` true.
-        """
-        raise NotImplementedError(
-            f"{self.name}: sharded replay requires place_foreign"
-        )
-
-    def observe_foreign_run(
-        self, groups: Sequence[tuple[FunctionProfile, list[float]]]
-    ) -> None:
-        """Absorb a bulk run of provably inert foreign arrivals.
-
-        ``groups`` holds, per function appearing in the run, its sorted
-        arrival instants. The sharded replay calls it instead of
-        per-event :meth:`place_foreign` when the run is inert: every
-        arrival in it is a cold foreign placement (no warm pool holds
-        any of the run's functions) and no simulator event fires before
-        the run's last instant. The scheduler's state afterwards must be
-        bit-identical to the state after the equivalent
-        :meth:`place_foreign` calls, whose placement return values are
-        then provably unused (see ``docs/sharding.md``).
-        """
-        raise NotImplementedError(
-            f"{self.name}: sharded replay requires observe_foreign_run"
-        )
 
     def keepalive_batch(
         self, reqs: Sequence[KeepAliveRequest]
@@ -367,11 +312,6 @@ class BaseScheduler(abc.ABC):
             key=lambda c: (c.is_incoming, c.expire_s),
             reverse=True,
         )
-
-
-def overrides_hook(scheduler: BaseScheduler, hook: str) -> bool:
-    """Whether ``scheduler``'s class overrides the base ``hook`` method."""
-    return getattr(type(scheduler), hook) is not getattr(BaseScheduler, hook)
 
 
 DEFAULT_KEEPALIVE_S = 10.0 * units.SECONDS_PER_MINUTE

@@ -37,35 +37,6 @@ def _crc32(name: str) -> int:
     return zlib.crc32(name.encode("utf-8"))
 
 
-def shard_of(name: str, n_shards: int) -> int:
-    """Stable shard assignment for a function name.
-
-    CRC32 of the UTF-8 name, reduced modulo the shard count: the same
-    deterministic-hash idiom the KDM uses for seeding, and -- unlike
-    builtin ``hash`` -- independent of ``PYTHONHASHSEED``, so every
-    worker process (and every future run) agrees on the assignment.
-    """
-    if n_shards <= 0:
-        raise ValueError("n_shards must be positive")
-    return _crc32(name) % n_shards
-
-
-def shard_ids(names: Sequence[str], n_shards: int) -> np.ndarray:
-    """Vectorized :func:`shard_of` over a name table.
-
-    Returns an ``int32`` array with ``shard_of(names[i], n_shards)`` at
-    position ``i``. Routing a trace is then one table lookup
-    (``shard_ids(trace.names, n)[trace.func_ids]``) -- O(unique
-    functions) hashing instead of per-event CRC32.
-    """
-    if n_shards <= 0:
-        raise ValueError("n_shards must be positive")
-    crcs = np.fromiter(
-        (_crc32(n) for n in names), dtype=np.int64, count=len(names)
-    )
-    return (crcs % n_shards).astype(np.int32)
-
-
 @dataclass(frozen=True)
 class Invocation:
     """One invocation request: function ``func`` arriving at time ``t``."""
@@ -139,7 +110,6 @@ class InvocationTrace:
         #: keeps constructions that never look it up (e.g. ``subset``
         #: chains over generated traces) O(n) instead of O(n + functions).
         self._per_func_times: dict[str, np.ndarray] | None = None
-        self._shard_tables: dict[int, np.ndarray] = {}
 
     # -- back-compat views ----------------------------------------------------
 
@@ -222,7 +192,7 @@ class InvocationTrace:
         """Reopen a saved trace, memory-mapping the event columns.
 
         With ``mmap=True`` (and an uncompressed file) the ``times_s`` /
-        ``func_ids`` columns are OS page-cache backed: a shard worker's
+        ``func_ids`` columns are OS page-cache backed: a replay's
         resident set stays far below a fully materialized Python trace.
         """
         from repro.workloads.tracefile import open_trace
@@ -231,7 +201,7 @@ class InvocationTrace:
 
     def __getstate__(self) -> dict:
         # Materialize any memory-mapped columns and drop caches: a
-        # pickled trace (e.g. a ShardJob on the TCP fabric) must be
+        # pickled trace (e.g. a sweep job on the TCP fabric) must be
         # self-contained and as small as the columns themselves.
         return {
             "functions": self.functions,
@@ -335,66 +305,3 @@ class InvocationTrace:
             times_s=self.times_s[mask],
             func_ids=remap[self.func_ids[mask]],
         )
-
-    # -- sharding --------------------------------------------------------------
-
-    def shard_table(self, n_shards: int) -> np.ndarray:
-        """``shard_of`` over the intern table (cached per shard count)."""
-        table = self._shard_tables.get(n_shards)
-        if table is None:
-            table = shard_ids(self.names, n_shards)
-            table.flags.writeable = False
-            self._shard_tables[n_shards] = table
-        return table
-
-    def event_mask(self, names: Iterable[str]) -> np.ndarray:
-        """Boolean per-event mask: True where the event's function is in
-        ``names``. One O(unique) table build + one O(n) gather."""
-        keep = set(names)
-        table = np.fromiter(
-            (n in keep for n in self.names), dtype=bool, count=len(self.names)
-        )
-        return table[self.func_ids]
-
-    def own_mask(self, shard_id: int, n_shards: int) -> np.ndarray:
-        """Per-event ownership mask under hash sharding (:func:`shard_of`)."""
-        return (self.shard_table(n_shards) == shard_id)[self.func_ids]
-
-    def partition_names(self, n_shards: int, by: str = "hash") -> list[set[str]]:
-        """Assign every function to exactly one of ``n_shards`` buckets.
-
-        ``by="hash"`` uses :func:`shard_of` (stable across processes and
-        runs; what the sharded replay and the sharded decision service
-        use, since both sides of a wire only share the name). ``by="load"``
-        balances invocation counts instead: functions are placed
-        heaviest-first onto the currently lightest shard, with
-        deterministic (count-then-name) ordering so the split is
-        reproducible. Zero-invocation functions are assigned too -- the
-        buckets are a disjoint cover of ``self.functions``.
-        """
-        if n_shards <= 0:
-            raise ValueError("n_shards must be positive")
-        buckets: list[set[str]] = [set() for _ in range(n_shards)]
-        if by == "hash":
-            table = self.shard_table(n_shards)
-            for name, sid in zip(self.names, table.tolist()):
-                buckets[sid].add(name)
-        elif by == "load":
-            counts = self.invocation_counts()
-            loads = [0] * n_shards
-            for name in sorted(counts, key=lambda n: (-counts[n], n)):
-                lightest = min(range(n_shards), key=lambda i: (loads[i], i))
-                buckets[lightest].add(name)
-                loads[lightest] += counts[name]
-        else:
-            raise ValueError(f"unknown partition strategy {by!r}")
-        return buckets
-
-    def partition(self, n_shards: int, by: str = "hash") -> list["InvocationTrace"]:
-        """Split into ``n_shards`` disjoint per-function sub-traces.
-
-        Each shard trace keeps the original arrival ordering of the
-        functions it owns (it is exactly ``subset(bucket)``), so the
-        concatenation-by-time of all shards reproduces the full trace.
-        """
-        return [self.subset(b) for b in self.partition_names(n_shards, by=by)]

@@ -1,9 +1,9 @@
 """Columnar on-disk trace format + chunked Azure-CSV compiler.
 
-One Azure day is millions of invocations. Pickling a full Python
-:class:`~repro.workloads.trace.InvocationTrace` per shard worker (names
-as a ``list[str]``, times boxed on iteration) is what made that
-impossible; this module is the streaming side of the columnar core:
+One Azure day is millions of invocations. A full Python
+:class:`~repro.workloads.trace.InvocationTrace` (names as a
+``list[str]``, times boxed on iteration) is what made that impossible;
+this module is the streaming side of the columnar core:
 
 **Format (version 1)** -- a NumPy ``.npz`` archive:
 
@@ -23,7 +23,7 @@ member                    dtype      contents
 
 Saved uncompressed (the default), the two event columns are STORED zip
 members, so :func:`open_trace` can hand them straight to ``np.memmap``:
-a shard worker's resident set is then the intern/profile tables plus
+a replay's resident set is then the intern/profile tables plus
 whatever event pages the OS keeps warm -- not one full in-memory trace
 per process. ``compress=True`` produces a smaller archival file that
 reopens into RAM instead.
@@ -339,9 +339,8 @@ def write_azure_sample_csv(
 
     ``median_interarrival_s`` overrides the popularity median (lower =
     denser arrivals); ``exec_floor_s`` clamps every written duration
-    from below. A floor widens the sharding barrier width (which is a
-    minimum over per-function runtimes of the compiled profiles), so
-    the trace bench uses it to build a long-inert-run replay sample.
+    from below, raising the minimum per-function runtime of the
+    compiled profiles.
     """
     from repro import units
     from repro.workloads.azure import AzureTraceConfig, generate_azure_trace

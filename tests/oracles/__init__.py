@@ -17,11 +17,6 @@
 - :mod:`tests.oracles.replay` -- the per-arrival engine replay (drain,
   place, ``keepalive``, admit, one arrival at a time) that the engine's
   grouped stepping loop must reproduce.
-- :mod:`tests.oracles.shard` -- a shard engine that replays every
-  foreign arrival per event, the reference for ``ShardEngine``'s bulk
-  absorption of inert foreign runs; and the in-process thread harness
-  (``ThreadShardRunner`` over ``ThreadBarrier``) that drives shard
-  engines without worker processes.
 """
 
 from tests.oracles import adjustment, objective
@@ -29,19 +24,11 @@ from tests.oracles.dynamic_pso import DynamicPSO
 from tests.oracles.pso import ParticleSwarm
 from tests.oracles.replay import reference_replay
 from tests.oracles.sequential import SequentialKDM, sequential_ecolife
-from tests.oracles.shard import (
-    PerEventShardEngine,
-    ThreadBarrier,
-    ThreadShardRunner,
-)
 
 __all__ = [
     "DynamicPSO",
     "ParticleSwarm",
-    "PerEventShardEngine",
     "SequentialKDM",
-    "ThreadBarrier",
-    "ThreadShardRunner",
     "adjustment",
     "objective",
     "reference_replay",

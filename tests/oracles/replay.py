@@ -1,11 +1,12 @@
 """The per-arrival reference replay for :class:`SimulationEngine`.
 
 The engine steps every scheduler through one grouped loop
-(``ShardStep``): arrivals of distinct functions in one decision tick are
-placed one by one and then decided in a single ``keepalive_batch``
-call. This replay is what that loop must reproduce: for each arrival
-in turn it drains due events, places, asks ``keepalive`` for that
-single request, and admits the container -- no grouping at all.
+(``SimulationEngine._grouped_steps``): arrivals of distinct functions
+in one decision tick are placed one by one and then decided in a
+single ``keepalive_batch`` call. This replay is what that loop must
+reproduce: for each arrival in turn it drains due events, places, asks
+``keepalive`` for that single request, and admits the container -- no
+grouping at all.
 """
 
 from __future__ import annotations

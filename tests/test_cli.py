@@ -105,15 +105,20 @@ class TestCommands:
         assert main(argv) == 0
         assert "cache:" in capsys.readouterr().out
 
-    def test_simulate_rejects_thread_shard_transport(self, capsys):
-        argv = [
-            "simulate", "--functions", "4", "--hours", "0.1",
-            "--shards", "2", "--shard-transport", "thread",
-        ]
-        assert main(argv) == 2
-        out = capsys.readouterr().out
-        assert "unknown shard transport 'thread'" in out
-        assert "options: process, tcp://host:port" in out
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--shards", "2"],
+            ["serve", "--shards", "2"],
+            ["work", "tcp://127.0.0.1:7044", "--shard"],
+        ],
+        ids=["simulate", "serve", "work"],
+    )
+    def test_shard_flags_are_unrecognized(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_sweep_has_no_shards_flag(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -211,19 +216,6 @@ class TestTraceCommands:
             "simulate", "--trace", str(tmp_path / "nope.npz"),
         ]) == 2
         assert "bad trace file" in capsys.readouterr().out
-
-    def test_simulate_sharded_from_trace_file_identical(self, capsys, tmp_path):
-        npz_path = self._compiled(tmp_path, capsys)
-        argv = ["simulate", "--trace", str(npz_path), "--seed", "5"]
-        assert main(argv) == 0
-        plain = capsys.readouterr().out
-        assert main(argv + ["--shards", "2"]) == 0
-        sharded = capsys.readouterr().out
-        strip = lambda s: [  # noqa: E731
-            ln for ln in s.splitlines()
-            if "decision overhead" not in ln and not ln.startswith("shard")
-        ]
-        assert strip(plain) == strip(sharded)
 
     def test_sweep_file_workload(self, capsys, tmp_path):
         npz_path = self._compiled(tmp_path, capsys)

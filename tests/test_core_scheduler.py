@@ -1,7 +1,6 @@
 """EcoLife scheduler end-to-end behaviour in the engine."""
 
 import numpy as np
-import pytest
 
 from repro.carbon import CarbonIntensityTrace
 from repro.core import EcoLifeConfig, EcoLifeScheduler
@@ -190,30 +189,3 @@ class TestAdjusterScoring:
         # No arrival registry: the priority is the bare benefit score.
         s_h, s_l = adj.priorities(req)
         assert s_h > s_l
-
-
-class TestCapabilitiesFromHooks:
-    """Optional capabilities follow from hook overrides, not flags."""
-
-    def test_sharding_support_follows_place_foreign(self):
-        # Sharding is one capability: both foreign hooks, or neither.
-        from repro.baselines import new_only, oracle
-        from repro.simulator.scheduler import BaseScheduler, overrides_hook
-
-        eco = EcoLifeScheduler()
-        assert eco.supports_sharding
-        assert overrides_hook(eco, "place_foreign")
-        assert overrides_hook(eco, "observe_foreign_run")
-        for baseline in (new_only(), oracle()):
-            assert not baseline.supports_sharding
-            assert not overrides_hook(baseline, "place_foreign")
-            assert not overrides_hook(baseline, "observe_foreign_run")
-
-        class PlaceForeignOnly(EcoLifeScheduler):
-            observe_foreign_run = BaseScheduler.observe_foreign_run
-
-        assert not PlaceForeignOnly().supports_sharding
-
-    def test_supports_sharding_is_read_only(self):
-        with pytest.raises(AttributeError):
-            EcoLifeScheduler().supports_sharding = False

@@ -28,7 +28,6 @@ from tools.ecolint import lint_paths, lint_source  # noqa: E402
 from tools.ecolint.contracts import (  # noqa: E402
     check_estimator_shelf,
     check_kdm_archive_paths,
-    check_shard_state_plan,
     check_swarm_archive,
 )
 
@@ -247,64 +246,6 @@ class TestEco005Synthetic:
         found = check_kdm_archive_paths(src)
         assert len(found) == 1
         assert "_has_archive" in found[0].message
-
-
-_GOOD_SHARD_ENGINE = """
-class ShardEngine:
-    _SHARD_STATE_PLAN = {
-        "shard_id": "replicated",
-        "_outbox": "exchanged",
-        "_by_index": "shard-local",
-    }
-
-    def __init__(self, shard_id, transport):
-        self.shard_id = shard_id
-        self._outbox = []
-        self._by_index = {}
-"""
-
-
-class TestEco005ShardPlan:
-    def test_clean_engine_passes(self):
-        assert check_shard_state_plan(_GOOD_SHARD_ENGINE) == []
-
-    def test_undeclared_init_field_flagged(self):
-        src = _GOOD_SHARD_ENGINE.replace(
-            "        self._by_index = {}\n",
-            "        self._by_index = {}\n        self._peers = set()\n",
-        )
-        found = check_shard_state_plan(src)
-        assert len(found) == 1
-        assert "_peers" in found[0].message
-        assert "cross-shard leak" in found[0].message
-
-    def test_stale_plan_entry_flagged(self):
-        src = _GOOD_SHARD_ENGINE.replace(
-            "        self._outbox = []\n", ""
-        )
-        found = check_shard_state_plan(src)
-        assert any("stale entry" in v.message for v in found)
-
-    def test_unknown_ownership_class_flagged(self):
-        src = _GOOD_SHARD_ENGINE.replace('"shard-local"', '"borrowed"')
-        found = check_shard_state_plan(src)
-        assert any("must be one of" in v.message for v in found)
-
-    def test_missing_plan_is_one_violation(self):
-        src = (
-            "class ShardEngine:\n"
-            "    def __init__(self):\n"
-            "        self.x = 1\n"
-        )
-        found = check_shard_state_plan(src)
-        assert len(found) == 1
-        assert "_SHARD_STATE_PLAN" in found[0].message
-
-    def test_real_shard_module_is_clean(self):
-        from pathlib import Path
-
-        source = Path("src/repro/simulator/shard.py").read_text()
-        assert check_shard_state_plan(source) == []
 
 
 # -- ECO000: suppression policy -----------------------------------------------

@@ -171,12 +171,10 @@ class TestRecordArrays:
 
 
 class TestOrderInsensitiveAggregation:
-    """ISSUE 9 satellite: merged shard results must report totals that
-    depend only on the record *multiset*, never on the summation order.
-    ``math.fsum`` is correctly rounded, so any permutation of the same
-    records produces the exact same float totals -- naive ``sum()``
-    drifts by ULPs under reordering, which would break the sharded
-    replay's bit-identity contract at the aggregate level."""
+    """Totals depend only on the record *multiset*, never on the
+    summation order. ``math.fsum`` is correctly rounded, so any
+    permutation of the same records produces the exact same float
+    totals -- naive ``sum()`` drifts by ULPs under reordering."""
 
     def _adversarial_records(self):
         # Magnitude spread chosen so naive left-to-right addition loses
@@ -198,38 +196,3 @@ class TestOrderInsensitiveAggregation:
             assert shuffled.total_service_s == base.total_service_s
             assert shuffled.total_energy_wh == base.total_energy_wh
             assert shuffled.mean_service_s == base.mean_service_s
-
-    def test_merge_matches_unsharded_totals(self):
-        records = self._adversarial_records()
-        whole = SimulationResult(scheduler_name="s", records=records, horizon_s=9.0)
-        parts = [
-            SimulationResult(
-                scheduler_name="s",
-                records=[r for r in records if r.index % 3 == k],
-                horizon_s=9.0,
-            )
-            for k in range(3)
-        ]
-        merged = SimulationResult.merge(parts)
-        assert merged.total_carbon_g == whole.total_carbon_g
-        assert merged.total_service_s == whole.total_service_s
-        assert [r.index for r in merged.records] == list(range(len(records)))
-
-    def test_concat_sorts_by_time_then_name(self):
-        records = self._adversarial_records()
-        whole = SimulationResult(scheduler_name="s", records=records, horizon_s=9.0)
-        arrays = RecordArrays.from_result(whole)
-        parts = [
-            RecordArrays.from_result(
-                SimulationResult(
-                    scheduler_name="s",
-                    records=[r for r in records if r.index % 2 == k],
-                    horizon_s=9.0,
-                )
-            )
-            for k in (1, 0)  # deliberately out of order
-        ]
-        merged = RecordArrays.concat(parts)
-        assert np.array_equal(merged.t, arrays.t)
-        assert np.array_equal(merged.func_name, arrays.func_name)
-        assert np.array_equal(merged.carbon_g, arrays.carbon_g)

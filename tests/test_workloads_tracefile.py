@@ -1,10 +1,10 @@
 """Columnar trace core + streaming trace files (ISSUE 10).
 
 Covers the interned-column representation (``func_ids`` + ``names``
-intern table) against the classic ``func_names`` construction, the
-vectorized shard tables, and the ``.npz`` trace-file layer: save/open
-round trips (memory-mapped and compressed), the chunked Azure-CSV
-compiler, and the deterministic sample writer.
+intern table) against the classic ``func_names`` construction and the
+``.npz`` trace-file layer: save/open round trips (memory-mapped and
+compressed), the chunked Azure-CSV compiler, and the deterministic
+sample writer.
 """
 
 import csv
@@ -14,9 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.arrival import ArrivalEstimator
 from repro.workloads import FunctionProfile, InvocationTrace
-from repro.workloads.trace import shard_ids, shard_of
 from repro.workloads.tracefile import (
     compile_azure_csv,
     trace_info,
@@ -115,61 +113,6 @@ class TestColumnarCore:
                 func_ids=np.array([5], dtype=np.int32),
             )
 
-    @given(names=_names, n_shards=st.integers(min_value=1, max_value=6))
-    @settings(max_examples=40, deadline=None)
-    def test_shard_ids_match_scalar_shard_of(self, names, n_shards):
-        assert shard_ids(names, n_shards).tolist() == [
-            shard_of(n, n_shards) for n in names
-        ]
-
-    def test_shard_ids_pinned_constants(self):
-        # Same wire-stable anchors as test_workloads_partition: the
-        # vectorized/memoized path must agree with raw crc32 forever.
-        assert shard_ids(["video-processing"], 4).tolist() == [3]
-        assert shard_ids(["video-processing", "graph-bfs"], 4).dtype == np.int32
-        with pytest.raises(ValueError):
-            shard_ids(["x"], 0)
-
-    @given(trace=_random_trace(), n_shards=st.integers(min_value=1, max_value=4))
-    @settings(max_examples=30, deadline=None)
-    def test_masks_match_partition(self, trace, n_shards):
-        buckets = trace.partition_names(n_shards)
-        for sid in range(n_shards):
-            own = trace.own_mask(sid, n_shards)
-            expected = [f in buckets[sid] for f in trace.func_names]
-            assert own.tolist() == expected
-            assert trace.event_mask(buckets[sid]).tolist() == expected
-
-
-class TestEstimatorBulk:
-    @given(
-        times=st.lists(
-            st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
-            min_size=0,
-            max_size=30,
-        ),
-        split=st.integers(min_value=0, max_value=30),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_observe_many_equals_observe_loop(self, times, split):
-        times = sorted(times)
-        split = min(split, len(times))
-        a = ArrivalEstimator(history=8)
-        b = ArrivalEstimator(history=8)
-        for t in times:
-            a.observe(t)
-        # Mixed per-event prefix + bulk suffix, as the fast path produces.
-        for t in times[:split]:
-            b.observe(t)
-        b.observe_many(times[split:])
-        assert list(a._iats) == list(b._iats)
-        assert a._last_arrival == b._last_arrival
-
-    def test_observe_many_rejects_time_travel(self):
-        est = ArrivalEstimator(history=8)
-        est.observe(10.0)
-        with pytest.raises(ValueError, match="time order"):
-            est.observe_many([5.0])
 
 
 # -- trace files ---------------------------------------------------------------
@@ -204,7 +147,7 @@ class TestTraceFile:
         )
         assert trace_info(path)["mmap_able"]
 
-    def test_opened_trace_supports_subset_and_partition(self, tmp_path):
+    def test_opened_trace_supports_subset(self, tmp_path):
         trace = _trace(
             ["a", "b", "c"], [(1.0, 0), (2.0, 1), (3.0, 2), (4.0, 0)]
         )
@@ -212,8 +155,6 @@ class TestTraceFile:
         trace.save(path)
         reopened = InvocationTrace.open(path)
         assert reopened.subset(["a", "b"]) == trace.subset(["a", "b"])
-        for got, want in zip(reopened.partition(3), trace.partition(3)):
-            assert got == want
 
     def test_opened_trace_pickles_materialized(self, tmp_path):
         import pickle

@@ -106,25 +106,6 @@ def _self_attrs(fn: ast.FunctionDef) -> set[str]:
     return out
 
 
-def _assigned_self_attrs(fn: ast.FunctionDef) -> dict[str, ast.AST]:
-    """Every ``self.<attr> = ...`` / ``self.<attr>: T = ...`` target."""
-    out: dict[str, ast.AST] = {}
-    for node in ast.walk(fn):
-        targets: list[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, ast.AnnAssign):
-            targets = [node.target]
-        for target in targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                out.setdefault(target.attr, node)
-    return out
-
-
 def check_swarm_archive(
     source: str, relpath: str = "src/repro/optimizers/batch.py"
 ) -> list[Violation]:
@@ -442,91 +423,11 @@ def check_kdm_archive_paths(
     return out
 
 
-#: Ownership classes a shard-state-plan entry may declare.
-_SHARD_OWNERSHIP = frozenset({"exchanged", "replicated", "shard-local"})
-
-
-def check_shard_state_plan(
-    source: str, relpath: str = "src/repro/simulator/shard.py"
-) -> list[Violation]:
-    """Every piece of ShardEngine state must declare barrier ownership.
-
-    The sharded replay's exactness argument rests on a complete split of
-    engine state into ``exchanged`` (crosses the barrier), ``replicated``
-    (identical on all shards by construction) and ``shard-local``
-    (private, absent from merged results). A field assigned in
-    ``ShardEngine.__init__`` but missing from ``_SHARD_STATE_PLAN`` is
-    state with *unproven* ownership -- exactly the kind of silent
-    cross-shard leak this pass exists to catch. Stale plan entries and
-    unknown ownership classes are flagged too.
-    """
-    tree = ast.parse(source)
-    engine = _find_class(tree, "ShardEngine")
-    if engine is None:
-        return [
-            _violation(None, relpath, "expected a ShardEngine class to check")
-        ]
-    out: list[Violation] = []
-    plan = _class_dict(engine, "_SHARD_STATE_PLAN")
-    if plan is None:
-        return [
-            _violation(
-                engine,
-                relpath,
-                "ShardEngine has no _SHARD_STATE_PLAN: every __init__ field "
-                "must declare exchanged/replicated/shard-local ownership",
-            )
-        ]
-    plan_node, plan_items = plan
-    for name, value in plan_items.items():
-        if not (
-            isinstance(value, ast.Constant)
-            and value.value in _SHARD_OWNERSHIP
-        ):
-            out.append(
-                _violation(
-                    plan_node,
-                    relpath,
-                    f"_SHARD_STATE_PLAN[{name!r}] must be one of "
-                    f"{sorted(_SHARD_OWNERSHIP)}",
-                )
-            )
-    init = _find_method(engine, "__init__")
-    if init is None:
-        out.append(_violation(engine, relpath, "ShardEngine has no __init__"))
-        return out
-    assigned = _assigned_self_attrs(init)
-    for name, node in sorted(assigned.items()):
-        if name not in plan_items:
-            out.append(
-                _violation(
-                    node,
-                    relpath,
-                    f"ShardEngine.__init__ assigns self.{name} but "
-                    "_SHARD_STATE_PLAN does not declare its ownership "
-                    "(exchanged/replicated/shard-local): undeclared state "
-                    "is a potential cross-shard leak",
-                )
-            )
-    for name in plan_items:
-        if name not in assigned:
-            out.append(
-                _violation(
-                    plan_node,
-                    relpath,
-                    f"_SHARD_STATE_PLAN entry {name!r} is never assigned in "
-                    "ShardEngine.__init__; remove the stale entry",
-                )
-            )
-    return out
-
-
 #: (relative path, checker) pairs run by :func:`project_violations`.
 PROJECT_CHECKS = (
     ("src/repro/optimizers/batch.py", check_swarm_archive),
     ("src/repro/core/arrival.py", check_estimator_shelf),
     ("src/repro/core/kdm.py", check_kdm_archive_paths),
-    ("src/repro/simulator/shard.py", check_shard_state_plan),
 )
 
 
