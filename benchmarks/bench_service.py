@@ -4,9 +4,12 @@ Three phases against an in-process :class:`DecisionServer` over real
 sockets (the same stdlib asyncio HTTP stack production would run):
 
 1. **single** -- POST one arrival per request on a keep-alive
-   connection and measure the client-observed wall time per request;
-   p50/p99 of that distribution is the serving-latency contract
-   (``single.p99_ms`` is gated *lower-is-better* in CI).
+   connection and measure the client-observed wall time per request.
+   The pass is repeated against a fresh server (same requests, same
+   decisions) and ``single.p99_ms`` is the median of the per-pass p99s
+   -- one pass's p99 is its 2nd-slowest request, so a single stall on
+   a shared host would move it. That median is the serving-latency
+   contract (gated *lower-is-better* in CI); p50/mean pool all laps.
 2. **batched** -- POST the whole trace in fixed-size batches and
    measure end-to-end decisions/second (gated higher-is-better).
 3. **identity** -- in-process sanity: a full-batch ``decide()`` against
@@ -41,6 +44,10 @@ from repro.service import DecisionServer, DecisionService
 from repro.simulator.engine import SimulationEngine
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+#: Fresh-server passes of the single-request phase; ``single.p99_ms`` is
+#: the median of their p99s.
+SINGLE_PASSES = 15
 
 
 def make_service(scenario) -> DecisionService:
@@ -86,8 +93,9 @@ def percentile_ms(samples_s: list[float], p: float) -> float:
     return ordered[rank - 1] * 1e3
 
 
-async def bench_single(scenario, n_requests: int) -> dict:
-    """Per-request e2e latency over one keep-alive connection."""
+async def single_pass(scenario, n_requests: int) -> list[float]:
+    """Per-request e2e wall times over one keep-alive connection to a
+    fresh server."""
     service = make_service(scenario)
     server = DecisionServer(service, port=0)
     await server.start()
@@ -110,11 +118,21 @@ async def bench_single(scenario, n_requests: int) -> dict:
                 pass
     finally:
         await server.stop(checkpoint=False)
+    return laps
+
+
+async def bench_single(scenario, n_requests: int, passes: int) -> dict:
+    """Median-of-passes p99 (and pooled p50/mean) of per-request latency."""
+    per_pass = [await single_pass(scenario, n_requests) for _ in range(passes)]
+    p99s = sorted(percentile_ms(laps, 99.0) for laps in per_pass)
+    pooled = [lap for laps in per_pass for lap in laps]
     return {
-        "n_requests": len(laps),
-        "p50_ms": percentile_ms(laps, 50.0),
-        "p99_ms": percentile_ms(laps, 99.0),
-        "mean_ms": sum(laps) / len(laps) * 1e3,
+        "n_requests": n_requests,
+        "passes": passes,
+        "p99_ms": p99s[len(p99s) // 2],
+        "p99_per_pass_ms": p99s,
+        "p50_ms": percentile_ms(pooled, 50.0),
+        "mean_ms": sum(pooled) / len(pooled) * 1e3,
     }
 
 
@@ -191,7 +209,7 @@ def main(argv=None) -> int:
         scenario = default_scenario(n_functions=40, hours=3.0, seed=7)
         n_single, batch_size = 500, 256
 
-    single = asyncio.run(bench_single(scenario, n_single))
+    single = asyncio.run(bench_single(scenario, n_single, SINGLE_PASSES))
     batched = asyncio.run(bench_batched(scenario, batch_size))
     identity = bench_identity(scenario)
 
@@ -213,8 +231,10 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     print(
-        f"single:  {single['n_requests']} requests, "
-        f"p50 {single['p50_ms']:.2f} ms, p99 {single['p99_ms']:.2f} ms"
+        f"single:  {single['passes']} x {single['n_requests']} requests, "
+        f"p50 {single['p50_ms']:.2f} ms, p99 {single['p99_ms']:.2f} ms "
+        f"(median of passes; per pass "
+        f"{', '.join(f'{p:.2f}' for p in single['p99_per_pass_ms'])})"
     )
     print(
         f"batched: {batched['n_decisions']} decisions in "

@@ -96,7 +96,7 @@ def _solo_decision(opts, targets, iterations):
 
 def _fleet_decision(fleet, idx, batch_fit, iterations):
     for i in idx:
-        fleet.perceive(int(i), 1.0, 5.0)
+        fleet.perceive_batch([i], [1.0], [5.0])
     fleet.step(idx, batch_fit, iterations)
 
 
@@ -236,7 +236,7 @@ def bench_fused_step(
             else:
                 # The earlier KDM perceived (and redistributed) per swarm.
                 for i in idx:
-                    fleet.perceive(int(i), 1.0, 5.0)
+                    fleet.perceive_batch([i], [1.0], [5.0])
             if fused:
                 fit = builder.batch_fitness(funcs, ts, arrivals)
             else:

@@ -172,6 +172,7 @@ SUITES: dict[str, dict] = {
         "gated": ("batched.decisions_per_s",),
         "gated_lower": ("single.p99_ms",),
         "info": (
+            "single.passes",
             "single.p50_ms",
             "single.mean_ms",
             "batched.wall_s",

@@ -12,10 +12,9 @@ Run with::
 """
 
 from repro.analysis import ascii_table
-from repro.baselines import new_only
 from repro.carbon import region_trace_for
-from repro.core import EcoLifeConfig, EcoLifeScheduler
-from repro.experiments.common import Scenario, run_scheduler
+from repro.core import EcoLifeConfig
+from repro.experiments.common import Scenario, run_suite
 from repro.hardware import get_pair
 from repro.simulator import SimulationConfig
 from repro.workloads import AzureTraceConfig, generate_azure_trace
@@ -49,18 +48,17 @@ def main() -> None:
         label="bursty-tight-memory",
     )
 
+    labels = {
+        "ecolife": "ecolife",
+        "ecolife-no-adjust": "ecolife w/o adjustment",
+        "new-only": "new-only (10 min fixed)",
+    }
+    results = run_suite(list(labels), scenario, config=EcoLifeConfig(seed=9))
     rows = []
-    for label, factory in (
-        ("ecolife", lambda: EcoLifeScheduler(EcoLifeConfig(seed=9))),
-        ("ecolife w/o adjustment", lambda: EcoLifeScheduler.without_adjustment(
-            EcoLifeConfig(seed=9)
-        )),
-        ("new-only (10 min fixed)", new_only),
-    ):
-        r = run_scheduler(factory, scenario)
+    for name, r in results.items():
         rows.append(
             [
-                label,
+                labels[name],
                 r.mean_service_s,
                 r.total_carbon_g,
                 r.warm_ratio * 100.0,

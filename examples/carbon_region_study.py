@@ -13,10 +13,9 @@ Run with::
 """
 
 from repro.analysis import ascii_table
-from repro.baselines import new_only
 from repro.carbon import REGION_NAMES, region_trace_for
-from repro.core import EcoLifeConfig, EcoLifeScheduler
-from repro.experiments import default_scenario, run_scheduler
+from repro.core import EcoLifeConfig
+from repro.experiments import default_scenario, run_suite
 
 
 def main() -> None:
@@ -28,10 +27,10 @@ def main() -> None:
         ci = region_trace_for(region, horizon, seed=3, start_hour=8.0)
         scenario = base.with_ci(ci, label=f"{base.label}|{region}")
 
-        eco = run_scheduler(
-            lambda: EcoLifeScheduler(EcoLifeConfig(seed=2)), scenario
+        results = run_suite(
+            ["ecolife", "new-only"], scenario, config=EcoLifeConfig(seed=2)
         )
-        fixed = run_scheduler(new_only, scenario)
+        eco, fixed = results["ecolife"], results["new-only"]
 
         saving = (1.0 - eco.total_carbon_g / fixed.total_carbon_g) * 100.0
         slower = (eco.mean_service_s / fixed.mean_service_s - 1.0) * 100.0

@@ -12,8 +12,7 @@ Run with::
 """
 
 from repro.analysis import relative_to_opts, scatter_table
-from repro.baselines import co2_opt, oracle, service_time_opt
-from repro.core import EcoLifeConfig, EcoLifeScheduler
+from repro.core import EcoLifeConfig
 from repro.experiments import default_scenario, run_suite
 from repro.hardware import CPUSpec, DRAMSpec, Generation, HardwarePair, ServerSpec
 
@@ -73,13 +72,11 @@ def main() -> None:
     scenario = default_scenario(n_functions=30, hours=2.0, seed=21).with_pair(
         CUSTOM_PAIR
     )
-    schemes = {
-        "co2-opt": co2_opt,
-        "service-time-opt": service_time_opt,
-        "oracle": oracle,
-        "ecolife": lambda: EcoLifeScheduler(EcoLifeConfig(seed=4)),
-    }
-    results = run_suite(schemes, scenario)
+    results = run_suite(
+        ["co2-opt", "service-time-opt", "oracle", "ecolife"],
+        scenario,
+        config=EcoLifeConfig(seed=4),
+    )
     print(
         scatter_table(
             relative_to_opts(results),

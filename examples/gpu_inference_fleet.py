@@ -21,8 +21,7 @@ Run with::
 """
 
 from repro.analysis import keepalive_behaviour, relative_to_opts, scatter_table
-from repro.baselines import co2_opt, oracle, service_time_opt
-from repro.core import EcoLifeConfig, EcoLifeScheduler
+from repro.core import EcoLifeConfig
 from repro.experiments import default_scenario, run_suite
 from repro.hardware import CPUSpec, DRAMSpec, Generation, HardwarePair, ServerSpec
 from repro.workloads import AzureTraceConfig
@@ -98,13 +97,11 @@ def main() -> None:
 
     scenario = dataclasses.replace(scenario, trace=trace, label="gpu-inference")
 
-    schemes = {
-        "co2-opt": co2_opt,
-        "service-time-opt": service_time_opt,
-        "oracle": oracle,
-        "ecolife": lambda: EcoLifeScheduler(EcoLifeConfig(seed=6)),
-    }
-    results = run_suite(schemes, scenario)
+    results = run_suite(
+        ["co2-opt", "service-time-opt", "oracle", "ecolife"],
+        scenario,
+        config=EcoLifeConfig(seed=6),
+    )
     print(
         scatter_table(
             relative_to_opts(results),

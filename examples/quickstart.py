@@ -14,9 +14,13 @@ Run with::
 """
 
 from repro.analysis import relative_to_opts, scatter_table
-from repro.baselines import co2_opt, new_only, old_only, oracle, service_time_opt
-from repro.core import EcoLifeConfig, EcoLifeScheduler
-from repro.experiments import default_scenario, run_scheduler, run_suite
+from repro.core import EcoLifeConfig
+from repro.experiments import (
+    create_scheduler,
+    default_scenario,
+    run_scheduler,
+    run_suite,
+)
 
 
 def main() -> None:
@@ -31,20 +35,17 @@ def main() -> None:
     )
 
     # -- run EcoLife alone and inspect the result object ------------------
-    result = run_scheduler(lambda: EcoLifeScheduler(EcoLifeConfig(seed=1)), scenario)
+    config = EcoLifeConfig(seed=1)
+    result = run_scheduler(create_scheduler("ecolife", config), scenario)
     print(result.summary())
     print()
 
-    # -- compare against the paper's schemes ------------------------------
-    schemes = {
-        "co2-opt": co2_opt,
-        "service-time-opt": service_time_opt,
-        "oracle": oracle,
-        "new-only": new_only,
-        "old-only": old_only,
-        "ecolife": lambda: EcoLifeScheduler(EcoLifeConfig(seed=1)),
-    }
-    results = run_suite(schemes, scenario)
+    # -- compare against the paper's schemes, by registry name ------------
+    results = run_suite(
+        ["co2-opt", "service-time-opt", "oracle", "new-only", "old-only", "ecolife"],
+        scenario,
+        config=config,
+    )
     points = relative_to_opts(results)
     print(scatter_table(points, title="scheme comparison (paper Fig. 7/9 framing)"))
 

@@ -9,10 +9,10 @@ oracles, and one experiment driver per figure/table in the evaluation.
 Quickstart::
 
     from repro import quick_scenario, run_scheduler
-    from repro.core import EcoLifeScheduler
+    from repro.experiments import create_scheduler
 
     scenario = quick_scenario(seed=1)
-    result = run_scheduler(EcoLifeScheduler, scenario)
+    result = run_scheduler(create_scheduler("ecolife"), scenario)
     print(result.summary())
 
 See ``examples/quickstart.py`` for a tour and ``DESIGN.md`` for the full
@@ -21,12 +21,12 @@ system inventory.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.version import __version__
 
 if TYPE_CHECKING:
-    from repro.experiments.common import Scenario, SchedulerFactory
+    from repro.experiments.common import Scenario
     from repro.simulator.records import SimulationResult
     from repro.simulator.scheduler import BaseScheduler
 
@@ -41,7 +41,7 @@ def quick_scenario(seed: int = 7) -> "Scenario":
 
 
 def run_scheduler(
-    scheduler: "BaseScheduler | SchedulerFactory",
+    scheduler: "BaseScheduler | Callable[[], BaseScheduler]",
     scenario: "Scenario",
 ) -> "SimulationResult":
     """Run one scheduler over a scenario (lazy import; see experiments.common)."""

@@ -1,11 +1,14 @@
-"""Baselines and oracle solutions from the paper's evaluation (Sec. V)."""
+"""Baselines and oracle solutions from the paper's evaluation (Sec. V).
+
+The EcoLife-based schemes (Eco-Old / Eco-New, GA / SA) are EcoLife on a
+transformed config and live in :mod:`repro.experiments.registry`.
+"""
 
 from repro.baselines.fixed import (
     SingleGenerationFixedScheduler,
     new_only,
     old_only,
 )
-from repro.baselines.heuristic import ga_scheduler, sa_scheduler
 from repro.baselines.oracle import (
     OracleObjective,
     OracleScheduler,
@@ -14,7 +17,6 @@ from repro.baselines.oracle import (
     oracle,
     service_time_opt,
 )
-from repro.baselines.static_eco import eco_new, eco_old
 
 __all__ = [
     "SingleGenerationFixedScheduler",
@@ -26,8 +28,4 @@ __all__ = [
     "co2_opt",
     "service_time_opt",
     "energy_opt",
-    "eco_old",
-    "eco_new",
-    "ga_scheduler",
-    "sa_scheduler",
 ]

@@ -54,30 +54,15 @@ def _cmd_run_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.baselines import (
-        co2_opt,
-        energy_opt,
-        new_only,
-        old_only,
-        oracle,
-        service_time_opt,
-    )
-    from repro.core import EcoLifeConfig, EcoLifeScheduler
+    from repro.core import EcoLifeConfig
     from repro.experiments import default_scenario, run_scheduler
+    from repro.experiments.registry import create_scheduler, list_schedulers
 
-    config = EcoLifeConfig(seed=args.seed)
-    factories = {
-        "ecolife": lambda: EcoLifeScheduler(config),
-        "ecolife-no-dpso": lambda: EcoLifeScheduler.without_dpso(config),
-        "new-only": new_only,
-        "old-only": old_only,
-        "oracle": oracle,
-        "co2-opt": co2_opt,
-        "service-time-opt": service_time_opt,
-        "energy-opt": energy_opt,
-    }
-    if args.scheduler not in factories:
-        print(f"unknown scheduler {args.scheduler!r}; options: {sorted(factories)}")
+    if args.scheduler not in list_schedulers():
+        print(
+            f"unknown scheduler {args.scheduler!r}; "
+            f"options: {list(list_schedulers())}"
+        )
         return 2
     if args.trace:
         from repro.experiments import trace_scenario
@@ -102,7 +87,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             pair=args.pair,
             pool_gb=args.pool_gb,
         )
-    result = run_scheduler(factories[args.scheduler], scenario)
+    result = run_scheduler(
+        create_scheduler(args.scheduler, EcoLifeConfig(seed=args.seed)), scenario
+    )
     print(result.summary())
     return 0
 

@@ -11,10 +11,11 @@ Per invocation:
 3. :meth:`EcoLifeScheduler.rank_keepalive_candidates` -- on pool overflow,
    the warm-pool adjuster ranks candidates by their warm-vs-cold benefit.
 
-Named variants of the paper are exposed as small factory helpers:
-``EcoLifeScheduler.without_dpso()`` (Fig. 10), ``.without_adjustment()``
-(Fig. 11), ``.single_generation()`` (Eco-Old / Eco-New, Fig. 12), and
-``.with_optimizer()`` (GA/SA comparison).
+The paper's variants (w/o DPSO, w/o adjustment, Eco-Old / Eco-New, GA /
+SA) are this scheduler on a transformed :class:`EcoLifeConfig`; they are
+built by name through :mod:`repro.experiments.registry`, and
+:meth:`EcoLifeScheduler._derive_name` renders each config as its scheme
+name.
 """
 
 from __future__ import annotations
@@ -60,7 +61,11 @@ class EcoLifeScheduler(BaseScheduler):
 
     def _derive_name(self) -> str:
         cfg = self.config
-        parts = ["ecolife"]
+        # Single-generation configs are the paper's Eco-Old / Eco-New.
+        if len(cfg.locations) == 1:
+            parts = [f"eco-{cfg.locations[0].value}"]
+        else:
+            parts = ["ecolife"]
         if cfg.optimizer is OptimizerKind.GENETIC:
             parts.append("ga")
         elif cfg.optimizer is OptimizerKind.ANNEALING:
@@ -69,8 +74,6 @@ class EcoLifeScheduler(BaseScheduler):
             parts.append("no-dpso")
         if not cfg.use_warm_pool_adjustment:
             parts.append("no-adjust")
-        if len(cfg.locations) == 1:
-            parts.append(f"{cfg.locations[0].value}-only")
         return "-".join(parts)
 
     # -- engine protocol ------------------------------------------------------
@@ -130,33 +133,3 @@ class EcoLifeScheduler(BaseScheduler):
             incoming = [c for c in req.candidates if c.is_incoming]
             return incumbents + incoming
         return self.adjuster.rank(req)
-
-    # -- paper-variant factories -------------------------------------------------
-
-    @classmethod
-    def without_dpso(cls, config: EcoLifeConfig | None = None) -> "EcoLifeScheduler":
-        """EcoLife w/o dynamic PSO (Fig. 10): vanilla PSO weights, no
-        perception-response."""
-        return cls((config or EcoLifeConfig()).without_dpso())
-
-    @classmethod
-    def without_adjustment(
-        cls, config: EcoLifeConfig | None = None
-    ) -> "EcoLifeScheduler":
-        """EcoLife w/o warm-pool adjustment (Fig. 11)."""
-        return cls((config or EcoLifeConfig()).without_adjustment())
-
-    @classmethod
-    def single_generation(
-        cls, generation: Generation, config: EcoLifeConfig | None = None
-    ) -> "EcoLifeScheduler":
-        """Eco-Old / Eco-New (Fig. 12): one generation for keep-alive and
-        execution alike."""
-        return cls((config or EcoLifeConfig()).single_generation(generation))
-
-    @classmethod
-    def with_optimizer(
-        cls, kind: OptimizerKind, config: EcoLifeConfig | None = None
-    ) -> "EcoLifeScheduler":
-        """GA-/SA-driven EcoLife for the in-text optimizer comparison."""
-        return cls((config or EcoLifeConfig()).with_optimizer(kind))

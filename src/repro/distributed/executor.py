@@ -8,8 +8,8 @@ to the server-side job future, ``as_completed`` pumps the outstanding
 set, and ``shutdown`` closes the server (connected workers observe EOF
 and exit).
 
-Capability flags: ``retries_jobs=True`` -- worker loss is retried
-internally and a failed future means the retry budget is exhausted;
+Worker loss is retried internally, so a failed future means the job's
+retry budget is exhausted (:class:`~repro.experiments.runner.JobFailedError`).
 ``commits_results`` is true exactly when a shared
 :class:`~repro.experiments.runner.ResultCache` was handed to the
 server, which then commits each outcome at most once as it lands.
@@ -79,8 +79,6 @@ class TcpExecutor:
     read the resolved address off :attr:`address` and hand it to
     ``python -m repro.cli work <address>`` workers.
     """
-
-    retries_jobs = True
 
     def __init__(
         self,

@@ -9,8 +9,6 @@ the CLI and the benchmark harness.
 from repro.experiments.common import (
     Scenario,
     default_scenario,
-    ecolife_factory,
-    paper_schemes,
     quick_scenario,
     run_scheduler,
     run_suite,
@@ -26,8 +24,6 @@ from repro.experiments.registry import (
     unregister_scheduler,
 )
 from repro.experiments.runner import (
-    SCHEDULER_NAMES,
-    SCHEDULERS,
     Executor,
     GridResult,
     JobFailedError,
@@ -42,7 +38,6 @@ from repro.experiments.runner import (
     WorkerCrashError,
     execute_job,
     execute_job_with_records,
-    make_scheduler,
 )
 from repro.experiments.fig01_motivation import run_fig01
 from repro.experiments.fig02_hardware import run_fig02
@@ -94,8 +89,6 @@ __all__ = [
     "quick_scenario",
     "run_scheduler",
     "run_suite",
-    "paper_schemes",
-    "ecolife_factory",
     "EXPERIMENTS",
     "ScenarioSpec",
     "ScenarioGrid",
@@ -106,9 +99,6 @@ __all__ = [
     "GridResult",
     "SummarySchemaError",
     "WorkerCrashError",
-    "SCHEDULERS",
-    "SCHEDULER_NAMES",
-    "make_scheduler",
     "register_scheduler",
     "unregister_scheduler",
     "list_schedulers",

@@ -1,33 +1,27 @@
-"""Shared experiment plumbing: scenarios, runners, and the scheme registry.
+"""Shared experiment plumbing: scenarios and runners.
 
 A :class:`Scenario` bundles everything one simulation needs -- hardware
 pair, invocation trace, carbon-intensity trace, engine config. Experiment
 drivers build scenarios (usually the paper's default: Pair A, Azure-shaped
 trace, CISO carbon intensity) and run schedulers over them with
-:func:`run_scheduler` / :func:`run_suite`.
+:func:`run_scheduler` / :func:`run_suite`. Schemes are named as in
+:mod:`repro.experiments.registry`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:
     from repro.experiments.runner import ResultSummary
     from repro.workloads.generators import WorkloadSpec
 
 from repro import units
-from repro.baselines import (
-    co2_opt,
-    energy_opt,
-    new_only,
-    old_only,
-    oracle,
-    service_time_opt,
-)
 from repro.carbon.intensity import CarbonIntensityTrace
 from repro.carbon.regions import region_trace_for
-from repro.core import EcoLifeConfig, EcoLifeScheduler
+from repro.core import EcoLifeConfig
+from repro.experiments.registry import scheduler_factory
 from repro.hardware.catalog import get_pair
 from repro.hardware.specs import HardwarePair
 from repro.simulator import (
@@ -37,10 +31,6 @@ from repro.simulator import (
     SimulationResult,
 )
 from repro.workloads.trace import InvocationTrace
-
-#: Anything that produces a fresh scheduler for one run.
-SchedulerFactory = Callable[[], BaseScheduler]
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -188,7 +178,7 @@ def quick_scenario(seed: int = 7) -> Scenario:
 
 
 def run_scheduler(
-    scheduler: BaseScheduler | SchedulerFactory,
+    scheduler: BaseScheduler | Callable[[], BaseScheduler],
     scenario: Scenario,
 ) -> SimulationResult:
     """Run one scheduler over a scenario (fresh engine each call).
@@ -212,68 +202,31 @@ def run_scheduler(
 
 
 def run_suite(
-    schedulers: dict[str, SchedulerFactory | str],
+    names: Sequence[str],
     scenario: Scenario,
     n_workers: int = 1,
     config: EcoLifeConfig | None = None,
 ) -> dict[str, SimulationResult | "ResultSummary"]:
-    """Run several schedulers over the same scenario.
+    """Run the named schemes over the same scenario, keyed by name.
 
-    Values may be factories (callables) or sweep-runner registry names
-    (strings, see :data:`repro.experiments.runner.SCHEDULERS`). With
-    ``n_workers > 1`` every scheduler must be a registry name; the suite
-    then fans out over a process pool and returns
-    :class:`~repro.experiments.runner.ResultSummary` aggregates (identical
-    numbers to the serial path, but without per-invocation records).
-    ``config`` reaches registry-name schedulers (EcoLife variants) on both
-    paths; factories close over their own config.
+    Every name resolves through :mod:`repro.experiments.registry` (an
+    unknown one raises its ``KeyError`` before anything runs) and gets
+    ``config``. With ``n_workers > 1`` the suite fans out over a process
+    pool and returns :class:`~repro.experiments.runner.ResultSummary`
+    aggregates (identical numbers to the serial path, but without
+    per-invocation records).
     """
+    factories = {name: scheduler_factory(name) for name in names}
     if n_workers > 1:
         from repro.experiments.runner import ParallelRunner, RunnerJob
 
-        non_names = [n for n, f in schedulers.items() if not isinstance(f, str)]
-        if non_names:
-            raise ValueError(
-                "parallel run_suite needs registry scheduler names, got "
-                f"factories for {non_names}; use n_workers=1 or names from "
-                "repro.experiments.runner.SCHEDULERS"
-            )
         jobs = [
-            RunnerJob(scheduler=f, scenario=scenario, config=config)
-            for f in schedulers.values()
+            RunnerJob(scheduler=name, scenario=scenario, config=config)
+            for name in factories
         ]
         summaries = ParallelRunner(n_workers=n_workers).run(jobs)
-        return dict(zip(schedulers, summaries))
-
-    out: dict[str, SimulationResult] = {}
-    for name, f in schedulers.items():
-        if isinstance(f, str):
-            from repro.experiments.runner import make_scheduler
-
-            registry_name = f
-            f = lambda: make_scheduler(registry_name, config)  # noqa: E731
-        out[name] = run_scheduler(f, scenario)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# The paper's scheme registry (fresh factories; engines are single-use).
-# ---------------------------------------------------------------------------
-
-
-def ecolife_factory(config: EcoLifeConfig | None = None) -> SchedulerFactory:
-    """Factory for the default EcoLife scheduler."""
-    return lambda: EcoLifeScheduler(config or EcoLifeConfig())
-
-
-def paper_schemes(config: EcoLifeConfig | None = None) -> dict[str, SchedulerFactory]:
-    """The scheme set of Figs. 4/7/9: oracles, fixed baselines, EcoLife."""
+        return dict(zip(factories, summaries))
     return {
-        "co2-opt": co2_opt,
-        "service-time-opt": service_time_opt,
-        "energy-opt": energy_opt,
-        "oracle": oracle,
-        "new-only": new_only,
-        "old-only": old_only,
-        "ecolife": ecolife_factory(config),
+        name: run_scheduler(factory(config), scenario)
+        for name, factory in factories.items()
     }

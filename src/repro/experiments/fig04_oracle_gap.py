@@ -15,15 +15,9 @@ from dataclasses import dataclass
 
 from repro.analysis.comparison import SchemePoint, relative_to_opts
 from repro.analysis.reporting import scatter_table
-from repro.baselines import co2_opt, energy_opt, oracle, service_time_opt
 from repro.experiments.common import Scenario, default_scenario, run_suite
 
-SCHEMES = {
-    "co2-opt": co2_opt,
-    "service-time-opt": service_time_opt,
-    "energy-opt": energy_opt,
-    "oracle": oracle,
-}
+SCHEMES = ("co2-opt", "service-time-opt", "energy-opt", "oracle")
 
 
 @dataclass(frozen=True)

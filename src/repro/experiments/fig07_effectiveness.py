@@ -11,14 +11,8 @@ from dataclasses import dataclass
 
 from repro.analysis.comparison import SchemePoint, gap_pp, relative_to_opts
 from repro.analysis.reporting import scatter_table
-from repro.baselines import co2_opt, energy_opt, oracle, service_time_opt
 from repro.core import EcoLifeConfig
-from repro.experiments.common import (
-    Scenario,
-    default_scenario,
-    ecolife_factory,
-    run_suite,
-)
+from repro.experiments.common import Scenario, default_scenario, run_suite
 
 
 @dataclass(frozen=True)
@@ -59,14 +53,11 @@ def run_fig07(
 ) -> Fig07Result:
     """Run EcoLife plus all oracle solutions (the headline figure)."""
     scenario = scenario or default_scenario()
-    schemes = {
-        "co2-opt": co2_opt,
-        "service-time-opt": service_time_opt,
-        "energy-opt": energy_opt,
-        "oracle": oracle,
-        "ecolife": ecolife_factory(config),
-    }
-    results = run_suite(schemes, scenario)
+    results = run_suite(
+        ["co2-opt", "service-time-opt", "energy-opt", "oracle", "ecolife"],
+        scenario,
+        config=config,
+    )
     return Fig07Result(
         points=relative_to_opts(results), scenario_label=scenario.label
     )

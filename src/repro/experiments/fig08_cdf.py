@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 from repro.analysis.reporting import ascii_table
 from repro.analysis.stats import CDF, per_invocation_pct_increase
-from repro.baselines import co2_opt, oracle, service_time_opt
-from repro.experiments.common import (
-    Scenario,
-    default_scenario,
-    ecolife_factory,
-    run_suite,
-)
+from repro.experiments.common import Scenario, default_scenario, run_suite
 
 
 @dataclass(frozen=True)
@@ -61,13 +55,9 @@ class Fig08Result:
 def run_fig08(scenario: Scenario | None = None) -> Fig08Result:
     """Compute per-invocation CDFs of EcoLife and ORACLE."""
     scenario = scenario or default_scenario()
-    schemes = {
-        "co2-opt": co2_opt,
-        "service-time-opt": service_time_opt,
-        "oracle": oracle,
-        "ecolife": ecolife_factory(),
-    }
-    results = run_suite(schemes, scenario)
+    results = run_suite(
+        ["co2-opt", "service-time-opt", "oracle", "ecolife"], scenario
+    )
 
     svc_ref = results["service-time-opt"].service_times()
     co2_ref = results["co2-opt"].carbon_per_invocation()

@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 from repro.analysis.comparison import SchemePoint, relative_to_opts
 from repro.analysis.reporting import scatter_table
-from repro.baselines import co2_opt, new_only, old_only, oracle, service_time_opt
-from repro.experiments.common import (
-    Scenario,
-    default_scenario,
-    ecolife_factory,
-    run_suite,
-)
+from repro.experiments.common import Scenario, default_scenario, run_suite
 
 
 @dataclass(frozen=True)
@@ -58,15 +52,17 @@ class Fig09Result:
 def run_fig09(scenario: Scenario | None = None) -> Fig09Result:
     """Run EcoLife against the fixed NEW-ONLY / OLD-ONLY baselines."""
     scenario = scenario or default_scenario()
-    schemes = {
-        "co2-opt": co2_opt,
-        "service-time-opt": service_time_opt,
-        "oracle": oracle,
-        "ecolife": ecolife_factory(),
-        "new-only": new_only,
-        "old-only": old_only,
-    }
-    results = run_suite(schemes, scenario)
+    results = run_suite(
+        [
+            "co2-opt",
+            "service-time-opt",
+            "oracle",
+            "ecolife",
+            "new-only",
+            "old-only",
+        ],
+        scenario,
+    )
     return Fig09Result(
         points=relative_to_opts(results), scenario_label=scenario.label
     )

@@ -11,14 +11,8 @@ from dataclasses import dataclass
 
 from repro.analysis.comparison import SchemePoint, relative_to_opts
 from repro.analysis.reporting import scatter_table
-from repro.baselines import co2_opt, oracle, service_time_opt
-from repro.core import EcoLifeConfig, EcoLifeScheduler
-from repro.experiments.common import (
-    Scenario,
-    default_scenario,
-    ecolife_factory,
-    run_suite,
-)
+from repro.core import EcoLifeConfig
+from repro.experiments.common import Scenario, default_scenario, run_suite
 
 
 @dataclass(frozen=True)
@@ -55,14 +49,11 @@ def run_fig10(
 ) -> Fig10Result:
     """Run EcoLife with and without the DPSO extensions."""
     scenario = scenario or default_scenario()
-    schemes = {
-        "co2-opt": co2_opt,
-        "service-time-opt": service_time_opt,
-        "oracle": oracle,
-        "ecolife": ecolife_factory(config),
-        "ecolife-no-dpso": lambda: EcoLifeScheduler.without_dpso(config),
-    }
-    results = run_suite(schemes, scenario)
-    # Rename the ablation key to a stable label.
-    points = relative_to_opts(results)
-    return Fig10Result(points=points, scenario_label=scenario.label)
+    results = run_suite(
+        ["co2-opt", "service-time-opt", "oracle", "ecolife", "ecolife-no-dpso"],
+        scenario,
+        config=config,
+    )
+    return Fig10Result(
+        points=relative_to_opts(results), scenario_label=scenario.label
+    )

@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 from repro.analysis.comparison import SchemePoint, relative_to_opts
 from repro.analysis.reporting import scatter_table
-from repro.baselines import co2_opt, eco_new, eco_old, oracle, service_time_opt
-from repro.experiments.common import (
-    Scenario,
-    default_scenario,
-    ecolife_factory,
-    run_suite,
-)
+from repro.experiments.common import Scenario, default_scenario, run_suite
 
 
 @dataclass(frozen=True)
@@ -37,15 +31,10 @@ class Fig12Result:
 def run_fig12(scenario: Scenario | None = None) -> Fig12Result:
     """Run Eco-Old / Eco-New against full EcoLife and ORACLE."""
     scenario = scenario or default_scenario()
-    schemes = {
-        "co2-opt": co2_opt,
-        "service-time-opt": service_time_opt,
-        "oracle": oracle,
-        "ecolife": ecolife_factory(),
-        "eco-old": eco_old,
-        "eco-new": eco_new,
-    }
-    results = run_suite(schemes, scenario)
+    results = run_suite(
+        ["co2-opt", "service-time-opt", "oracle", "ecolife", "eco-old", "eco-new"],
+        scenario,
+    )
     return Fig12Result(
         points=relative_to_opts(results), scenario_label=scenario.label
     )

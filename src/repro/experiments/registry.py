@@ -1,12 +1,15 @@
-"""Public scheduler registry for the sweep runner.
+"""The scheme table: every scheduler name resolves here.
 
-Jobs reference schedulers by *name* so they stay picklable across
-process and machine boundaries (:class:`~repro.experiments.runner.RunnerJob`
-ships only the string; the executing worker resolves it back to a
-factory here). Historically the name table was a hard-coded dict inside
-``experiments/runner.py``; this module makes it an open registry so
-out-of-tree schedulers -- learned policies, remote-worker plugins --
-can join a sweep without editing runner code::
+Simulations, sweeps, figure drivers, TCP workers and examples all name
+schedulers by string and resolve the name through
+:func:`create_scheduler`, so this module is the one place that maps a
+scheme name to its constructor. Names keep sweep jobs picklable across
+process and machine boundaries
+(:class:`~repro.experiments.runner.RunnerJob` ships only the string).
+
+The paper's 13 schemes are registered below. Out-of-tree schedulers --
+learned policies, remote-worker plugins -- join a comparison by name
+without editing this module::
 
     from repro.experiments.registry import register_scheduler
 
@@ -28,14 +31,17 @@ runs would leak state between scenarios.
 from __future__ import annotations
 
 import types
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import Callable, Mapping
 
-if TYPE_CHECKING:
-    from repro.core import EcoLifeConfig
-    from repro.simulator import BaseScheduler
+from repro.baselines.fixed import new_only, old_only
+from repro.baselines.oracle import co2_opt, energy_opt, oracle, service_time_opt
+from repro.core import EcoLifeConfig, EcoLifeScheduler
+from repro.core.config import OptimizerKind
+from repro.hardware.specs import Generation
+from repro.simulator import BaseScheduler
 
 #: A named scheduler recipe: ``factory(config) -> fresh scheduler``.
-SchedulerFactory = Callable[["EcoLifeConfig | None"], "BaseScheduler"]
+SchedulerFactory = Callable[[EcoLifeConfig | None], BaseScheduler]
 
 #: The live name table. Exposed read-only through
 #: :func:`list_schedulers` / :func:`scheduler_factory`; mutate it only
@@ -45,7 +51,7 @@ _REGISTRY: dict[str, SchedulerFactory] = {}
 
 #: Read-only live view of the registry, for callers that want mapping
 #: semantics (``name in REGISTRY``, ``REGISTRY[name]``) without write
-#: access. :data:`repro.experiments.runner.SCHEDULERS` aliases this.
+#: access.
 REGISTRY: Mapping[str, SchedulerFactory] = types.MappingProxyType(_REGISTRY)
 
 
@@ -78,8 +84,8 @@ def register_scheduler(
 def unregister_scheduler(name: str) -> None:
     """Remove ``name`` from the registry (missing names are a no-op).
 
-    Exists for tests and plugin reloads; the built-in names re-register
-    when :mod:`repro.experiments.runner` is (re)imported.
+    Exists for tests and plugin reloads; a removed built-in stays gone
+    until this module is reloaded.
     """
     _REGISTRY.pop(name, None)
 
@@ -104,7 +110,44 @@ def scheduler_factory(name: str) -> SchedulerFactory:
 
 
 def create_scheduler(
-    name: str, config: "EcoLifeConfig | None" = None
-) -> "BaseScheduler":
+    name: str, config: EcoLifeConfig | None = None
+) -> BaseScheduler:
     """Instantiate a fresh registered scheduler by name."""
     return scheduler_factory(name)(config)
+
+
+# ---------------------------------------------------------------------------
+# The paper's schemes (Sec. IV-C, V). Each EcoLife variant is one config
+# transform; the oracles and fixed baselines ignore the config.
+# ---------------------------------------------------------------------------
+
+
+def _ecolife(
+    variant: Callable[[EcoLifeConfig], EcoLifeConfig],
+) -> SchedulerFactory:
+    def factory(config: EcoLifeConfig | None) -> BaseScheduler:
+        return EcoLifeScheduler(variant(config or EcoLifeConfig()))
+
+    return factory
+
+
+_BUILTINS: dict[str, SchedulerFactory] = {
+    "ecolife": _ecolife(lambda c: c),
+    # Fig. 10: vanilla PSO weights, no perception-response.
+    "ecolife-no-dpso": _ecolife(EcoLifeConfig.without_dpso),
+    # Fig. 11: no warm-pool adjustment.
+    "ecolife-no-adjust": _ecolife(EcoLifeConfig.without_adjustment),
+    # Fig. 12: one generation for keep-alive and execution alike.
+    "eco-old": _ecolife(lambda c: c.single_generation(Generation.OLD)),
+    "eco-new": _ecolife(lambda c: c.single_generation(Generation.NEW)),
+    # Sec. IV-C optimizer comparison: only the KDM's optimizer changes.
+    "ecolife-ga": _ecolife(lambda c: c.with_optimizer(OptimizerKind.GENETIC)),
+    "ecolife-sa": _ecolife(lambda c: c.with_optimizer(OptimizerKind.ANNEALING)),
+    "co2-opt": lambda config: co2_opt(),
+    "service-time-opt": lambda config: service_time_opt(),
+    "energy-opt": lambda config: energy_opt(),
+    "oracle": lambda config: oracle(),
+    "new-only": lambda config: new_only(),
+    "old-only": lambda config: old_only(),
+}
+_REGISTRY.update(_BUILTINS)

@@ -28,9 +28,8 @@ Workers return :class:`ResultSummary`, a frozen aggregate that mirrors the
 (``total_carbon_g``, ``mean_service_s``, ``warm_ratio``, ...), so the
 "% vs oracle" helpers work on both.
 
-Scheduler names resolve through the open registry in
-:mod:`repro.experiments.registry`; the paper's 13 built-in schemes are
-registered below, and plugins add their own with
+Scheduler names resolve through :mod:`repro.experiments.registry`,
+which holds the paper's 13 schemes; plugins add their own with
 ``@register_scheduler("name")``.
 """
 
@@ -46,125 +45,11 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
-from repro.core import EcoLifeConfig, EcoLifeScheduler
+from repro.core import EcoLifeConfig
 from repro.experiments.common import Scenario, run_scheduler, workload_scenario
-from repro.experiments.registry import (
-    REGISTRY,
-    create_scheduler,
-    is_registered,
-    list_schedulers,
-    register_scheduler,
-)
-from repro.hardware.specs import Generation
-from repro.simulator import BaseScheduler, RecordArrays, SimulationResult
+from repro.experiments.registry import create_scheduler, scheduler_factory
+from repro.simulator import RecordArrays, SimulationResult
 from repro.workloads.generators import AZURE_WORKLOAD, WorkloadSpec
-
-# ---------------------------------------------------------------------------
-# Built-in schedulers (names -> factories, via the public registry).
-# ---------------------------------------------------------------------------
-
-
-@register_scheduler("ecolife")
-def _make_ecolife(config: EcoLifeConfig | None) -> BaseScheduler:
-    return EcoLifeScheduler(config or EcoLifeConfig())
-
-
-@register_scheduler("ecolife-no-dpso")
-def _make_ecolife_no_dpso(config: EcoLifeConfig | None) -> BaseScheduler:
-    return EcoLifeScheduler.without_dpso(config)
-
-
-@register_scheduler("ecolife-no-adjust")
-def _make_ecolife_no_adjust(config: EcoLifeConfig | None) -> BaseScheduler:
-    return EcoLifeScheduler.without_adjustment(config)
-
-
-@register_scheduler("eco-old")
-def _make_eco_old(config: EcoLifeConfig | None) -> BaseScheduler:
-    return EcoLifeScheduler.single_generation(Generation.OLD, config)
-
-
-@register_scheduler("eco-new")
-def _make_eco_new(config: EcoLifeConfig | None) -> BaseScheduler:
-    return EcoLifeScheduler.single_generation(Generation.NEW, config)
-
-
-@register_scheduler("ecolife-ga")
-def _make_ecolife_ga(config: EcoLifeConfig | None) -> BaseScheduler:
-    from repro.baselines import ga_scheduler
-
-    return ga_scheduler(config)
-
-
-@register_scheduler("ecolife-sa")
-def _make_ecolife_sa(config: EcoLifeConfig | None) -> BaseScheduler:
-    from repro.baselines import sa_scheduler
-
-    return sa_scheduler(config)
-
-
-@register_scheduler("co2-opt")
-def _make_co2_opt(config: EcoLifeConfig | None) -> BaseScheduler:  # noqa: ARG001 - baselines ignore the config
-    from repro.baselines import co2_opt
-
-    return co2_opt()
-
-
-@register_scheduler("service-time-opt")
-def _make_service_time_opt(config: EcoLifeConfig | None) -> BaseScheduler:  # noqa: ARG001
-    from repro.baselines import service_time_opt
-
-    return service_time_opt()
-
-
-@register_scheduler("energy-opt")
-def _make_energy_opt(config: EcoLifeConfig | None) -> BaseScheduler:  # noqa: ARG001
-    from repro.baselines import energy_opt
-
-    return energy_opt()
-
-
-@register_scheduler("oracle")
-def _make_oracle(config: EcoLifeConfig | None) -> BaseScheduler:  # noqa: ARG001
-    from repro.baselines import oracle
-
-    return oracle()
-
-
-@register_scheduler("new-only")
-def _make_new_only(config: EcoLifeConfig | None) -> BaseScheduler:  # noqa: ARG001
-    from repro.baselines import new_only
-
-    return new_only()
-
-
-@register_scheduler("old-only")
-def _make_old_only(config: EcoLifeConfig | None) -> BaseScheduler:  # noqa: ARG001
-    from repro.baselines import old_only
-
-    return old_only()
-
-
-#: Back-compat alias: the live (read-only) registry mapping. Jobs
-#: reference schedulers by name, and the executing worker resolves the
-#: name through :mod:`repro.experiments.registry`; register new entries
-#: with ``@register_scheduler("name")``, not by mutating this mapping.
-SCHEDULERS = REGISTRY
-
-#: The built-in (paper) scheme names, frozen at import time in their
-#: historical order. Dynamically registered plugins appear in
-#: :func:`repro.experiments.registry.list_schedulers`, not here.
-SCHEDULER_NAMES: tuple[str, ...] = tuple(SCHEDULERS)
-
-
-def make_scheduler(name: str, config: EcoLifeConfig | None = None) -> BaseScheduler:
-    """Instantiate a registered scheduler by name.
-
-    Thin back-compat wrapper over
-    :func:`repro.experiments.registry.create_scheduler`.
-    """
-    return create_scheduler(name, config)
-
 
 # ---------------------------------------------------------------------------
 # Scenario specs and grids.
@@ -338,11 +223,7 @@ class RunnerJob:
     def __post_init__(self) -> None:
         if (self.spec is None) == (self.scenario is None):
             raise ValueError("exactly one of spec/scenario must be provided")
-        if not is_registered(self.scheduler):
-            raise KeyError(
-                f"unknown scheduler {self.scheduler!r}; "
-                f"registered: {list(list_schedulers())}"
-            )
+        scheduler_factory(self.scheduler)  # unknown names raise, listing options
 
     @property
     def scenario_label(self) -> str:
@@ -470,7 +351,7 @@ def execute_job(job: RunnerJob) -> ResultSummary:
     makes ``n_workers > 1`` results identical to the serial path.
     """
     scenario = job.build_scenario()
-    result = run_scheduler(make_scheduler(job.scheduler, job.config), scenario)
+    result = run_scheduler(create_scheduler(job.scheduler, job.config), scenario)
     return ResultSummary.from_result(result, scenario_label=scenario.label)
 
 
@@ -479,7 +360,7 @@ def execute_job_with_records(job: RunnerJob) -> tuple[ResultSummary, RecordArray
     records in columnar form (what the record-persisting cache stores as
     compressed ``.npz``). The simulation itself is identical."""
     scenario = job.build_scenario()
-    result = run_scheduler(make_scheduler(job.scheduler, job.config), scenario)
+    result = run_scheduler(create_scheduler(job.scheduler, job.config), scenario)
     summary = ResultSummary.from_result(result, scenario_label=scenario.label)
     return summary, result.record_arrays()
 
@@ -688,26 +569,24 @@ class Executor(Protocol):
 
     An executor turns submitted :class:`RunnerJob`\\ s into future-like
     handles (plain :class:`concurrent.futures.Future` objects resolving
-    to a :data:`JobOutcome`) and streams them back as they finish. Two
-    capability flags tell the runner how the backend behaves:
+    to a :data:`JobOutcome`) and streams them back as they finish. One
+    capability flag tells the runner how the backend behaves:
+    ``commits_results`` (cache locality): ``True`` means the backend
+    already commits summaries/records into the shared
+    :class:`ResultCache` as they land (the TCP job server commits
+    server-side, at most once per job), so the runner must not write
+    them again. ``False`` means the runner owns the cache write.
 
-    - ``commits_results`` (cache locality): ``True`` means the backend
-      already commits summaries/records into the shared
-      :class:`ResultCache` as they land (the TCP job server commits
-      server-side, at most once per job), so the runner must not write
-      them again. ``False`` means the runner owns the cache write.
-    - ``retries_jobs`` (crash semantics): ``True`` means a lost worker
-      is retried internally and a *failed future* signals an exhausted
-      retry budget (:class:`JobFailedError`). ``False`` means a worker
-      crash breaks the whole backend (``BrokenProcessPool``) and every
-      unfinished future fails at once.
+    A backend reports a lost job by failing its future:
+    :class:`JobFailedError` once an internal retry budget is exhausted,
+    or ``BrokenProcessPool`` when a worker crash breaks the whole pool;
+    the runner classifies failures by exception type.
 
     Shipped backends: :class:`LocalPoolExecutor` (this module) and
     :class:`repro.distributed.TcpExecutor`.
     """
 
     commits_results: bool
-    retries_jobs: bool
 
     def submit(
         self, job: RunnerJob, with_records: bool = False
@@ -728,8 +607,7 @@ class JobFailedError(RuntimeError):
     """One job failed permanently inside an executor backend.
 
     Set as a job future's exception by backends with internal retry
-    (``retries_jobs=True``) once the job's bounded retry budget is
-    exhausted -- e.g. the TCP fabric after repeated lease expiries or
+    once the job's bounded retry budget is exhausted -- e.g. the TCP fabric after repeated lease expiries or
     worker-side errors. :class:`ParallelRunner` aggregates these
     (together with ``BrokenProcessPool``) into one
     :class:`WorkerCrashError` naming every lost job.
@@ -758,7 +636,6 @@ class LocalPoolExecutor:
     """
 
     commits_results = False
-    retries_jobs = False
 
     def __init__(self, n_workers: int | None = None) -> None:
         self.n_workers = (

@@ -55,17 +55,16 @@ def run_optimizer_comparison(
 ) -> OptimizerComparisonResult:
     """Run PSO-, GA- and SA-driven EcoLife on the same scenario.
 
-    The three schemes are sweep-runner registry names, so ``n_workers``
-    fans them out over a process pool (identical numbers to the serial
-    path).
+    ``n_workers`` fans the three schemes out over a process pool
+    (identical numbers to the serial path).
     """
     scenario = scenario or default_scenario()
-    schemes = {
-        "ecolife": "ecolife",
-        "ecolife-ga": "ecolife-ga",
-        "ecolife-sa": "ecolife-sa",
-    }
-    results = run_suite(schemes, scenario, n_workers=n_workers, config=config)
+    results = run_suite(
+        ["ecolife", "ecolife-ga", "ecolife-sa"],
+        scenario,
+        n_workers=n_workers,
+        config=config,
+    )
     return OptimizerComparisonResult(
         service_s={n: r.mean_service_s for n, r in results.items()},
         carbon_g={n: r.total_carbon_g for n, r in results.items()},

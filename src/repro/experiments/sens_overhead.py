@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import Scenario, default_scenario, ecolife_factory, run_scheduler
+from repro.experiments.common import Scenario, default_scenario, run_scheduler
+from repro.experiments.registry import create_scheduler
 
 #: Controller node (Sec. V): Intel Skylake-SP, 16 cores, 64 GB.
 CONTROLLER_POWER_W = 150.0
@@ -56,7 +57,7 @@ class OverheadResult:
 def run_overhead(scenario: Scenario | None = None) -> OverheadResult:
     """Measure EcoLife's wall-clock decision overhead during replay."""
     scenario = scenario or default_scenario()
-    res = run_scheduler(ecolife_factory(), scenario)
+    res = run_scheduler(create_scheduler("ecolife"), scenario)
     wall = res.total_decision_wall_s
     mean_ci = scenario.ci_trace.mean(0.0, max(scenario.trace.duration_s, 1.0))
     decision_carbon = CONTROLLER_POWER_W * wall / 3600.0 * mean_ci / 1000.0

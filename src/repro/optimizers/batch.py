@@ -119,7 +119,7 @@ class SwarmFleet:
     ``params=None`` gives the vanilla-PSO fleet (fixed weights, cached
     best scores, no perception-response), mirroring
     ``ParticleSwarm(rescore_bests=False)``; passing :class:`DPSOParams`
-    gives the DPSO fleet (re-scored bests, :meth:`perceive`).
+    gives the DPSO fleet (re-scored bests, :meth:`perceive_batch`).
     """
 
     # Stacked per-swarm arrays, allocated by :meth:`_alloc` from
@@ -255,10 +255,6 @@ class SwarmFleet:
 
     def is_live(self, index: int) -> bool:
         return 0 <= index < self._m and bool(self._live[index])
-
-    def live_indices(self) -> np.ndarray:
-        """Slot indices of all live swarms, ascending."""
-        return np.flatnonzero(self._live[: self._m])
 
     def rng_of(self, index: int) -> np.random.Generator:
         self._require_live(index)
@@ -419,41 +415,6 @@ class SwarmFleet:
 
     # -- perception-response (DPSO) -------------------------------------------
 
-    def perceive(self, index: int, delta_f: float, delta_ci: float) -> bool:
-        """Per-swarm DPSO perception (dynamic weights + redistribution).
-
-        Scalar bookkeeping stays in Python floats so the weight values
-        (and any redistribution RNG draws) are bit-identical to the
-        sequential implementation.
-        """
-        if not self.dynamic:
-            raise RuntimeError("perceive() requires a DPSOParams-configured fleet")
-        self._require_live(index)
-        p = self.params
-        df = abs(float(delta_f))
-        dci = abs(float(delta_ci))
-        df_max = max(float(self._df_max[index]), df)
-        dci_max = max(float(self._dci_max[index]), dci)
-        self._df_max[index] = df_max
-        self._dci_max[index] = dci_max
-
-        nf = df / df_max if df_max > 0.0 else 0.0
-        nci = dci / dci_max if dci_max > 0.0 else 0.0
-        change = nf + nci
-        self.last_perception[index] = change
-
-        self.omega[index] = float(
-            np.clip(p.omega_max * change, p.omega_min, p.omega_max)
-        )
-        c = float(np.clip(p.c_max * (1.0 - change), p.c_min, p.c_max))
-        self.c1[index] = c
-        self.c2[index] = c
-
-        if change > p.perception_threshold:
-            self.redistribute(index, p.redistribute_fraction)
-            return True
-        return False
-
     def perceive_batch(
         self,
         indices: Sequence[int] | np.ndarray,
@@ -462,9 +423,11 @@ class SwarmFleet:
     ) -> np.ndarray:
         """Vectorised DPSO perception for a batch of swarms.
 
-        Per element this computes exactly what :meth:`perceive` computes
-        -- the weight updates are elementwise float64, so the values are
-        bit-identical to the scalar path regardless of batch shape.
+        Per element this computes exactly what the sequential
+        ``DynamicPSO.perceive`` oracle (``tests/oracles``) computes for
+        one swarm -- the weight updates are elementwise
+        float64, so the values are bit-identical to the scalar oracle
+        regardless of batch shape.
         Redistribution of the triggered swarms loops per swarm, because
         each swarm's private stream must advance in its own draw order.
         Returns the boolean fired mask (aligned with ``indices``).

@@ -1,16 +1,10 @@
-"""Fixed baselines, Eco-Old/Eco-New, GA/SA schedulers."""
+"""Fixed baselines, and the registry's Eco-Old/Eco-New and GA/SA schemes."""
 
 import pytest
 
-from repro.baselines import (
-    eco_new,
-    eco_old,
-    ga_scheduler,
-    new_only,
-    old_only,
-    sa_scheduler,
-)
+from repro.baselines import new_only, old_only
 from repro.carbon import CarbonIntensityTrace
+from repro.experiments.registry import create_scheduler
 from repro.hardware import PAIR_A, Generation
 from repro.simulator import SimulationConfig, SimulationEngine
 from repro.workloads import FunctionProfile, InvocationTrace
@@ -72,28 +66,25 @@ class TestFixedBaselines:
 
 class TestStaticEco:
     def test_names(self):
-        assert eco_old().name == "eco-old"
-        assert eco_new().name == "eco-new"
+        assert create_scheduler("eco-old").name == "eco-old"
+        assert create_scheduler("eco-new").name == "eco-new"
 
     def test_eco_old_stays_old(self):
         f = _func()
-        res = run([(i * 120.0, f) for i in range(8)], eco_old())
+        res = run([(i * 120.0, f) for i in range(8)], create_scheduler("eco-old"))
         assert all(r.location is Generation.OLD for r in res.records)
 
     def test_eco_new_stays_new(self):
         f = _func()
-        res = run([(i * 120.0, f) for i in range(8)], eco_new())
+        res = run([(i * 120.0, f) for i in range(8)], create_scheduler("eco-new"))
         assert all(r.location is Generation.NEW for r in res.records)
 
 
 class TestHeuristicSchedulers:
-    @pytest.mark.parametrize("factory,name", [
-        (ga_scheduler, "ecolife-ga"),
-        (sa_scheduler, "ecolife-sa"),
-    ])
-    def test_runs_and_named(self, factory, name):
+    @pytest.mark.parametrize("name", ["ecolife-ga", "ecolife-sa"])
+    def test_runs_and_named(self, name):
         f = _func()
-        sched = factory()
+        sched = create_scheduler(name)
         res = run([(i * 150.0, f) for i in range(8)], sched)
         assert res.scheduler_name == name
         assert len(res) == 8

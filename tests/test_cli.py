@@ -3,6 +3,11 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.registry import (
+    list_schedulers,
+    register_scheduler,
+    unregister_scheduler,
+)
 
 
 class TestParser:
@@ -37,6 +42,38 @@ class TestCommands:
 
     def test_simulate_unknown_scheduler(self, capsys):
         assert main(["simulate", "--scheduler", "nope"]) == 2
+        assert "'eco-old'" in capsys.readouterr().out  # lists the options
+
+    @staticmethod
+    def _simulated_scheduler_line(capsys, name):
+        code = main(
+            ["simulate", "--scheduler", name, "--functions", "4", "--hours", "0.25"]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        return next(line for line in lines if line.startswith("scheduler "))
+
+    @pytest.mark.parametrize("name", list_schedulers())
+    def test_simulate_runs_every_registered_scheme(self, capsys, name):
+        line = self._simulated_scheduler_line(capsys, name)
+        assert line.split(":", 1)[1].strip() == name
+
+    def test_simulate_runs_a_registered_plugin(self, capsys):
+        from repro.baselines import new_only
+
+        name = "test-cli-plugin"
+
+        def factory(config):
+            sched = new_only()
+            sched.name = name
+            return sched
+
+        register_scheduler(name)(factory)
+        try:
+            line = self._simulated_scheduler_line(capsys, name)
+        finally:
+            unregister_scheduler(name)
+        assert line.split(":", 1)[1].strip() == name
 
     def test_simulate_small(self, capsys):
         code = main(

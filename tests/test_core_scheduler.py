@@ -74,19 +74,19 @@ class TestBasicBehaviour:
 class TestVariants:
     def test_single_generation_old_never_uses_new(self):
         f = _func("x")
-        sched = EcoLifeScheduler.single_generation(Generation.OLD)
+        sched = EcoLifeScheduler(EcoLifeConfig().single_generation(Generation.OLD))
         res = run(periodic_events(f, 120.0, 12), sched)
         assert all(r.location is Generation.OLD for r in res.records)
-        assert "old-only" in res.scheduler_name
+        assert res.scheduler_name == "eco-old"
 
     def test_single_generation_new_never_uses_old(self):
         f = _func("x")
-        sched = EcoLifeScheduler.single_generation(Generation.NEW)
+        sched = EcoLifeScheduler(EcoLifeConfig().single_generation(Generation.NEW))
         res = run(periodic_events(f, 120.0, 12), sched)
         assert all(r.location is Generation.NEW for r in res.records)
 
     def test_without_dpso_uses_vanilla_swarm(self):
-        sched = EcoLifeScheduler.without_dpso()
+        sched = EcoLifeScheduler(EcoLifeConfig().without_dpso())
         run(periodic_events(_func("x"), 120.0, 5), sched)
         assert sched.kdm.use_fleet
         fleet = sched.kdm._fleet_for_config()
@@ -108,18 +108,26 @@ class TestVariants:
             (OptimizerKind.GENETIC, GeneticOptimizer),
             (OptimizerKind.ANNEALING, SimulatedAnnealing),
         ):
-            sched = EcoLifeScheduler.with_optimizer(kind)
+            sched = EcoLifeScheduler(EcoLifeConfig().with_optimizer(kind))
             res = run(periodic_events(_func("x"), 150.0, 6), sched)
             assert isinstance(sched.kdm.optimizer_for("x"), cls)
             assert len(res) == 6
 
     def test_variant_names(self):
-        assert EcoLifeScheduler.without_dpso().name == "ecolife-no-dpso"
-        assert EcoLifeScheduler.without_adjustment().name == "ecolife-no-adjust"
+        cfg = EcoLifeConfig()
+        assert EcoLifeScheduler(cfg.without_dpso()).name == "ecolife-no-dpso"
+        assert EcoLifeScheduler(cfg.without_adjustment()).name == "ecolife-no-adjust"
         assert (
-            EcoLifeScheduler.with_optimizer(OptimizerKind.GENETIC).name
+            EcoLifeScheduler(cfg.with_optimizer(OptimizerKind.GENETIC)).name
             == "ecolife-ga"
         )
+        # Single-generation configs are the paper's Eco-Old / Eco-New;
+        # other transforms compose onto that prefix.
+        old = cfg.single_generation(Generation.OLD)
+        assert EcoLifeScheduler(old).name == "eco-old"
+        assert EcoLifeScheduler(old.without_adjustment()).name == "eco-old-no-adjust"
+        new = cfg.single_generation(Generation.NEW)
+        assert EcoLifeScheduler(new).name == "eco-new"
 
 
 class TestMemoryPressureBehaviour:
@@ -149,14 +157,14 @@ class TestMemoryPressureBehaviour:
             pool_capacity_old_gb=3.0, pool_capacity_new_gb=3.0,
         )
         without = run(
-            events, EcoLifeScheduler.without_adjustment(),
+            events, EcoLifeScheduler(EcoLifeConfig().without_adjustment()),
             pool_capacity_old_gb=3.0, pool_capacity_new_gb=3.0,
         )
         # The paper's Fig. 11: adjustment keeps more functions warm.
         assert with_adj.warm_ratio >= without.warm_ratio
 
     def test_no_adjustment_ranking_keeps_incumbents(self):
-        sched = EcoLifeScheduler.without_adjustment()
+        sched = EcoLifeScheduler(EcoLifeConfig().without_adjustment())
         assert sched.allow_spill is False
         res = run(
             self._pressure_events(), sched,

@@ -16,7 +16,6 @@ variant lives in the CI ``distributed-smoke`` job.
 
 import asyncio
 import os
-import signal
 import subprocess
 import sys
 import threading
@@ -24,7 +23,11 @@ import time
 
 import pytest
 
-from repro.experiments.registry import register_scheduler, unregister_scheduler
+from repro.experiments.registry import (
+    create_scheduler,
+    register_scheduler,
+    unregister_scheduler,
+)
 from repro.experiments.runner import (
     JobFailedError,
     ParallelRunner,
@@ -33,7 +36,6 @@ from repro.experiments.runner import (
     ScenarioSpec,
     WorkerCrashError,
     execute_job,
-    make_scheduler,
 )
 from repro.distributed import (
     JobServer,
@@ -494,7 +496,7 @@ class TestJobServerUnit:
                         if record is None:
                             await asyncio.sleep(0.02)
                     try:
-                        make_scheduler("not-on-this-worker")
+                        create_scheduler("not-on-this-worker")
                     except KeyError as exc:
                         server.fail_attempt(record.job_id, repr(exc))
                 with pytest.raises(JobFailedError) as excinfo:

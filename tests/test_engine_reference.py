@@ -24,7 +24,7 @@ import repro.simulator.engine as engine_module
 from repro.carbon import CarbonIntensityTrace
 from repro.core import EcoLifeConfig, EcoLifeScheduler, OptimizerKind
 from repro.experiments import quick_scenario
-from repro.experiments.runner import SCHEDULER_NAMES, make_scheduler
+from repro.experiments.registry import create_scheduler, list_schedulers
 from repro.hardware import PAIR_A
 from repro.simulator import SimulationConfig, SimulationEngine
 from repro.workloads import FunctionProfile, InvocationTrace
@@ -102,11 +102,11 @@ def scenarios():
 
 
 @pytest.mark.parametrize("trace_kind", ["continuous", "minute"])
-@pytest.mark.parametrize("name", SCHEDULER_NAMES)
+@pytest.mark.parametrize("name", list_schedulers())
 def test_grouped_loop_matches_per_arrival_replay(name, trace_kind, scenarios):
     scenario = scenarios[trace_kind]
     config = scenario.sim_config
-    if make_scheduler(name).requires_lookahead:
+    if create_scheduler(name).requires_lookahead:
         config = config.uncapped()
 
     def engine() -> SimulationEngine:
@@ -117,8 +117,8 @@ def test_grouped_loop_matches_per_arrival_replay(name, trace_kind, scenarios):
             config=config,
         )
 
-    grouped = engine().run(make_scheduler(name))
-    reference = reference_replay(engine(), make_scheduler(name))
+    grouped = engine().run(create_scheduler(name))
+    reference = reference_replay(engine(), create_scheduler(name))
     assert len(grouped.records) == len(scenario.trace)
     assert_same_records(grouped, reference)
 

@@ -8,9 +8,13 @@ import pytest
 
 from repro.core import EcoLifeConfig, EcoLifeScheduler
 from repro.experiments import quick_scenario, run_suite
-from repro.experiments.registry import register_scheduler, unregister_scheduler
+from repro.experiments.registry import (
+    create_scheduler,
+    list_schedulers,
+    register_scheduler,
+    unregister_scheduler,
+)
 from repro.experiments.runner import (
-    SCHEDULER_NAMES,
     ParallelRunner,
     ResultCache,
     ResultSummary,
@@ -21,7 +25,6 @@ from repro.experiments.runner import (
     WorkerCrashError,
     execute_job,
     execute_job_with_records,
-    make_scheduler,
 )
 from repro.workloads.generators import WorkloadSpec
 from tests.oracles import sequential_ecolife
@@ -109,16 +112,16 @@ class TestScenarioGrid:
 
 class TestRegistry:
     def test_all_names_instantiate(self):
-        for name in SCHEDULER_NAMES:
-            sched = make_scheduler(name)
+        for name in list_schedulers():
+            sched = create_scheduler(name)
             assert hasattr(sched, "place")
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError, match="unknown scheduler"):
-            make_scheduler("nope")
+            create_scheduler("nope")
 
     def test_config_reaches_ecolife(self):
-        sched = make_scheduler("ecolife", EcoLifeConfig(seed=99))
+        sched = create_scheduler("ecolife", EcoLifeConfig(seed=99))
         assert isinstance(sched, EcoLifeScheduler)
         assert sched.config.seed == 99
 
@@ -409,9 +412,9 @@ class TestDriverParallelWiring:
     def test_ga_sa_registry_names(self):
         from repro.core.config import OptimizerKind
 
-        assert make_scheduler("ecolife-ga").config.optimizer is OptimizerKind.GENETIC
+        assert create_scheduler("ecolife-ga").config.optimizer is OptimizerKind.GENETIC
         assert (
-            make_scheduler("ecolife-sa").config.optimizer is OptimizerKind.ANNEALING
+            create_scheduler("ecolife-sa").config.optimizer is OptimizerKind.ANNEALING
         )
 
 
@@ -602,17 +605,33 @@ class TestRecordPersistence:
 class TestRunSuiteIntegration:
     def test_registry_names_serial(self):
         scenario = ScenarioSpec(n_functions=6, hours=0.5).build()
-        res = run_suite({"new-only": "new-only"}, scenario)
+        res = run_suite(["new-only"], scenario)
         assert res["new-only"].total_carbon_g > 0.0
 
     def test_parallel_requires_names(self):
         scenario = ScenarioSpec(n_functions=6, hours=0.5).build()
-        with pytest.raises(ValueError, match="registry scheduler names"):
-            run_suite({"x": lambda: None}, scenario, n_workers=2)
+        with pytest.raises(KeyError, match="registered:.*'new-only'"):
+            run_suite(["new-only", "x"], scenario, n_workers=2)
+
+    def test_unknown_name_raises_before_running(self, monkeypatch):
+        """Serial suites resolve every name first: an unknown one raises
+        the registry's KeyError (listing the valid names) and nothing
+        runs."""
+        import repro.experiments.common as common
+
+        ran = []
+        monkeypatch.setattr(
+            common, "run_scheduler", lambda sched, scenario: ran.append(sched)
+        )
+        scenario = ScenarioSpec(n_functions=6, hours=0.5).build()
+        with pytest.raises(KeyError, match="unknown scheduler 'x'; registered:") as exc:
+            run_suite(["new-only", "x"], scenario)
+        assert all(name in str(exc.value) for name in list_schedulers())
+        assert ran == []
 
     def test_parallel_matches_serial_suite(self):
         scenario = ScenarioSpec(n_functions=6, hours=0.5).build()
-        schedulers = {"oracle": "oracle", "new-only": "new-only"}
+        schedulers = ["oracle", "new-only"]
         serial = run_suite(schedulers, scenario)
         parallel = run_suite(schedulers, scenario, n_workers=2)
         for name in schedulers:

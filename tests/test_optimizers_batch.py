@@ -48,6 +48,11 @@ def batch_spheres(targets):
     return fn
 
 
+def perceive_one(fleet, index, delta_f, delta_ci):
+    """One swarm's DPSO perception through the fleet's batched pass."""
+    return bool(fleet.perceive_batch([index], [delta_f], [delta_ci])[0])
+
+
 def seeded_rngs(n, base=77):
     return [np.random.default_rng(base + i) for i in range(n)]
 
@@ -98,7 +103,7 @@ class TestFleetEquivalence:
             for i, solo in enumerate(solos):
                 solo.perceive(df, dci)
                 solo.step(sphere_at(targets[i]), iterations=3)
-            fired = [fleet.perceive(i, df, dci) for i in range(N_SWARMS)]
+            fired = [perceive_one(fleet, i, df, dci) for i in range(N_SWARMS)]
             fleet.step(idx, batch_spheres(targets), iterations=3)
             for i, solo in enumerate(solos):
                 assert_swarm_equal(solo, fleet, i)
@@ -124,7 +129,7 @@ class TestFleetEquivalence:
         for i in subset:
             solos[i].perceive(1.0, 1.0)
             solos[i].step(sphere_at(targets[i]), iterations=4)
-            fleet.perceive(int(i), 1.0, 1.0)
+            perceive_one(fleet, int(i), 1.0, 1.0)
         fleet.step(subset, batch_spheres(targets[subset]), iterations=4)
         for i, solo in enumerate(solos):
             assert_swarm_equal(solo, fleet, i)  # untouched swarms too
@@ -140,34 +145,31 @@ class TestFleetEquivalence:
         for i, solo in enumerate(solos):
             solo.perceive(2.0, 9.0)
             solo.step(sphere_at(targets[i]), iterations=3)
-            fleet.perceive(i, 2.0, 9.0)
+            perceive_one(fleet, i, 2.0, 9.0)
             fleet.step_one(i, sphere_at(targets[i]), iterations=3)
         for i, solo in enumerate(solos):
             assert_swarm_equal(solo, fleet, i)
 
     def test_perceive_batch_matches_scalar_perceive(self):
         """The vectorised perception pass (the KDM's fused path) is
-        bit-identical to per-swarm perceive(), including the
-        redistribution draw order."""
-        _, batched, targets = make_pairing()
-        _, scalar, _ = make_pairing()
+        bit-identical to the scalar ``DynamicPSO.perceive`` oracle per
+        swarm, including the redistribution draw order."""
+        solos, batched, targets = make_pairing()
         idx = np.arange(N_SWARMS)
         deltas = [(0.0, 0.0), (3.0, 40.0), (0.01, 0.1), (5.0, 10.0)]
         for df, dci in deltas:
             fired = batched.perceive_batch(
                 idx, np.full(N_SWARMS, df), np.full(N_SWARMS, dci)
             )
-            solo_fired = [scalar.perceive(i, df, dci) for i in range(N_SWARMS)]
-            assert fired.tolist() == solo_fired
+            assert fired.tolist() == [solo.perceive(df, dci) for solo in solos]
             batched.step(idx, batch_spheres(targets), iterations=2)
-            scalar.step(idx, batch_spheres(targets), iterations=2)
-        for i in range(N_SWARMS):
-            assert np.array_equal(batched.positions[i], scalar.positions[i])
-            assert np.array_equal(batched.omega[i], scalar.omega[i])
-            assert np.array_equal(batched.c1[i], scalar.c1[i])
-            assert np.array_equal(
-                batched.last_perception[i], scalar.last_perception[i]
-            )
+            for i, solo in enumerate(solos):
+                solo.step(sphere_at(targets[i]), iterations=2)
+        for i, solo in enumerate(solos):
+            assert_swarm_equal(solo, batched, i)
+            assert solo.omega == batched.omega[i]
+            assert solo.c1 == batched.c1[i]
+            assert solo.last_perception == batched.last_perception[i]
 
     def test_perceive_batch_validation(self):
         _, fleet, _ = make_pairing()
@@ -250,7 +252,7 @@ class TestFixedLandscapeStep:
                     fleet.redistribute(i, 0.5)
                 if dynamic:
                     solo.perceive(df, dci)
-                    fleet.perceive(i, df, dci)
+                    perceive_one(fleet, i, df, dci)
                 solo.step(self._fitness(tables[i]), iterations=iterations)
             if path == "step":
                 fleet.step(idx, self._fitness(tables), iterations=iterations)
@@ -280,7 +282,7 @@ class TestRetirement:
                 solo.perceive(df, dci)
                 solo.step(sphere_at(targets[i]), iterations=iters)
             for i in order:
-                fleet.perceive(slot[i], df, dci)
+                perceive_one(fleet, slot[i], df, dci)
             fleet.step(
                 [slot[i] for i in order],
                 batch_spheres(targets[order]),
@@ -297,7 +299,7 @@ class TestRetirement:
         for i in rest:
             solos[i].perceive(0.2, 0.4)
             solos[i].step(sphere_at(targets[i]), iterations=2)
-            fleet.perceive(slot[i], 0.2, 0.4)
+            perceive_one(fleet, slot[i], 0.2, 0.4)
         fleet.step(
             [slot[i] for i in rest], batch_spheres(targets[rest]), iterations=2
         )
@@ -351,7 +353,7 @@ class TestRetirement:
         for i in keep:
             solos[i].perceive(2.0, 9.0)
             solos[i].step(sphere_at(targets[i]), iterations=3)
-            fleet.perceive(slot[i], 2.0, 9.0)
+            perceive_one(fleet, slot[i], 2.0, 9.0)
         fleet.step(
             [slot[i] for i in keep],
             batch_spheres(targets[keep]),
@@ -381,7 +383,7 @@ class TestRetirement:
         with pytest.raises(IndexError, match="live"):
             fleet.retire(3)
         with pytest.raises(IndexError, match="live"):
-            fleet.perceive(3, 1.0, 1.0)
+            perceive_one(fleet, 3, 1.0, 1.0)
         with pytest.raises(IndexError, match="live"):
             fleet.step_one(3, sphere_at(0.5))
         with pytest.raises(IndexError, match="live"):
@@ -450,7 +452,9 @@ class TestRetirement:
                     np.full(len(live), df),
                     np.full(len(live), dci),
                 )
-                assert fired.tolist() == [twin.perceive(i, df, dci) for i in live]
+                assert fired.tolist() == [
+                    perceive_one(twin, i, df, dci) for i in live
+                ]
             elif op == "retire" and slot:
                 i = data.draw(st.sampled_from(sorted(slot)), label="retire")
                 archived[i] = subject.retire(slot.pop(i))
@@ -490,7 +494,7 @@ class TestFleetValidation:
         fleet = SwarmFleet(dim=2, n_particles=5)
         fleet.add_swarm(np.random.default_rng(0))
         with pytest.raises(RuntimeError, match="DPSOParams"):
-            fleet.perceive(0, 1.0, 1.0)
+            perceive_one(fleet, 0, 1.0, 1.0)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

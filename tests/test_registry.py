@@ -1,10 +1,9 @@
 """Scheduler registry, ``ResultCache.fetch_or_run``, and the Executor
-seam's local backend (ISSUE 8 satellites).
+seam's local backend.
 
-The registry replaces the old hard-coded ``_make_*`` dict in
-``experiments/runner.py``: jobs still reference schedulers by name (the
-picklable cross-process/machine currency), but out-of-tree code can now
-add names via ``@register_scheduler`` without editing runner code.
+The registry is the one table from scheme name to constructor: jobs
+reference schedulers by name (the picklable cross-process/machine
+currency), and out-of-tree code adds names via ``@register_scheduler``.
 """
 
 import pytest
@@ -20,15 +19,12 @@ from repro.experiments.registry import (
     unregister_scheduler,
 )
 from repro.experiments.runner import (
-    SCHEDULER_NAMES,
-    SCHEDULERS,
     LocalPoolExecutor,
     ResultCache,
     RunnerJob,
     ScenarioSpec,
     execute_job,
     execute_job_with_records,
-    make_scheduler,
     unpack_outcome,
 )
 from repro.simulator import BaseScheduler
@@ -68,29 +64,30 @@ class TestBuiltinRegistrations:
         names = list_schedulers()
         assert list(names) == sorted(names)
 
-    def test_scheduler_names_alias_preserves_historical_order(self):
-        # SCHEDULER_NAMES keeps the pre-registry tuple shape for
-        # back-compat callers; same membership as the registry builtins.
-        assert set(SCHEDULER_NAMES) == BUILTINS
-
     def test_schedulers_mapping_is_live_and_readonly(self, scratch_name):
-        assert SCHEDULERS is REGISTRY
         with pytest.raises(TypeError):
-            SCHEDULERS[scratch_name] = lambda config: None  # type: ignore[index]
+            REGISTRY[scratch_name] = lambda config: None  # type: ignore[index]
         register_scheduler(scratch_name)(
-            lambda config: make_scheduler("new-only")
+            lambda config: create_scheduler("new-only")
         )
-        assert scratch_name in SCHEDULERS  # live view, not a copy
+        assert scratch_name in REGISTRY  # live view, not a copy
 
     def test_every_builtin_constructs(self):
         for name in BUILTINS:
             assert isinstance(create_scheduler(name), BaseScheduler)
 
-    def test_make_scheduler_back_compat(self):
-        sched = make_scheduler("ecolife", EcoLifeConfig(seed=3))
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_builtin_reports_its_registry_name(self, name):
+        # One display name per scheme: what a result reports is what
+        # the scheme was asked for by.
+        assert create_scheduler(name).name == name
+
+    def test_create_scheduler_passes_config(self):
+        sched = create_scheduler("ecolife", EcoLifeConfig(seed=3))
         assert sched.name == "ecolife"
+        assert sched.config.seed == 3
         with pytest.raises(KeyError, match="unknown scheduler"):
-            make_scheduler("nope")
+            create_scheduler("nope")
 
 
 class TestRegisterScheduler:
@@ -100,7 +97,7 @@ class TestRegisterScheduler:
         @register_scheduler(scratch_name)
         def factory(config):
             calls.append(config)
-            return make_scheduler("new-only")
+            return create_scheduler("new-only")
 
         assert is_registered(scratch_name)
         assert scheduler_factory(scratch_name) is factory
@@ -110,18 +107,18 @@ class TestRegisterScheduler:
     def test_duplicate_registration_is_loud(self, scratch_name):
         @register_scheduler(scratch_name)
         def factory(config):
-            return make_scheduler("new-only")
+            return create_scheduler("new-only")
 
         with pytest.raises(ValueError, match="already registered"):
             register_scheduler(scratch_name)(
-                lambda config: make_scheduler("old-only")
+                lambda config: create_scheduler("old-only")
             )
 
     def test_same_factory_reregistration_is_idempotent(self, scratch_name):
         # Module re-imports re-run decorators with the same object; that
         # must not explode.
         def factory(config):
-            return make_scheduler("new-only")
+            return create_scheduler("new-only")
 
         register_scheduler(scratch_name)(factory)
         register_scheduler(scratch_name)(factory)
@@ -129,12 +126,12 @@ class TestRegisterScheduler:
 
     def test_replace_opt_in(self, scratch_name):
         register_scheduler(scratch_name)(
-            lambda config: make_scheduler("new-only")
+            lambda config: create_scheduler("new-only")
         )
 
         @register_scheduler(scratch_name, replace=True)
         def newer(config):
-            return make_scheduler("old-only")
+            return create_scheduler("old-only")
 
         assert scheduler_factory(scratch_name) is newer
 
@@ -152,7 +149,7 @@ class TestRegisterScheduler:
         with pytest.raises(KeyError, match="unknown scheduler"):
             RunnerJob(scheduler=scratch_name, spec=spec)
         register_scheduler(scratch_name)(
-            lambda config: make_scheduler("new-only")
+            lambda config: create_scheduler("new-only")
         )
         job = RunnerJob(scheduler=scratch_name, spec=spec)
         # A registered plugin name executes like a builtin.
@@ -225,7 +222,6 @@ class TestLocalPoolExecutor:
     def test_capability_flags(self):
         ex = LocalPoolExecutor(2)
         assert ex.commits_results is False
-        assert ex.retries_jobs is False
 
     def test_submit_and_as_completed_round_trip(self):
         jobs = self.jobs()

@@ -475,7 +475,7 @@ class TestArchiveSpill:
         a, b = fresh(), fresh()
         ia, ib = a.rehydrate(archive), b.rehydrate(loaded)
         for fleet_, i in ((a, ia), (b, ib)):
-            fleet_.perceive(i, 5.0, 40.0)
+            fleet_.perceive_batch([i], [5.0], [40.0])
             fleet_.step_one(i, sphere, iterations=3)
         for name in a._STACKED_STATE:
             assert np.array_equal(getattr(a, name)[ia], getattr(b, name)[ib])
