@@ -57,14 +57,14 @@ def bench_dpso_step(benchmark):
 
 
 def bench_arrival_estimator_queries(benchmark):
-    """Vectorised p_warm / expected-keep-alive over the K_AT grid."""
+    """Vectorised p_warm over the K_AT grid."""
     est = ArrivalEstimator()
     for t in np.cumsum(np.random.default_rng(1).exponential(120.0, 64)):
         est.observe(float(t))
     grid = np.arange(31, dtype=float) * 60.0
 
     def query():
-        return est.p_warm(grid), est.expected_keepalive_s(grid)
+        return est.p_warm(grid)
 
     benchmark(query)
 

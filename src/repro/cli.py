@@ -18,8 +18,36 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, TypeVar
 
 from repro.version import __version__
+
+_Num = TypeVar("_Num", int, float)
+
+
+def _bounded(
+    convert: type[_Num], low: _Num, *, inclusive: bool = False
+) -> Callable[[str], _Num]:
+    """An argparse ``type=`` that rejects values at or below ``low``
+    (below it when ``inclusive``), so a bad size fails at parse time
+    with a usage line instead of deep inside the model."""
+
+    def parse(text: str) -> _Num:
+        value = convert(text)
+        if not (value >= low if inclusive else value > low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>=' if inclusive else '>'} {low}, got {text!r}"
+            )
+        return value
+
+    # argparse names the converter in "invalid int value" messages.
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_POSITIVE_INT = _bounded(int, 0)
+_POSITIVE_FLOAT = _bounded(float, 0.0)
+_NON_NEGATIVE_FLOAT = _bounded(float, 0.0, inclusive=True)
 
 
 def _cmd_list_experiments(_args: argparse.Namespace) -> int:
@@ -450,12 +478,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim_p = sub.add_parser("simulate", help="run one scheduler on a scenario")
     sim_p.add_argument("--scheduler", default="ecolife")
-    sim_p.add_argument("--functions", type=int, default=60)
-    sim_p.add_argument("--hours", type=float, default=6.0)
+    sim_p.add_argument("--functions", type=_POSITIVE_INT, default=60)
+    sim_p.add_argument("--hours", type=_POSITIVE_FLOAT, default=6.0)
     sim_p.add_argument("--seed", type=int, default=7)
     sim_p.add_argument("--region", default="CAL")
     sim_p.add_argument("--pair", default="A")
-    sim_p.add_argument("--pool-gb", type=float, default=32.0)
+    sim_p.add_argument("--pool-gb", type=_NON_NEGATIVE_FLOAT, default=32.0)
     sim_p.add_argument(
         "--trace", default=None, metavar="FILE",
         help="replay a compiled columnar trace file (.npz from `ecolife "
@@ -469,7 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--regions", nargs="+", default=["CAL"])
     sweep_p.add_argument("--pairs", nargs="+", default=["A"])
     sweep_p.add_argument("--seeds", nargs="+", type=int, default=[7])
-    sweep_p.add_argument("--pool-gb", nargs="+", type=float, default=[32.0])
+    sweep_p.add_argument(
+        "--pool-gb", nargs="+", type=_NON_NEGATIVE_FLOAT, default=[32.0]
+    )
     sweep_p.add_argument(
         "--workloads", nargs="+", default=["azure"],
         help="workload generator families, as `name` or `name:key=val,...` "
@@ -479,14 +509,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--schedulers", nargs="+", default=["oracle", "ecolife"],
         help="sweep-runner registry names",
     )
-    sweep_p.add_argument("--functions", nargs="+", type=int, default=[60])
-    sweep_p.add_argument("--hours", nargs="+", type=float, default=[6.0])
+    sweep_p.add_argument("--functions", nargs="+", type=_POSITIVE_INT, default=[60])
+    sweep_p.add_argument("--hours", nargs="+", type=_POSITIVE_FLOAT, default=[6.0])
     sweep_p.add_argument(
-        "--kmax", nargs="+", type=float, default=[30.0],
+        "--kmax", nargs="+", type=_POSITIVE_FLOAT, default=[30.0],
         help="maximum keep-alive period axis (minutes)",
     )
     sweep_p.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_POSITIVE_INT, default=None,
         help="process-pool size (default: CPU count)",
     )
     sweep_p.add_argument(
@@ -563,8 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="fixture provider: reveal samples this far ahead of event time (s)",
     )
     serve_p.add_argument("--pair", default="A")
-    serve_p.add_argument("--pool-gb", type=float, default=32.0)
-    serve_p.add_argument("--kmax", type=float, default=30.0)
+    serve_p.add_argument("--pool-gb", type=_NON_NEGATIVE_FLOAT, default=32.0)
+    serve_p.add_argument("--kmax", type=_POSITIVE_FLOAT, default=30.0)
     serve_p.add_argument("--seed", type=int, default=2024)
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument("--port", type=int, default=8044)
@@ -606,8 +636,8 @@ def build_parser() -> argparse.ArgumentParser:
         "input; deterministic per seed)",
     )
     sample_p.add_argument("out", help="output CSV path")
-    sample_p.add_argument("--functions", type=int, default=128)
-    sample_p.add_argument("--hours", type=float, default=24.0)
+    sample_p.add_argument("--functions", type=_POSITIVE_INT, default=128)
+    sample_p.add_argument("--hours", type=_POSITIVE_FLOAT, default=24.0)
     sample_p.add_argument("--seed", type=int, default=2024)
 
     sub.add_parser("catalog", help="print the Table I hardware catalog")

@@ -2,7 +2,7 @@
 
 from repro.core.adjustment import WarmPoolAdjuster
 from repro.core.arrival import ArrivalEstimator, ArrivalRegistry
-from repro.core.config import EcoLifeConfig, KeepAliveExpectation, OptimizerKind
+from repro.core.config import EcoLifeConfig, OptimizerKind
 from repro.core.epdm import ExecutionPlacementDecisionMaker
 from repro.core.kdm import KeepAliveDecisionMaker
 from repro.core.objective import CostModel, ObjectiveBuilder
@@ -11,7 +11,6 @@ from repro.core.scheduler import EcoLifeScheduler
 __all__ = [
     "EcoLifeConfig",
     "OptimizerKind",
-    "KeepAliveExpectation",
     "ArrivalEstimator",
     "ArrivalRegistry",
     "CostModel",

@@ -25,21 +25,6 @@ class OptimizerKind(enum.Enum):
     ANNEALING = "sa"
 
 
-class KeepAliveExpectation(enum.Enum):
-    """How the objective charges the keep-alive term KC_{f,l,k}.
-
-    ``FULL_K`` is the paper's literal formula (carbon of the full period
-    ``k``) and the default: it penalises over-long keep-alive periods and
-    drives the swarm toward the shortest period that still yields warm
-    starts. ``EXPECTED_MIN`` charges ``E[min(IAT, k)]`` -- the keep-alive
-    actually accrued in simulation (a warm hit ends the period early) --
-    and is available for ablation.
-    """
-
-    FULL_K = "full_k"
-    EXPECTED_MIN = "expected_min"
-
-
 @dataclass(frozen=True)
 class EcoLifeConfig:
     """All knobs of the EcoLife scheduler."""
@@ -68,8 +53,6 @@ class EcoLifeConfig:
     prior_strength: float = 2.0
     # Search space: which generations may host keep-alive/execution.
     locations: tuple[Generation, ...] = GENERATIONS
-    # Keep-alive charging mode.
-    keepalive_expectation: KeepAliveExpectation = KeepAliveExpectation.FULL_K
     # KDM optimizer backend (GA/SA exist for the in-text comparison).
     optimizer: OptimizerKind = OptimizerKind.PSO
     # State retirement under function churn (both default off = today's
@@ -89,20 +72,6 @@ class EcoLifeConfig:
     #: every decision round (classic LRU behaviour when capacity <
     #: working set), costing replay throughput. ``None`` = uncapped.
     max_live_swarms: int | None = None
-    #: Spill retired-function archives (swarm rows + RNG state) to disk
-    #: under this directory once more than ``spill_archives_after`` sit
-    #: in memory. ``None`` (default) keeps every archive in memory.
-    #: Spilled archives are pickled :class:`~repro.core.kdm.
-    #: RetiredFunction` records; rehydration reads them back
-    #: bit-identically, so the knob only bounds resident memory for
-    #: truly unbounded tenant counts. The arrival-estimator shelf spills
-    #: under the same directory and cap (its own store instance): the
-    #: warm-pool adjuster's peek-without-revive read path reads through
-    #: the disk tier, so a spilled history looks exactly like a resident
-    #: one.
-    spill_dir: str | None = None
-    #: In-memory archive count that triggers spilling (oldest first).
-    spill_archives_after: int = 256
     # Determinism: each function's swarm draws from its own
     # ``np.random.Generator`` stream, seeded from this root and the
     # function's name.
@@ -127,8 +96,6 @@ class EcoLifeConfig:
             raise ValueError("retire_after_s must be > 0 (or None)")
         if self.max_live_swarms is not None and self.max_live_swarms < 1:
             raise ValueError("max_live_swarms must be >= 1 (or None)")
-        if self.spill_archives_after < 0:
-            raise ValueError("spill_archives_after must be >= 0")
 
     @property
     def retirement_enabled(self) -> bool:
@@ -152,28 +119,3 @@ class EcoLifeConfig:
     def with_optimizer(self, kind: OptimizerKind) -> "EcoLifeConfig":
         """GA-/SA-driven KDM for the in-text optimizer comparison."""
         return replace(self, optimizer=kind)
-
-    def with_retirement(
-        self,
-        retire_after_s: float | None = None,
-        max_live_swarms: int | None = None,
-        spill_dir: str | None = None,
-        spill_archives_after: int = 256,
-    ) -> "EcoLifeConfig":
-        """Bounded-state EcoLife: idle-sweep retirement of per-function
-        scheduler state (bit-identical to the unbounded default),
-        optionally spilling archives to disk past an in-memory count.
-
-        Replaces the *whole* retirement/spill block: every knob not
-        passed reverts to its default (idle retirement off, cap off,
-        spill off, 256 resident archives) -- the helper describes a
-        complete retirement policy, it does not merge with one already
-        set on ``self``.
-        """
-        return replace(
-            self,
-            retire_after_s=retire_after_s,
-            max_live_swarms=max_live_swarms,
-            spill_dir=spill_dir,
-            spill_archives_after=spill_archives_after,
-        )

@@ -45,7 +45,6 @@ import numpy as np
 from repro.core.arrival import ArrivalRegistry
 from repro.core.config import EcoLifeConfig, OptimizerKind
 from repro.core.objective import ObjectiveBuilder
-from repro.core.spill import ArchiveSpill
 from repro.optimizers.annealing import SimulatedAnnealing
 from repro.optimizers.base import ContinuousOptimizer
 from repro.optimizers.batch import SwarmArchive, SwarmFleet
@@ -118,11 +117,6 @@ class KeepAliveDecisionMaker:
         self._archives: dict[str, RetiredFunction] = {}
         self._last_seen: dict[str, float] = {}
         self._next_sweep_t = float("-inf")
-        self._spill = (
-            ArchiveSpill(config.spill_dir)
-            if self._retirement and config.spill_dir is not None
-            else None
-        )
         self.retired = 0
         self.rehydrated = 0
         self.peak_live = 0
@@ -145,7 +139,7 @@ class KeepAliveDecisionMaker:
     def optimizer_for(self, name: str) -> ContinuousOptimizer:
         opt = self._optimizers.get(name)
         if opt is None:
-            if self._has_archive(name):
+            if name in self._archives:
                 self._rehydrate(name)
                 opt = self._optimizers.get(name)
             if opt is None:
@@ -188,7 +182,7 @@ class KeepAliveDecisionMaker:
         """
         slot = self._slots.get(name)
         if slot is None:
-            if self._has_archive(name):
+            if name in self._archives:
                 self._rehydrate(name)
                 slot = self._slots.get(name)
             if slot is None:
@@ -207,19 +201,8 @@ class KeepAliveDecisionMaker:
 
     @property
     def archived_count(self) -> int:
-        """Archived functions, in memory and spilled to disk combined."""
-        spilled = len(self._spill) if self._spill is not None else 0
-        return len(self._archives) + spilled
-
-    @property
-    def spilled_count(self) -> int:
-        """Archives currently resident on disk rather than in memory."""
-        return len(self._spill) if self._spill is not None else 0
-
-    def _has_archive(self, name: str) -> bool:
-        return name in self._archives or (
-            self._spill is not None and name in self._spill
-        )
+        """Archived (retired, not yet rehydrated) functions."""
+        return len(self._archives)
 
     @property
     def fleet_capacity(self) -> int:
@@ -236,7 +219,7 @@ class KeepAliveDecisionMaker:
         """
         if not self._retirement:
             return
-        if self._has_archive(name):
+        if name in self._archives:
             self._rehydrate(name)
         self._touch(name, t)
 
@@ -317,27 +300,9 @@ class KeepAliveDecisionMaker:
             last_seen=self._last_seen.pop(name),
         )
         self.retired += 1
-        self._maybe_spill()
-
-    def _maybe_spill(self) -> None:
-        """Move the oldest in-memory archives to disk past the cap.
-
-        Archives are retired oldest-first, so dict insertion order *is*
-        retirement order and the front entries are the least likely to
-        rehydrate soon. Records round-trip through pickle losslessly,
-        so spilling never changes a decision.
-        """
-        if self._spill is None:
-            return
-        cap = self.config.spill_archives_after
-        while len(self._archives) > cap:
-            oldest = next(iter(self._archives))
-            self._spill.put(oldest, self._archives.pop(oldest))
 
     def _rehydrate(self, name: str) -> None:
-        arch = self._archives.pop(name, None)
-        if arch is None:
-            arch = self._spill.take(name)
+        arch = self._archives.pop(name)
         self.arrivals.revive(name)
         if arch.last_ci is not None:
             self._last_ci[name] = arch.last_ci
@@ -372,40 +337,27 @@ class KeepAliveDecisionMaker:
         for name in victims:
             self._retire(name)
         if victims and self._fleet is not None:
-            remap = self._fleet.compact()
-            if remap:  # pragma: no cover - retire_all empties the slot map
-                self._slots = {
-                    n: remap.get(s, s) for n, s in self._slots.items()
-                }
+            # Every slot was just retired, so there is nothing to remap.
+            self._fleet.compact()
         return len(victims)
 
     def export_archives(self) -> dict[str, RetiredFunction]:
-        """All archived state, in-memory shelf first then spilled records.
+        """All archived state, in retirement order (a copy of the shelf).
 
-        Non-destructive (spilled records are peeked, not taken) and
-        deterministic: both tiers iterate in their insertion order.
         Call after :meth:`retire_all` to capture the full per-function
         state for a checkpoint.
         """
-        out: dict[str, RetiredFunction] = dict(self._archives)
-        if self._spill is not None:
-            for name in self._spill.names():
-                record = self._spill.peek(name)
-                assert isinstance(record, RetiredFunction)
-                out[name] = record
-        return out
+        return dict(self._archives)
 
     def import_archive(self, name: str, record: RetiredFunction) -> None:
         """Adopt one archived function (checkpoint restore).
 
-        The record lands on the in-memory shelf (spilling past the
-        configured cap as usual) and rehydrates through the normal
+        The record lands on the shelf and rehydrates through the normal
         on-arrival path when the function next appears.
         """
-        if self._has_archive(name) or name in self._last_seen:
+        if name in self._archives or name in self._last_seen:
             raise ValueError(f"function state already present: {name!r}")
         self._archives[name] = record
-        self._maybe_spill()
 
     def _touch(self, name: str, t: float) -> None:
         """Record activity for the idle sweep (and the peak-live gauge).

@@ -9,8 +9,9 @@ The KDM minimises, over keep-alive location ``l`` and period ``k``::
 where the expectations come from the function's arrival statistics: with
 probability ``P(IAT <= k)`` the next invocation is warm on ``l`` (execution
 only), otherwise it pays a cold start at the EPDM's best cold location.
-``KC`` is the keep-alive carbon; see
-:class:`repro.core.config.KeepAliveExpectation` for the two charging modes.
+``KC`` is the keep-alive carbon of the full period ``k`` (the paper's
+literal formula): it penalises over-long periods and drives the swarm
+toward the shortest period that still yields warm starts.
 
 :class:`CostModel` centralises every decision-time estimate (the packed
 per-location cost vectors, the guarded normalisers, the EPDM's cold
@@ -28,7 +29,7 @@ import numpy as np
 
 from repro import units
 from repro.core.arrival import ArrivalEstimator
-from repro.core.config import EcoLifeConfig, KeepAliveExpectation
+from repro.core.config import EcoLifeConfig
 from repro.hardware.specs import Generation
 from repro.optimizers.base import FitnessFn
 from repro.optimizers.batch import BatchFitnessFn
@@ -307,7 +308,6 @@ class ObjectiveBuilder:
         if not (s == len(ts) == len(arrivals)):
             raise ValueError("funcs, ts and arrivals must have equal length")
         grid = self.env.keepalive_grid_s()
-        expected_mode = cfg.keepalive_expectation is KeepAliveExpectation.EXPECTED_MIN
 
         ci, ci_ref = self.env.ci_many(ts)
         # Per function: (s_max, sc_max, kc_max) at the reference
@@ -322,11 +322,6 @@ class ObjectiveBuilder:
         )[:, :, None, None]
         packed = np.array([self.costs.vectors(func).packed for func in funcs])
         p = np.array([arrival.p_warm(grid) for arrival in arrivals])[:, None, :]
-        ka_duration = (
-            np.array([arrival.expected_keepalive_s(grid) for arrival in arrivals])
-            if expected_mode
-            else grid
-        )[..., None, :]
 
         # Warm service, cold service and keep-alive-rate carbon rows.
         fcv = FunctionCostVectors
@@ -349,7 +344,7 @@ class ObjectiveBuilder:
         q = 1.0 - p
         e_s = p * packed[:, fcv.S_WARM, :, None] + q * s_cold_best
         e_sc = p * carbon[:, fcv.WARM, :, None] + q * sc_cold_best
-        kc = carbon[:, fcv.KA, :, None] * ka_duration
+        kc = carbon[:, fcv.KA, :, None] * grid
         return (
             cfg.lambda_s * e_s / norms[:, 0]
             + cfg.lambda_c * e_sc / norms[:, 1]

@@ -28,7 +28,6 @@ from repro.core.config import EcoLifeConfig, OptimizerKind
 from repro.core.epdm import ExecutionPlacementDecisionMaker
 from repro.core.kdm import KeepAliveDecisionMaker
 from repro.core.objective import ObjectiveBuilder
-from repro.core.spill import ArchiveSpill
 from repro.hardware.specs import Generation
 from repro.simulator.records import KeepAliveDecision
 from repro.simulator.scheduler import (
@@ -81,19 +80,10 @@ class EcoLifeScheduler(BaseScheduler):
     def bind(self, env: SchedulerEnv) -> None:
         super().bind(env)
         cfg = self.config
-        # Estimator shelf spills to disk alongside the KDM's swarm
-        # archives (its own ArchiveSpill instance -> its own unique
-        # subdirectory of spill_dir; the stores never collide).
         self.arrivals = ArrivalRegistry(
             history=cfg.arrival_history,
             prior_mean_iat_s=cfg.prior_mean_iat_s,
             prior_strength=cfg.prior_strength,
-            spill=(
-                ArchiveSpill(cfg.spill_dir)
-                if cfg.retirement_enabled and cfg.spill_dir is not None
-                else None
-            ),
-            spill_after=cfg.spill_archives_after,
         )
         self._builder = ObjectiveBuilder(env, cfg)
         self.kdm = KeepAliveDecisionMaker(env, cfg, self.arrivals, self._builder)

@@ -1,31 +1,23 @@
-"""Disk spill store for retired per-function scheduler state.
+"""Record store for service checkpoints.
 
-The KDM's state-retirement sweep (PR 4) bounds *live* memory, but the
-archive shelf itself still grows with the ever-seen cohort: one
-:class:`~repro.core.kdm.RetiredFunction` -- swarm rows, RNG stream
-state, perception scalars -- per dormant function. Long multi-tenant
-runs with millions of tenants want those archives out of resident
-memory entirely.
-
-:class:`ArchiveSpill` is the smallest store that does that: pickled
-records in a flat directory, one file per archived function, with the
-name -> path map held in memory (a few dozen bytes per dormant
-function instead of kilobytes of swarm arrays). Records round-trip
-losslessly -- numpy arrays, RNG bit-generator state dicts, and counter
-keys all pickle exactly -- so rehydrating from disk is bit-identical to
-rehydrating from memory (``tests/test_retirement.py`` asserts this end
-to end against a never-spilled replay).
+:meth:`repro.service.online.DecisionService.checkpoint` persists the
+per-function scheduler state -- the KDM's
+:class:`~repro.core.kdm.RetiredFunction` archives and the arrival
+estimators -- as two :class:`ArchiveSpill` stores under the checkpoint
+directory, and :meth:`~repro.service.online.DecisionService.restore`
+reads them back. A store is pickled records in a flat directory, one
+file per function, plus a name -> filename manifest that the checkpoint
+writes into its ``manifest.json``. Records round-trip losslessly --
+numpy arrays, RNG bit-generator state dicts and counter keys all pickle
+exactly -- so a restored service decides bit-identically to one that
+never stopped (``tests/test_service.py``).
 
 Files use sequential names rather than the function name: function
 names are workload-controlled strings and must not reach the
 filesystem namespace (length limits, separators, case-folding
-collisions). Each store instance writes into its own unique
-subdirectory of ``root`` (``mkdtemp``), so several schedulers pointed
-at one ``spill_dir`` -- e.g. sweep workers sharing an
-:class:`~repro.core.config.EcoLifeConfig` -- can never clobber or
-cross-read each other's records. The subdirectory is removed when the
-store is garbage-collected with no spilled records left; a store
-abandoned mid-run (crash) leaves its directory behind for inspection.
+collisions). Each new store writes into its own unique subdirectory of
+``root`` (``mkdtemp``), so repeated checkpoints into one directory
+never clobber each other's records.
 """
 
 from __future__ import annotations
@@ -33,12 +25,11 @@ from __future__ import annotations
 import os
 import pathlib
 import pickle
-import shutil
 import tempfile
 
 
 class ArchiveSpill:
-    """Pickle-per-record spill directory with an in-memory name index."""
+    """Pickle-per-record directory with an in-memory name index."""
 
     def __init__(self, root: str | os.PathLike) -> None:
         base = pathlib.Path(root)
@@ -46,59 +37,23 @@ class ArchiveSpill:
         self.root = pathlib.Path(tempfile.mkdtemp(prefix="kdm-", dir=base))
         self._paths: dict[str, pathlib.Path] = {}
         self._seq = 0
-        self._attached = False
-        #: Lifetime gauges (memory-bounds telemetry).
-        self.spilled = 0
-        self.loaded = 0
-
-    def __len__(self) -> int:
-        return len(self._paths)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._paths
 
     def put(self, name: str, record: object) -> None:
-        """Spill one record; replaces any previous spill of ``name``."""
-        old = self._paths.pop(name, None)
-        if old is not None:
-            old.unlink(missing_ok=True)
+        """Write one record (each name once per store)."""
         path = self.root / f"archive-{self._seq:08d}.pkl"
         self._seq += 1
         with open(path, "wb") as fh:
             pickle.dump(record, fh, protocol=pickle.HIGHEST_PROTOCOL)
         self._paths[name] = path
-        self.spilled += 1
-
-    def take(self, name: str) -> object:
-        """Load one record back and remove it from the store.
-
-        Raises ``KeyError`` for names that were never spilled (callers
-        check membership first -- the in-memory shelf is consulted before
-        the spill store).
-        """
-        path = self._paths.pop(name)
-        with open(path, "rb") as fh:
-            record = pickle.load(fh)
-        path.unlink(missing_ok=True)
-        self.loaded += 1
-        return record
 
     def peek(self, name: str) -> object:
-        """Load one record without removing it from the store.
-
-        The checkpoint/restore path reads records non-destructively:
-        a checkpoint directory attached via :meth:`attach` must survive
-        being restored from (restores may happen more than once -- e.g.
-        a crash loop replaying the same checkpoint).
-        """
-        path = self._paths[name]
-        with open(path, "rb") as fh:
-            record = pickle.load(fh)
-        self.loaded += 1
-        return record
+        """Load one record; the file stays, so a checkpoint can be
+        restored from more than once (e.g. a crash loop replaying it)."""
+        with open(self._paths[name], "rb") as fh:
+            return pickle.load(fh)
 
     def names(self) -> tuple[str, ...]:
-        """Spilled names in insertion (spill) order."""
+        """Stored names in insertion order."""
         return tuple(self._paths)
 
     def manifest(self) -> dict[str, str]:
@@ -114,20 +69,15 @@ class ArchiveSpill:
     def attach(
         cls, root: str | os.PathLike, files: dict[str, str]
     ) -> "ArchiveSpill":
-        """Open an existing spill directory from its checkpoint manifest.
+        """Open an existing store from its checkpoint manifest, for reading.
 
         Unlike the constructor this does not create a fresh
         subdirectory: ``root`` is the exact directory holding the
-        record files and ``files`` is a prior :meth:`manifest`. The
-        attached store reads (and may extend) that directory in place.
+        record files and ``files`` is a prior :meth:`manifest`.
         """
         store = cls.__new__(cls)
         store.root = pathlib.Path(root)
         store._paths = {}
-        store._seq = 0
-        store._attached = True
-        store.spilled = 0
-        store.loaded = 0
         for name, filename in files.items():
             path = store.root / filename
             if not path.is_file():
@@ -135,22 +85,4 @@ class ArchiveSpill:
                     f"checkpoint record missing: {path} (for {name!r})"
                 )
             store._paths[name] = path
-            # Continue sequential naming past the attached records.
-            stem = filename.rsplit(".", 1)[0]
-            try:
-                seq = int(stem.rsplit("-", 1)[-1])
-            except ValueError:
-                seq = -1
-            store._seq = max(store._seq, seq + 1)
         return store
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            # Attached stores sit on a user-owned checkpoint directory;
-            # never remove those, even when fully drained.
-            if not self._paths and not self._attached:
-                shutil.rmtree(self.root, ignore_errors=True)
-        except Exception:
-            # Interpreter shutdown may have torn down globals already;
-            # an undeleted empty spill subdirectory is harmless.
-            pass

@@ -18,8 +18,8 @@ Endpoints (all JSON):
 - ``GET /metrics`` -- decision counters, p50/p99 latency, provider
   staleness, live/archived swarm gauges.
 - ``POST /checkpoint`` -- body optionally ``{"dir": ...}``; persists
-  full scheduler + engine state via the retire/spill machinery and
-  keeps serving.
+  full scheduler + engine state (every function retired, its state
+  written to the checkpoint directory) and keeps serving.
 
 Graceful shutdown (:meth:`DecisionServer.stop`) checkpoints into the
 service's configured checkpoint directory if it has one.

@@ -24,11 +24,12 @@ batch (POST everything at once to reproduce a full replay; split
 batches are the honest online semantics where the rate can only see
 POSTed arrivals).
 
-Checkpointing rides the PR-4/5 retirement machinery: ``checkpoint()``
-retires every live function (an identity for decisions), exports the
-archives and estimator shelf into :class:`~repro.core.spill.ArchiveSpill`
-stores under the checkpoint directory, and pickles the engine runtime
-(records, event heap, warm pools). ``restore()`` rebuilds a fresh
+Checkpointing rides the KDM's state-retirement machinery:
+``checkpoint()`` retires every live function (an identity for
+decisions), writes the archives and estimator shelf as pickled records
+into two :class:`~repro.core.spill.ArchiveSpill` stores under the
+checkpoint directory, and pickles the engine runtime (records, event
+heap, warm pools). ``restore()`` rebuilds a fresh
 service and imports everything; functions rehydrate through the normal
 on-arrival path, bit-identically.
 """

@@ -25,7 +25,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.arrival import ArrivalEstimator
-from repro.core.config import KeepAliveExpectation
 from repro.core.objective import ObjectiveBuilder
 from repro.workloads.functions import FunctionProfile
 
@@ -57,18 +56,16 @@ def fitness(
     s_warm = vectors.s_warm
     sc_warm = vectors.sc_warm(ci)
     ka_rate = vectors.ka_rate(ci)
-    expected_mode = cfg.keepalive_expectation is KeepAliveExpectation.EXPECTED_MIN
 
     def fitness_fn(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         loc = builder.decode_locations(x[:, 0])
         k = decode_k(builder, x[:, 1])
         p = arrival.p_warm(k)
-        ka_duration = arrival.expected_keepalive_s(k) if expected_mode else k
 
         e_s = p * s_warm[loc] + (1.0 - p) * s_cold
         e_sc = p * sc_warm[loc] + (1.0 - p) * sc_cold
-        kc = ka_rate[loc] * ka_duration
+        kc = ka_rate[loc] * k
 
         return (
             cfg.lambda_s * e_s / s_max
@@ -87,10 +84,7 @@ def batch_fitness(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Several functions' per-particle objectives, arrivals via
     :class:`ArrivalBatch`."""
-    batch = ArrivalBatch(arrivals)
-    return _batch_fitness(
-        builder, funcs, ts, batch.p_warm, batch.expected_keepalive_s
-    )
+    return _batch_fitness(builder, funcs, ts, ArrivalBatch(arrivals).p_warm)
 
 
 def looped_batch_fitness(
@@ -102,18 +96,13 @@ def looped_batch_fitness(
     """Several functions' per-particle objectives, arrivals queried one
     estimator at a time."""
 
-    def rows_of(query: str) -> Callable[[np.ndarray], np.ndarray]:
-        def run(k: np.ndarray) -> np.ndarray:
-            out = np.empty_like(k)
-            for i, arrival in enumerate(arrivals):
-                out[i] = getattr(arrival, query)(k[i])
-            return out
+    def p_warm_rows(k: np.ndarray) -> np.ndarray:
+        out = np.empty_like(k)
+        for i, arrival in enumerate(arrivals):
+            out[i] = arrival.p_warm(k[i])
+        return out
 
-        return run
-
-    return _batch_fitness(
-        builder, funcs, ts, rows_of("p_warm"), rows_of("expected_keepalive_s")
-    )
+    return _batch_fitness(builder, funcs, ts, p_warm_rows)
 
 
 def _batch_fitness(
@@ -121,7 +110,6 @@ def _batch_fitness(
     funcs: Sequence[FunctionProfile],
     ts: Sequence[float],
     p_warm: Callable[[np.ndarray], np.ndarray],
-    expected_keepalive_s: Callable[[np.ndarray], np.ndarray],
 ) -> Callable[[np.ndarray], np.ndarray]:
     cfg = builder.config
     env = builder.env
@@ -163,7 +151,6 @@ def _batch_fitness(
     s_max = s_max[:, None]
     sc_max = sc_max[:, None]
     kc_max = kc_max[:, None]
-    expected_mode = cfg.keepalive_expectation is KeepAliveExpectation.EXPECTED_MIN
     rows = np.arange(s)[:, None]
 
     def batch_fn(x: np.ndarray) -> np.ndarray:
@@ -171,11 +158,10 @@ def _batch_fitness(
         loc = builder.decode_locations(x[..., 0])  # (s, r)
         k = decode_k(builder, x[..., 1])
         p = p_warm(k)
-        ka_duration = expected_keepalive_s(k) if expected_mode else k
 
         e_s = p * s_warm[rows, loc] + (1.0 - p) * s_cold
         e_sc = p * sc_warm[rows, loc] + (1.0 - p) * sc_cold
-        kc = ka_rate[rows, loc] * ka_duration
+        kc = ka_rate[rows, loc] * k
 
         return (
             cfg.lambda_s * e_s / s_max
@@ -189,10 +175,9 @@ def _batch_fitness(
 class ArrivalBatch:
     """Padded row-stack of several estimators' empirical IAT state.
 
-    Answers ``P(warm | k)`` and ``E[min(IAT, k)]`` for a ``(n_funcs,
-    rows)`` matrix of periods in a handful of broadcast ops. Row ``i`` of
-    every query equals the scalar ``estimators[i].p_warm(k[i])`` /
-    ``expected_keepalive_s(k[i])`` to the last ULP:
+    Answers ``P(warm | k)`` for a ``(n_funcs, rows)`` matrix of periods
+    in a handful of broadcast ops. Row ``i`` equals the scalar
+    ``estimators[i].p_warm(k[i])`` to the last ULP:
 
     - ``searchsorted(sorted, k, side="right")`` counts elements ``<= k``;
       with rows padded by ``+inf`` the broadcast comparison-sum produces
@@ -219,15 +204,12 @@ class ArrivalBatch:
             strength[i] = est.prior_strength
         h = int(n.max()) if f else 0
         sorted_pad = np.full((f, h), np.inf)
-        prefix_pad = np.zeros((f, h + 1))
         for i, est in enumerate(estimators):
             if n[i]:
                 est._ensure_cache()
-                assert est._sorted is not None and est._prefix is not None
+                assert est._sorted is not None
                 sorted_pad[i, : n[i]] = est._sorted
-                prefix_pad[i, : n[i] + 1] = est._prefix
         self.n_funcs = f
-        self._n_col = n[:, None]
         # max(n, 1) keeps empty rows off the 0/0 path; their w == 0.0
         # blend discards the dummy quotient entirely.
         self._n_safe = np.maximum(n, 1)[:, None]
@@ -237,7 +219,6 @@ class ArrivalBatch:
             self._w = np.where(n > 0, n / (n + strength), 0.0)[:, None]
         self._prior_mean = prior_mean[:, None]
         self._sorted = sorted_pad
-        self._prefix = prefix_pad
 
     def _counts(self, k: np.ndarray) -> np.ndarray:
         """Per-row ``searchsorted(side="right")`` as one broadcast op."""
@@ -257,14 +238,4 @@ class ArrivalBatch:
         k = self._require_rows(k_s)
         prior = 1.0 - np.exp(-k / self._prior_mean)
         emp = self._counts(k) / self._n_safe
-        return self._w * emp + (1.0 - self._w) * prior
-
-    def expected_keepalive_s(self, k_s: np.ndarray) -> np.ndarray:
-        """Row-wise ``E[min(IAT, k)]`` for a ``(n_funcs, rows)`` matrix."""
-        k = self._require_rows(k_s)
-        prior = self._prior_mean * (1.0 - np.exp(-k / self._prior_mean))
-        idx = self._counts(k)
-        below_sum = np.take_along_axis(self._prefix, idx, axis=1)
-        above_count = self._n_col - idx
-        emp = (below_sum + k * above_count) / self._n_safe
         return self._w * emp + (1.0 - self._w) * prior

@@ -10,7 +10,7 @@ from repro.analysis import (
 )
 from repro.carbon import CarbonIntensityTrace
 from repro.core import EcoLifeConfig, EcoLifeScheduler
-from repro.hardware import PAIR_A, Generation
+from repro.hardware import PAIR_A
 from repro.simulator import SimulationConfig, SimulationEngine
 from repro.workloads import FunctionProfile, InvocationTrace
 

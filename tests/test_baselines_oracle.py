@@ -1,7 +1,5 @@
 """Oracle schedulers: optimality properties under lookahead."""
 
-import pytest
-
 from repro.baselines import (
     OracleObjective,
     OracleScheduler,

@@ -1,6 +1,5 @@
 """Carbon accounting: the paper's Sec. II formulas and calibration shapes."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -157,6 +157,33 @@ class TestCommands:
         assert e.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--functions", "0"],
+            ["simulate", "--hours", "0"],
+            ["simulate", "--pool-gb", "-1"],
+            ["sweep", "--functions", "8", "-3"],
+            ["sweep", "--hours", "-0.5"],
+            ["sweep", "--workers", "0"],
+            ["sweep", "--pool-gb", "-1"],
+            ["sweep", "--kmax", "0"],
+            ["trace", "sample", "out.csv", "--functions", "0"],
+            ["trace", "sample", "out.csv", "--hours", "-1"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if a != "out.csv"),
+    )
+    def test_size_flags_fail_closed_at_parse_time(self, capsys, argv):
+        """Non-positive sizes (negative pool memory) are usage errors:
+        exit 2 with the flag named, before anything is built."""
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        flag = next(a for a in argv if a.startswith("--"))
+        assert f"argument {flag}: must be" in err
+
     def test_sweep_has_no_shards_flag(self, capsys):
         with pytest.raises(SystemExit) as e:
             build_parser().parse_args(["sweep", "--shards", "2"])

@@ -1,8 +1,6 @@
 """Warm-pool adjuster: ranking, arrival weighting, determinism, and the
 one-pass ranker against the scalar per-candidate oracle."""
 
-import tempfile
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core import ArrivalRegistry, EcoLifeConfig, WarmPoolAdjuster
 from repro.core.arrival import ArrivalEstimator
 from repro.core.objective import CostModel
-from repro.core.spill import ArchiveSpill
 from repro.hardware import Generation
 from repro.simulator.scheduler import AdjustmentRequest, PoolCandidate
 from repro.workloads import FunctionProfile
@@ -130,16 +127,15 @@ class TestBatchedArrivalMass:
             assert _bits(reg.p_warm_each(names, ks)) == _bits(want)
 
     def test_keeps_get_semantics(self):
-        """Peek (no revival), spill read-through and create-on-miss."""
-        with tempfile.TemporaryDirectory() as root:
-            reg = ArrivalRegistry(spill=ArchiveSpill(root), spill_after=0)
-            for t in (0.0, 40.0, 100.0):
-                reg.observe("spilled", t)
-            reg.retire("spilled")
-            assert reg.spilled_count == 1 and len(reg) == 0
-            reg.p_warm_each(["spilled", "fresh"], [60.0, 60.0])
-            assert reg.archived_count == 1  # still shelved, not revived
-            assert len(reg) == 1 and reg.get("fresh").n_samples == 0
+        """Peek (no revival) and create-on-miss."""
+        reg = ArrivalRegistry()
+        for t in (0.0, 40.0, 100.0):
+            reg.observe("shelved", t)
+        reg.retire("shelved")
+        assert reg.archived_count == 1 and len(reg) == 0
+        reg.p_warm_each(["shelved", "fresh"], [60.0, 60.0])
+        assert reg.archived_count == 1  # still shelved, not revived
+        assert len(reg) == 1 and reg.get("fresh").n_samples == 0
 
 
 # Profiles drawn from a small set so equal-score ties are common.
@@ -164,7 +160,6 @@ def _adjustment_case(draw):
         cands=cands,
         histories=draw(st.lists(st.sampled_from(_HISTORIES), min_size=n, max_size=n)),
         retired=draw(st.lists(st.booleans(), min_size=n, max_size=n)),
-        spill_after=draw(st.sampled_from([None, 0, 1])),
         weighting=draw(st.sampled_from(["on", "off", "no-registry"])),
         locations=draw(
             st.sampled_from(
@@ -185,12 +180,8 @@ def _adjustment_case(draw):
     )
 
 
-def _registry(case, root):
-    reg = ArrivalRegistry(
-        history=8,
-        spill=None if case["spill_after"] is None else ArchiveSpill(root),
-        spill_after=case["spill_after"] or 0,
-    )
+def _registry(case):
+    reg = ArrivalRegistry(history=8)
     for (name, *_), period in zip(case["cands"], case["histories"]):
         if period == "once":
             reg.observe(name, 10.0)
@@ -204,8 +195,7 @@ def _registry(case, root):
 
 
 def _registry_state(reg):
-    spilled = sorted(reg._spill.names()) if reg._spill is not None else []
-    return sorted(reg._by_name), list(reg._archived), spilled
+    return sorted(reg._by_name), list(reg._archived)
 
 
 class TestRankMatchesOracle:
@@ -234,20 +224,15 @@ class TestRankMatchesOracle:
         ]
         gen = case["locations"][case["pick"] % len(case["locations"])]
         req = _request(cands, t=case["t"], generation=gen)
-        with tempfile.TemporaryDirectory() as root:
-            sides = []
-            for _ in range(2):
-                reg = (
-                    None
-                    if case["weighting"] == "no-registry"
-                    else _registry(case, root)
-                )
-                sides.append((WarmPoolAdjuster(env, cfg, CostModel(env, cfg), reg), reg))
-            (adj, reg), (ref, ref_reg) = sides
-            ranked = adj.rank(req)
-            priorities = adj.priorities(req)
-            want_ranked = oracle.rank(ref, req)
-            want = [oracle.priority(ref, c, req) for c in cands]
+        sides = []
+        for _ in range(2):
+            reg = None if case["weighting"] == "no-registry" else _registry(case)
+            sides.append((WarmPoolAdjuster(env, cfg, CostModel(env, cfg), reg), reg))
+        (adj, reg), (ref, ref_reg) = sides
+        ranked = adj.rank(req)
+        priorities = adj.priorities(req)
+        want_ranked = oracle.rank(ref, req)
+        want = [oracle.priority(ref, c, req) for c in cands]
         assert [c.name for c in ranked] == [c.name for c in want_ranked]
         assert _bits(priorities) == _bits(want)
         if reg is not None:

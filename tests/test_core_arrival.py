@@ -67,29 +67,7 @@ class TestPWarm:
         assert ((0.0 <= p) & (p <= 1.0)).all()
 
 
-class TestExpectedKeepalive:
-    def test_prior_only_closed_form(self):
-        est = make_est()
-        e = est.expected_keepalive_s([600.0])[0]
-        assert e == pytest.approx(600.0 * (1 - np.exp(-1)))
-
-    def test_bounded_by_k_and_mean(self):
-        est = make_est()
-        for t in np.cumsum(np.random.default_rng(1).exponential(300.0, 40)):
-            est.observe(float(t))
-        ks = np.array([0.0, 60.0, 600.0, 3600.0])
-        e = est.expected_keepalive_s(ks)
-        assert e[0] == pytest.approx(0.0)
-        assert (e <= ks + 1e-9).all()
-        assert (np.diff(e) >= -1e-9).all()
-
-    def test_periodic_saturates_at_period(self):
-        est = make_est(prior_strength=0.0)
-        for t in np.arange(30) * 120.0:
-            est.observe(t)
-        e = est.expected_keepalive_s([1e6])[0]
-        assert e == pytest.approx(120.0)
-
+class TestMeanIat:
     def test_mean_iat_blend(self):
         est = make_est()
         assert est.mean_iat_s == 600.0  # pure prior
@@ -142,19 +120,6 @@ def test_property_p_warm_matches_empirical_fraction(iats, k):
     assert est.p_warm([k])[0] == pytest.approx(expected)
 
 
-@given(iats=st.lists(st.floats(1.0, 10_000.0), min_size=1, max_size=80))
-@settings(max_examples=40, deadline=None)
-def test_property_expected_min_is_mean_when_k_huge(iats):
-    est = ArrivalEstimator(history=128, prior_mean_iat_s=600.0, prior_strength=0.0)
-    t = 0.0
-    est.observe(t)
-    for gap in iats:
-        t += gap
-        est.observe(t)
-    e = est.expected_keepalive_s([1e12])[0]
-    assert e == pytest.approx(np.mean(iats), rel=1e-9)
-
-
 class TestArrivalBatch:
     """The objective oracle's padded-matrix queries
     (``tests/oracles/objective.py``) == per-estimator scalar queries, bit
@@ -182,10 +147,8 @@ class TestArrivalBatch:
         k = np.random.default_rng(7).uniform(0.0, 3600.0, size=(6, 30))
         k[:, 0] = 0.0  # include the degenerate k = 0 column
         p = batch.p_warm(k)
-        ka = batch.expected_keepalive_s(k)
         for i, est in enumerate(ests):
             assert np.array_equal(p[i], est.p_warm(k[i])), i
-            assert np.array_equal(ka[i], est.expected_keepalive_s(k[i])), i
 
     def test_shape_validation(self):
         from tests.oracles.objective import ArrivalBatch
@@ -194,7 +157,7 @@ class TestArrivalBatch:
         with pytest.raises(ValueError, match="rows"):
             batch.p_warm(np.zeros(5))
         with pytest.raises(ValueError, match="rows"):
-            batch.expected_keepalive_s(np.zeros((3, 4)))
+            batch.p_warm(np.zeros((3, 4)))
 
     def test_snapshot_semantics(self):
         """Observations after the batch is built do not leak in."""
@@ -233,7 +196,6 @@ class TestArrivalBatch:
             ests.append(est)
         batch = ArrivalBatch(ests)
         k = rng.uniform(0.0, 7200.0, size=(len(sizes), 17))
-        p, ka = batch.p_warm(k), batch.expected_keepalive_s(k)
+        p = batch.p_warm(k)
         for i, est in enumerate(ests):
             assert np.array_equal(p[i], est.p_warm(k[i]))
-            assert np.array_equal(ka[i], est.expected_keepalive_s(k[i]))

@@ -5,7 +5,6 @@ import pytest
 
 from repro.carbon import CarbonIntensityTrace, CarbonModel
 from repro.core import ArrivalEstimator, EcoLifeConfig, ObjectiveBuilder
-from repro.core.config import KeepAliveExpectation
 from repro.hardware import PAIR_A, Generation
 from repro.simulator import SimulationConfig, WarmPool
 from repro.simulator.scheduler import SchedulerEnv
@@ -211,17 +210,3 @@ class TestFitness:
         # Old keep-alive is cheaper but old execution is slower; the carbon
         # term dominates for graph-bfs at CI=250 in this calibration.
         assert old != new  # the trade-off is visible either way
-
-    def test_expected_min_mode_saturates(self, env, bfs):
-        cfg = EcoLifeConfig(
-            keepalive_expectation=KeepAliveExpectation.EXPECTED_MIN
-        )
-        b = ObjectiveBuilder(env, cfg)
-        est = ArrivalEstimator(prior_strength=0.0)
-        for t in np.arange(40) * 120.0:
-            est.observe(t)
-        f = b.fitness(bfs, 0.0, est)
-        ka_5 = f(np.array([[0.9, 5.0 / 30.0]]))[0]
-        ka_30 = f(np.array([[0.9, 1.0]]))[0]
-        # Beyond the period the expected keep-alive stops growing.
-        assert ka_30 == pytest.approx(ka_5, rel=0.05)

@@ -1,9 +1,9 @@
 """The KDM objective table: gathers equal the per-particle oracle, and
 the K_AT grid is exactly the set of periods a position decodes to.
 
-The table evaluates ``p_warm`` / ``E[min(IAT, k)]`` once per decision on
-the K_AT grid (31 elements by default); the oracle closures in
-``tests/oracles/objective.py`` evaluate them on the decoded particle
+The table evaluates ``p_warm`` once per decision on the K_AT grid (31
+elements by default); the oracle closures in
+``tests/oracles/objective.py`` evaluate it on the decoded particle
 arrays (1, 15 or 30 rows). Equality is checked bit for bit, so a
 length-dependent ``np.exp`` (a SIMD body vs a scalar tail) would show.
 """
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.baselines import oracle
 from repro.carbon import CarbonIntensityTrace, CarbonModel
 from repro.core import ArrivalEstimator, EcoLifeConfig, ObjectiveBuilder
-from repro.core.config import KeepAliveExpectation
 from repro.experiments.common import default_scenario, run_scheduler
 from repro.hardware import PAIR_A, Generation
 from repro.simulator import SimulationConfig, WarmPool
@@ -98,17 +97,16 @@ def positions(
     rows=st.sampled_from([1, 15, 30]),
     kmax_minutes=st.sampled_from(KMAX_MINUTES),
     locations=st.sampled_from(LOCATION_SETS),
-    expectation=st.sampled_from(list(KeepAliveExpectation)),
     prior_strength=st.sampled_from([0.0, 2.0, 7.5]),
     on_grid=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
 def test_table_gather_equals_oracle_closures(
-    seed, width, rows, kmax_minutes, locations, expectation, prior_strength, on_grid
+    seed, width, rows, kmax_minutes, locations, prior_strength, on_grid
 ):
     rng = np.random.default_rng(seed)
     env = make_env(kmax_minutes)
-    cfg = EcoLifeConfig(locations=locations, keepalive_expectation=expectation)
+    cfg = EcoLifeConfig(locations=locations)
     builder = ObjectiveBuilder(env, cfg)
     funcs = [
         FunctionProfile(

@@ -558,21 +558,12 @@ class TestBatchFitness:
         with pytest.raises(ValueError, match="equal length"):
             builder.batch_fitness([func], [1.0, 2.0], [ArrivalEstimator()])
 
-    @pytest.mark.parametrize(
-        "expectation",
-        ["full_k", "expected_min"],
-    )
-    def test_vectorised_arrivals_match_reference_loop(self, expectation):
+    def test_vectorised_arrivals_match_reference_loop(self):
         """The table gather (arrivals queried once, on the K_AT grid) ==
         the oracle's per-particle, per-function query loop, bit for bit,
         including empty and saturated histories."""
-        from repro.core.config import KeepAliveExpectation
-
         env = make_env()
-        cfg = EcoLifeConfig(
-            keepalive_expectation=KeepAliveExpectation(expectation)
-        )
-        builder = ObjectiveBuilder(env, cfg)
+        builder = ObjectiveBuilder(env, EcoLifeConfig())
         funcs = [
             FunctionProfile(
                 name=f"f{i}",

@@ -332,117 +332,10 @@ class TestConfigValidation:
         assert EcoLifeConfig(retire_after_s=60.0).retirement_enabled
         assert EcoLifeConfig(max_live_swarms=8).retirement_enabled
 
-    def test_with_retirement_variant(self):
-        cfg = EcoLifeConfig().with_retirement(
-            retire_after_s=300.0, max_live_swarms=16
-        )
-        assert cfg.retire_after_s == 300.0
-        assert cfg.max_live_swarms == 16
-        assert EcoLifeConfig().retire_after_s is None
 
-
-class TestArchiveSpill:
-    """Disk-spilled archives rehydrate bit-identically (unbounded-tenant
-    memory bound: resident archives capped, the rest pickled under
-    ``spill_dir``)."""
-
-    def _kdm(self, tmp_path=None, **retire_kw):
-        env = make_env()
-        cfg = EcoLifeConfig(
-            **retire_kw,
-            **(
-                dict(spill_dir=str(tmp_path / "spill"), spill_archives_after=1)
-                if tmp_path is not None
-                else {}
-            ),
-        )
-        arrivals = ArrivalRegistry()
-        return KeepAliveDecisionMaker(env, cfg, arrivals), arrivals
-
-    def _drive(self, kdm, arrivals, profiles, schedule):
-        out = []
-        for t, names in schedule:
-            for name in names:
-                kdm.on_arrival(name, t)
-                arrivals.observe(name, t)
-            out.extend(
-                kdm.decide_batch([(profiles[n], t + 2.0) for n in names])
-            )
-        return out
-
-    def _schedule(self, names):
-        # Rolling cohorts: everyone retires at least once, some return.
-        sched = [(0.0, names)]
-        for k in range(8):
-            sched.append((600.0 + 400.0 * k, [names[k % len(names)]]))
-        sched.append((5000.0, names))
-        return sched
-
-    def test_spilled_rehydration_is_bit_identical(self, tmp_path):
-        funcs = _funcs(6)
-        profiles = {f.name: f for f in funcs}
-        names = [f.name for f in funcs]
-        schedule = self._schedule(names)
-
-        spilled, sa = self._kdm(tmp_path, retire_after_s=300.0)
-        memory, ma = self._kdm(None, retire_after_s=300.0)
-        plain, pa = self._kdm(None)
-
-        d_spill = self._drive(spilled, sa, profiles, schedule)
-        d_mem = self._drive(memory, ma, profiles, schedule)
-        d_plain = self._drive(plain, pa, profiles, schedule)
-        assert d_spill == d_mem == d_plain
-        # The spill store really engaged and kept residency at the cap.
-        assert spilled._spill is not None
-        assert spilled._spill.spilled > 0
-        assert spilled._spill.loaded > 0
-        assert len(spilled._archives) <= 1
-
-    def test_archived_count_includes_disk(self, tmp_path):
-        funcs = _funcs(4)
-        profiles = {f.name: f for f in funcs}
-        names = [f.name for f in funcs]
-        kdm, arrivals = self._kdm(tmp_path, retire_after_s=100.0)
-        self._drive(kdm, arrivals, profiles, [(0.0, names)])
-        kdm.sweep(10_000.0)  # everyone idles out
-        assert kdm.archived_count == 4
-        assert kdm.spilled_count == 3  # cap of 1 in memory
-        assert kdm.live_count == 0
-
-    def test_engine_replay_with_spill_bit_identical(self, tmp_path):
-        """End to end: churn replay, spill-to-disk on vs retirement off."""
-        trace = _churn_trace(n_functions=24, hours=2.0)
-        base, _ = _replay(trace, EcoLifeConfig())
-        cfg = EcoLifeConfig(
-            retire_after_s=600.0,
-            spill_dir=str(tmp_path / "spill"),
-            spill_archives_after=2,
-        )
-        spilled, sched = _replay(trace, cfg)
-        assert_records_identical(base, spilled)
-        assert sched.kdm.spilled_count + sched.kdm.rehydrated > 0
-        assert (tmp_path / "spill").exists()
-
-    def test_spill_store_round_trips_pickles(self, tmp_path):
-        from repro.core.spill import ArchiveSpill
-        from repro.optimizers import DPSOParams, SwarmFleet
-
-        import numpy as np
-
-        fleet = SwarmFleet(dim=2, n_particles=5, params=DPSOParams())
-        fleet.add_swarm(np.random.default_rng(3))
-        fleet.step_one(0, lambda x: (x**2).sum(axis=1), iterations=2)
-        archive = fleet.retire(0)
-
-        store = ArchiveSpill(tmp_path / "s")
-        store.put("fn", archive)
-        assert "fn" in store and len(store) == 1
-        loaded = store.take("fn")
-        assert "fn" not in store and len(store) == 0
-        assert np.array_equal(loaded.positions, archive.positions)
-        assert loaded.bit_generator_state == archive.bit_generator_state
-        with pytest.raises(KeyError):
-            store.take("fn")
+class TestArchivePickles:
+    """Archives written by older code still rehydrate (checkpoints
+    persist them as pickles)."""
 
     def test_archive_pickled_with_counter_fields_rehydrates(self):
         """Archives pickled while ``SwarmArchive`` still carried the
@@ -479,29 +372,3 @@ class TestArchiveSpill:
             fleet_.step_one(i, sphere, iterations=3)
         for name in a._STACKED_STATE:
             assert np.array_equal(getattr(a, name)[ia], getattr(b, name)[ib])
-
-    def test_shared_spill_dir_does_not_cross_read(self, tmp_path):
-        """Two stores pointed at one spill_dir (e.g. sweep workers
-        sharing a config) must keep their records apart."""
-        from repro.core.spill import ArchiveSpill
-
-        a = ArchiveSpill(tmp_path)
-        b = ArchiveSpill(tmp_path)
-        assert a.root != b.root
-        a.put("fn", {"origin": "a"})
-        b.put("fn", {"origin": "b"})
-        assert a.take("fn") == {"origin": "a"}
-        assert b.take("fn") == {"origin": "b"}
-
-    def test_spill_config_validation(self):
-        with pytest.raises(ValueError, match="spill_archives_after"):
-            EcoLifeConfig(spill_archives_after=-1)
-
-    def test_with_retirement_spill_variant(self, tmp_path):
-        cfg = EcoLifeConfig().with_retirement(
-            retire_after_s=300.0,
-            spill_dir=str(tmp_path),
-            spill_archives_after=8,
-        )
-        assert cfg.spill_dir == str(tmp_path)
-        assert cfg.spill_archives_after == 8

@@ -8,12 +8,15 @@ across a checkpoint/restore cycle.
 
 import asyncio
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.carbon import RecordedFixtureProvider, TraceProvider
 from repro.core import EcoLifeConfig, EcoLifeScheduler
+from repro.core.spill import ArchiveSpill
 from repro.experiments import quick_scenario
 from repro.service import (
     DecisionServer,
@@ -24,6 +27,8 @@ from repro.service import (
     StaleCarbonFeed,
 )
 from repro.simulator.engine import SimulationEngine
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def replay_payloads(scenario, config=None):
@@ -245,6 +250,47 @@ class TestCheckpointRestore:
                 functions=functions,
             )
             assert len(restored._engine.records) == 100
+
+    def test_restores_a_checkpoint_written_by_an_earlier_version(self, tmp_path):
+        """``tests/data/checkpoint_v2`` was written by an earlier version of
+        this code (before the KDM's disk tier for archives was removed):
+        ``scenario_service(quick_scenario(seed=3))`` after deciding the
+        first 40 arrivals in one batch, then ``checkpoint()``, under
+        Python 3.11 and numpy 2.4 (numpy 1.x cannot load numpy 2
+        pickles). The current code must restore it and answer the next
+        batch exactly as an uninterrupted service does."""
+        scenario = quick_scenario(seed=3)
+        arrivals = scenario_arrivals(scenario)
+        uninterrupted = scenario_service(scenario)
+        uninterrupted.decide(arrivals[:40])
+        expected = uninterrupted.decide(arrivals[40:240])
+
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(DATA / "checkpoint_v2", ckpt)
+        restored = DecisionService.restore(
+            str(ckpt),
+            provider=TraceProvider(scenario.ci_trace),
+            pair=scenario.pair,
+            config=EcoLifeConfig(),
+            sim_config=scenario.sim_config,
+            functions={inv.func.name: inv.func for inv in scenario.trace},
+        )
+        assert len(restored._engine.records) == 40
+        assert restored.decide(arrivals[40:240]) == expected
+
+    def test_record_stores_sharing_a_directory_stay_apart(self, tmp_path):
+        """Two stores under one root (repeated checkpoints into one
+        directory) write into separate subdirectories."""
+        a = ArchiveSpill(tmp_path)
+        b = ArchiveSpill(tmp_path)
+        assert a.root != b.root
+        a.put("fn", {"origin": "a"})
+        b.put("fn", {"origin": "b"})
+        assert a.peek("fn") == {"origin": "a"}
+        assert b.peek("fn") == {"origin": "b"}
+        reopened = ArchiveSpill.attach(a.root, a.manifest())
+        assert reopened.names() == ("fn",)
+        assert reopened.peek("fn") == {"origin": "a"}
 
     def test_checkpoint_requires_a_directory(self):
         service = scenario_service(quick_scenario(seed=3))

@@ -14,9 +14,7 @@ stacked-state registry, the archive dataclass, ``retire()``'s snapshot
 call, and ``rehydrate()``'s restore assignments all agree.
 
 The same pass covers the arrival-estimator shelf: ``ArrivalRegistry``'s
-peek (``get``) and ``revive`` paths must consult both the in-memory
-shelf and -- when the registry spills to disk -- the spill store, and
-the KDM's archive probes must consult both tiers too.
+peek (``get``) and ``revive`` paths must consult the ``_archived`` shelf.
 
 Each check takes raw source text so the rule-regression suite can feed
 synthetic violations; :func:`project_violations` wires them to the real
@@ -317,13 +315,12 @@ def check_swarm_archive(
 def check_estimator_shelf(
     source: str, relpath: str = "src/repro/core/arrival.py"
 ) -> list[Violation]:
-    """ArrivalRegistry's read paths must cover every shelf tier.
+    """ArrivalRegistry's read paths must cover the retirement shelf.
 
     ``get`` (the peek-without-revive path) and ``revive`` must consult
-    the in-memory ``_archived`` shelf, and -- when the registry defines a
-    ``_spill`` store -- the disk tier as well; a reader that misses a
-    tier silently resurrects a fresh prior-only estimator and the warm
-    replay diverges from the never-retired run.
+    the ``_archived`` shelf; a reader that misses it silently resurrects
+    a fresh prior-only estimator and the warm replay diverges from the
+    never-retired run.
     """
     tree = ast.parse(source)
     registry = _find_class(tree, "ArrivalRegistry")
@@ -334,11 +331,6 @@ def check_estimator_shelf(
             )
         ]
     out: list[Violation] = []
-    has_spill = any(
-        "_spill" in _self_attrs(node)
-        for node in registry.body
-        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
-    )
     for method_name in ("get", "revive"):
         method = _find_method(registry, method_name)
         if method is None:
@@ -350,8 +342,7 @@ def check_estimator_shelf(
                 )
             )
             continue
-        attrs = _self_attrs(method)
-        if "_archived" not in attrs:
+        if "_archived" not in _self_attrs(method):
             out.append(
                 _violation(
                     method,
@@ -361,65 +352,6 @@ def check_estimator_shelf(
                     "to this read path",
                 )
             )
-        if has_spill and "_spill" not in attrs:
-            out.append(
-                _violation(
-                    method,
-                    relpath,
-                    f"ArrivalRegistry.{method_name}() never consults _spill "
-                    "although the registry spills estimators to disk: "
-                    "spilled histories would be invisible to this read path",
-                )
-            )
-    return out
-
-
-def check_kdm_archive_paths(
-    source: str, relpath: str = "src/repro/core/kdm.py"
-) -> list[Violation]:
-    """The KDM's archive probes must cover both storage tiers.
-
-    ``_has_archive`` and ``_rehydrate`` must consult the in-memory
-    ``_archives`` dict *and* the ``_spill`` store: a probe that checks
-    only one tier either re-seeds a swarm that has a spilled archive
-    (breaking bit-identity) or reports a function as unknown after its
-    archive was spilled.
-    """
-    tree = ast.parse(source)
-    kdm = _find_class(tree, "KeepAliveDecisionMaker")
-    if kdm is None:
-        return [
-            _violation(
-                None,
-                relpath,
-                "expected a KeepAliveDecisionMaker class to check",
-            )
-        ]
-    out: list[Violation] = []
-    for method_name in ("_has_archive", "_rehydrate"):
-        method = _find_method(kdm, method_name)
-        if method is None:
-            out.append(
-                _violation(
-                    kdm,
-                    relpath,
-                    f"KeepAliveDecisionMaker has no {method_name}() method",
-                )
-            )
-            continue
-        attrs = _self_attrs(method)
-        for tier in ("_archives", "_spill"):
-            if tier not in attrs:
-                out.append(
-                    _violation(
-                        method,
-                        relpath,
-                        f"KeepAliveDecisionMaker.{method_name}() never "
-                        f"consults {tier}: one archive tier would be "
-                        "invisible, so a retired swarm could be re-seeded "
-                        "from scratch instead of rehydrated",
-                    )
-                )
     return out
 
 
@@ -427,7 +359,6 @@ def check_kdm_archive_paths(
 PROJECT_CHECKS = (
     ("src/repro/optimizers/batch.py", check_swarm_archive),
     ("src/repro/core/arrival.py", check_estimator_shelf),
-    ("src/repro/core/kdm.py", check_kdm_archive_paths),
 )
 
 
