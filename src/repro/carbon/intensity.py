@@ -14,6 +14,7 @@ Synthetic region generators live in :mod:`repro.carbon.regions`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,13 @@ class CarbonIntensityTrace:
     values: np.ndarray
     name: str = "trace"
     _cum: np.ndarray = field(init=False, repr=False, compare=False)
+    #: ``times_s``, ``values`` and ``_cum`` as lists of Python floats for
+    #: the scalar lookups: ``bisect`` on a list costs less per call than
+    #: a numpy scalar ``searchsorted``. Rebuilt on unpickling, never
+    #: pickled.
+    _knots: tuple[list[float], list[float], list[float]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times_s, dtype=float)
@@ -68,6 +76,21 @@ class CarbonIntensityTrace:
         seg = np.diff(t) * v[:-1]
         cum = np.concatenate(([0.0], np.cumsum(seg)))
         object.__setattr__(self, "_cum", cum)
+        self._set_knots()
+
+    def _set_knots(self) -> None:
+        knots = (self.times_s.tolist(), self.values.tolist(), self._cum.tolist())
+        object.__setattr__(self, "_knots", knots)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_knots"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Also restores traces pickled before ``_knots`` existed.
+        self.__dict__.update(state)
+        self._set_knots()
 
     # -- constructors -------------------------------------------------------
 
@@ -99,9 +122,8 @@ class CarbonIntensityTrace:
 
     def at(self, t: float) -> float:
         """Carbon intensity (g/kWh) at time ``t``."""
-        idx = int(np.searchsorted(self.times_s, t, side="right")) - 1
-        idx = min(max(idx, 0), self.values.size - 1)
-        return float(self.values[idx])
+        times, values, _ = self._knots
+        return values[max(bisect_right(times, t) - 1, 0)]
 
     def at_many(self, t) -> np.ndarray:
         """Vectorised :meth:`at`."""
@@ -118,13 +140,13 @@ class CarbonIntensityTrace:
         consistent with :meth:`at`'s clamp for intervals left of, or
         straddling, the first knot -- see the class docstring.
         """
-        t0 = float(self.times_s[0])
+        times, values, cum = self._knots
+        t0 = times[0]
         if t <= t0:
             # Flat left-extension at values[0]: signed linear ramp.
-            return float((t - t0) * self.values[0])
-        idx = int(np.searchsorted(self.times_s, t, side="right")) - 1
-        idx = min(idx, self.values.size - 1)
-        return float(self._cum[idx] + (t - self.times_s[idx]) * self.values[idx])
+            return float((t - t0) * values[0])
+        idx = bisect_right(times, t) - 1
+        return float(cum[idx] + (t - times[idx]) * values[idx])
 
     def integrate(self, t0: float, t1: float) -> float:
         """Exact integral of CI(t) dt over ``[t0, t1]`` in (g/kWh)*seconds."""

@@ -26,11 +26,16 @@ _Num = TypeVar("_Num", int, float)
 
 
 def _bounded(
-    convert: type[_Num], low: _Num, *, inclusive: bool = False
+    convert: type[_Num],
+    low: _Num,
+    *,
+    inclusive: bool = False,
+    high: _Num | None = None,
 ) -> Callable[[str], _Num]:
     """An argparse ``type=`` that rejects values at or below ``low``
-    (below it when ``inclusive``), so a bad size fails at parse time
-    with a usage line instead of deep inside the model."""
+    (below it when ``inclusive``) and, given ``high``, above ``high``,
+    so a bad value fails at parse time with a usage line instead of
+    deep inside the model."""
 
     def parse(text: str) -> _Num:
         value = convert(text)
@@ -38,6 +43,8 @@ def _bounded(
             raise argparse.ArgumentTypeError(
                 f"must be {'>=' if inclusive else '>'} {low}, got {text!r}"
             )
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {text!r}")
         return value
 
     # argparse names the converter in "invalid int value" messages.
@@ -48,6 +55,7 @@ def _bounded(
 _POSITIVE_INT = _bounded(int, 0)
 _POSITIVE_FLOAT = _bounded(float, 0.0)
 _NON_NEGATIVE_FLOAT = _bounded(float, 0.0, inclusive=True)
+_PORT = _bounded(int, 0, inclusive=True, high=65535)
 
 
 def _cmd_list_experiments(_args: argparse.Namespace) -> int:
@@ -557,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         "@register_scheduler side effects (repeatable)",
     )
     work_p.add_argument(
-        "--max-jobs", type=int, default=None,
+        "--max-jobs", type=_POSITIVE_INT, default=None,
         help="exit after completing this many jobs",
     )
     work_p.add_argument(
@@ -578,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument("--region", default="CAL", help="trace provider region")
     serve_p.add_argument(
-        "--hours", type=float, default=24.0, help="trace provider span"
+        "--hours", type=_POSITIVE_FLOAT, default=24.0, help="trace provider span"
     )
     serve_p.add_argument("--fixture", default=None, help="fixture JSON path")
     serve_p.add_argument(
@@ -597,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--kmax", type=_POSITIVE_FLOAT, default=30.0)
     serve_p.add_argument("--seed", type=int, default=2024)
     serve_p.add_argument("--host", default="127.0.0.1")
-    serve_p.add_argument("--port", type=int, default=8044)
+    serve_p.add_argument("--port", type=_PORT, default=8044)
     serve_p.add_argument(
         "--checkpoint-dir", default=None,
         help="checkpoint here on /checkpoint (no body) and graceful shutdown",
@@ -620,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     compile_p.add_argument("csv", help="input CSV path")
     compile_p.add_argument("out", help="output .npz trace path")
     compile_p.add_argument(
-        "--chunk-rows", type=int, default=100_000,
+        "--chunk-rows", type=_POSITIVE_INT, default=100_000,
         help="CSV rows parsed per chunk (bounds compiler memory)",
     )
     compile_p.add_argument(

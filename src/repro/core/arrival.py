@@ -62,16 +62,6 @@ class ArrivalEstimator:
     def n_samples(self) -> int:
         return len(self._iats)
 
-    @property
-    def mean_iat_s(self) -> float:
-        """Blended mean inter-arrival time (prior + observations)."""
-        n = self.n_samples
-        if n == 0:
-            return self.prior_mean
-        emp = float(np.mean(self._iats))
-        w = n / (n + self.prior_strength)
-        return w * emp + (1.0 - w) * self.prior_mean
-
     # -- queries (vectorised over candidate keep-alive periods) ---------------
 
     def _ensure_cache(self) -> None:

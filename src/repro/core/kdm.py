@@ -454,8 +454,8 @@ class KeepAliveDecisionMaker:
 
         iterations = self.config.iterations_per_invocation
         if len(batch) == 1:
-            # Nothing to fuse: gather from a one-function table through
-            # the fleet's view-based single-swarm kernel (no batch overhead).
+            # Nothing to fuse: gather from a one-function table; the
+            # fleet steps the lone swarm through its kernel at width 1.
             func, t = batch[0]
             fitness = self.builder.fitness(func, t, self.arrivals.get(func.name))
             fleet.step_one(indices[0], fitness, iterations=iterations)

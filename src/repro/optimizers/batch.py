@@ -43,6 +43,15 @@ the call's first iteration (a later re-score would recompute the stored
 scores exactly), while the sequential oracles re-score on every
 iteration and still match bit for bit.
 
+**One kernel.** :meth:`SwarmFleet.step` is the only PSO loop. It gathers
+the stepped swarms' rows once per call, runs every iteration on those
+local copies and writes them back once after the last iteration. A lone
+swarm goes through the same kernel at width 1:
+:meth:`SwarmFleet.step_one` only adapts a plain ``(rows, dim) ->
+(rows,)`` fitness to the batched signature. Perception-response draws
+each fired swarm's redistribution from its own stream and applies all of
+them with one scatter per array.
+
 Under function churn the set of ever-seen functions is unbounded, so the
 fleet also supports **slot retirement**: :meth:`SwarmFleet.retire`
 snapshots a swarm (rows + RNG bit-generator state) into a
@@ -67,7 +76,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.optimizers.base import clip_box
 from repro.optimizers.dynamic_pso import DPSOParams
 
 #: Batched objective: (n_active, rows, dim) positions -> (n_active, rows)
@@ -427,9 +435,8 @@ class SwarmFleet:
         ``DynamicPSO.perceive`` oracle (``tests/oracles``) computes for
         one swarm -- the weight updates are elementwise
         float64, so the values are bit-identical to the scalar oracle
-        regardless of batch shape.
-        Redistribution of the triggered swarms loops per swarm, because
-        each swarm's private stream must advance in its own draw order.
+        regardless of batch shape. The triggered swarms are
+        redistributed together by :meth:`_redistribute`.
         Returns the boolean fired mask (aligned with ``indices``).
         """
         if not self.dynamic:
@@ -439,7 +446,7 @@ class SwarmFleet:
         idx = np.asarray(indices, dtype=np.intp)
         if idx.size == 0:
             return np.zeros(0, dtype=bool)
-        if len(np.unique(idx)) != idx.size:
+        if len(set(idx.tolist())) != idx.size:
             raise ValueError("perceive_batch() indices must be distinct")
         if not self._live[idx].all():
             raise IndexError("perceive_batch() indices must address live slots")
@@ -464,8 +471,7 @@ class SwarmFleet:
         self.c2[idx] = c
 
         fired = change > p.perception_threshold
-        for i in idx[fired]:
-            self.redistribute(int(i), p.redistribute_fraction)
+        self._redistribute(idx[fired], p.redistribute_fraction)
         return fired
 
     def redistribute(self, index: int, fraction: float = 0.5) -> None:
@@ -476,18 +482,34 @@ class SwarmFleet:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1]")
         self._require_live(index)
+        self._redistribute(np.array([index], dtype=np.intp), fraction)
+
+    def _redistribute(self, idx: np.ndarray, fraction: float) -> None:
+        """Re-place ``round(fraction * n_particles)`` particles of each
+        (distinct) swarm at ``idx``.
+
+        Each swarm draws its particle choice, positions and velocities
+        from its own stream in ``ParticleSwarm.redistribute``'s order;
+        the draws are then applied with one scatter per array.
+        """
         n, d = self.n_particles, self.dim
         k = int(round(fraction * n))
-        if k == 0:
+        if k == 0 or idx.size == 0:
             return
-        rng = self._rngs[index]
-        idx = rng.choice(n, size=k, replace=False)
-        self.positions[index, idx] = rng.uniform(0.0, 1.0, size=(k, d))
-        self.velocities[index, idx] = rng.uniform(
-            -self.vmax, self.vmax, size=(k, d)
-        )
-        self.pbest_positions[index, idx] = self.positions[index, idx]
-        self.pbest_scores[index, idx] = np.inf
+        m, vmax = idx.size, self.vmax
+        picks = np.empty((m, k), dtype=np.intp)
+        new_pos = np.empty((m, k, d))
+        new_vel = np.empty((m, k, d))
+        for j, i in enumerate(idx.tolist()):
+            rng = self._rngs[i]
+            picks[j] = rng.choice(n, size=k, replace=False)
+            new_pos[j] = rng.uniform(0.0, 1.0, size=(k, d))
+            new_vel[j] = rng.uniform(-vmax, vmax, size=(k, d))
+        rows = idx[:, None]
+        self.positions[rows, picks] = new_pos
+        self.velocities[rows, picks] = new_vel
+        self.pbest_positions[rows, picks] = new_pos
+        self.pbest_scores[rows, picks] = np.inf
 
     # -- search ---------------------------------------------------------------
 
@@ -511,98 +533,93 @@ class SwarmFleet:
         ``pbest_scores`` exactly -- and each swarm draws the whole call's
         ``r1``/``r2`` in one ``uniform`` call, the same doubles in the same
         order as per-iteration draws.
+
+        The swarms' rows are gathered once, iterated in locals and
+        written back once after the last iteration; mirrors
+        ``ParticleSwarm.step`` per swarm (with ``_refresh_best`` and
+        ``_record_best``).
         """
         idx = np.asarray(indices, dtype=np.intp)
-        if idx.size == 0:
+        s = idx.size
+        if s == 0:
             return
-        if len(np.unique(idx)) != idx.size:
+        if s > 1 and len(set(idx.tolist())) != s:
             raise ValueError("step() indices must be distinct")
         if not self._live[idx].all():
             raise IndexError("step() indices must address live slots")
-        if self.rescore_bests:
-            self._refresh_bests(idx, fitness)
-        s, n, d = idx.size, self.n_particles, self.dim
-        draws = np.empty((s, iterations, 2, n, d))
-        for j, i in enumerate(idx):
-            draws[j] = self._rngs[i].uniform(size=(iterations, 2, n, d))
-        for it in range(iterations):
-            self._iterate(
-                idx, fitness, self.rescore_bests and it == 0,
-                draws[:, it, 0], draws[:, it, 1],
-            )
+        n, d, vmax = self.n_particles, self.dim, self.vmax
+        rescore = self.rescore_bests
 
-    def _refresh_bests(self, idx: np.ndarray, fitness: BatchFitnessFn) -> None:
-        """Re-score incumbents under the current landscape.
-
-        Mirrors ``ContinuousOptimizer._refresh_best``. Swarms that have
-        never been stepped hold a zero placeholder position; their row is
-        evaluated (the kernel is rectangular) but the result is discarded.
-        """
-        has = self._has_best[idx]
-        if not has.any():
-            return
-        scores = fitness(self.best_positions[idx][:, None, :])
-        self._check_scores(scores, idx.size, 1)
-        with_best = idx[has]
-        self.best_scores[with_best] = scores[has, 0]
-
-    def _iterate(
-        self,
-        idx: np.ndarray,
-        fitness: BatchFitnessFn,
-        rescore: bool,
-        r1: np.ndarray,
-        r2: np.ndarray,
-    ) -> None:
-        s, n = idx.size, self.n_particles
         pos = self.positions[idx]  # (s, n, d) gathered copies
+        vel = self.velocities[idx]
         pb_pos = self.pbest_positions[idx]
-
-        if rescore:
-            # Current positions and stale personal bests in one call.
-            batch = np.concatenate([pos, pb_pos], axis=1)
-            scores = fitness(batch)
-            self._check_scores(scores, s, 2 * n)
-            cur, pb = scores[:, :n], scores[:, n:]
-        else:
-            cur = fitness(pos)
-            self._check_scores(cur, s, n)
-            pb = self.pbest_scores[idx]
-
-        improved = cur <= pb
-        pb_pos = np.where(improved[..., None], pos, pb_pos)
-        pb_scores = np.where(improved, cur, pb)
-
-        rows = np.arange(s)
-        g = np.argmin(pb_scores, axis=1)  # first-index ties, as argmin()
-        gbest = pb_pos[rows, g]  # (s, d)
-
-        # _record_best: track the incumbent optimum per swarm.
-        g_scores = pb_scores[rows, g]
-        better = g_scores < self.best_scores[idx]
-        if better.any():
-            upd = idx[better]
-            self.best_scores[upd] = g_scores[better]
-            self.best_positions[upd] = gbest[better]
-            self._has_best[upd] = True
-
+        pb_scores = self.pbest_scores[idx]
+        best_pos = self.best_positions[idx]  # (s, d)
+        best_scores = self.best_scores[idx]
+        has_best = self._has_best[idx]
         om = self.omega[idx][:, None, None]
-        c1 = self.c1[idx][:, None, None]
-        c2 = self.c2[idx][:, None, None]
-        vel = (
-            om * self.velocities[idx]
-            + c1 * r1 * (pb_pos - pos)
-            + c2 * r2 * (gbest[:, None, :] - pos)
-        )
-        np.clip(vel, -self.vmax, self.vmax, out=vel)
-        pos = clip_box(pos + vel)
+        rows = np.arange(s)
+
+        if rescore and has_best.any():
+            # _refresh_best: re-score incumbents under this landscape. A
+            # never-stepped swarm's zero placeholder row is evaluated (the
+            # kernel is rectangular) and its score discarded.
+            scores = fitness(best_pos[:, None, :])
+            self._check_scores(scores, s, 1)
+            np.copyto(best_scores, scores[:, 0], where=has_best)
+
+        # r1/r2 for every iteration, pre-scaled by the per-swarm weights:
+        # c1 * r1 is the sequential (c1 * r1) * (pbest - x) factor.
+        draws = np.empty((2, iterations, s, n, d))
+        for j, i in enumerate(idx.tolist()):
+            draws[:, :, j] = (
+                self._rngs[i].uniform(size=(iterations, 2, n, d)).swapaxes(0, 1)
+            )
+        c1r1 = self.c1[idx][:, None, None] * draws[0]
+        c2r2 = self.c2[idx][:, None, None] * draws[1]
+
+        for it in range(iterations):
+            if rescore and it == 0:
+                # Current positions and stale personal bests in one call.
+                scores = fitness(np.concatenate((pos, pb_pos), axis=1))
+                self._check_scores(scores, s, 2 * n)
+                cur = scores[:, :n]
+                pb_scores[...] = scores[:, n:]
+            else:
+                cur = fitness(pos)
+                self._check_scores(cur, s, n)
+
+            # The gathered locals are copies: update them in place.
+            improved = cur <= pb_scores
+            np.copyto(pb_pos, pos, where=improved[..., None])
+            np.copyto(pb_scores, cur, where=improved)
+
+            g = pb_scores.argmin(axis=1)  # first-index ties, as argmin()
+            gbest = pb_pos[rows, g]  # (s, d)
+
+            # _record_best: track the incumbent optimum per swarm.
+            g_scores = pb_scores[rows, g]
+            better = g_scores < best_scores
+            np.copyto(best_scores, g_scores, where=better)
+            np.copyto(best_pos, gbest, where=better[:, None])
+            has_best |= better
+
+            vel = (
+                om * vel
+                + c1r1[it] * (pb_pos - pos)
+                + c2r2[it] * (gbest[:, None, :] - pos)
+            )
+            vel.clip(-vmax, vmax, out=vel)
+            pos = pos + vel
+            pos.clip(0.0, 1.0, out=pos)
 
         self.positions[idx] = pos
         self.velocities[idx] = vel
         self.pbest_positions[idx] = pb_pos
         self.pbest_scores[idx] = pb_scores
-
-    # -- single-swarm fast path ------------------------------------------------
+        self.best_positions[idx] = best_pos
+        self.best_scores[idx] = best_scores
+        self._has_best[idx] = has_best
 
     def step_one(
         self,
@@ -610,71 +627,10 @@ class SwarmFleet:
         fitness: Callable[[np.ndarray], np.ndarray],
         iterations: int = 1,
     ) -> None:
-        """Advance one swarm against a plain ``(rows, dim) -> (rows,)``
-        fitness, operating on views into the stacked arrays.
-
-        This is the degenerate-batch escape hatch: a batch of one pays
-        the fused kernels' gather/scatter overhead for nothing, so
-        callers with a single active swarm (for example the KDM when an
-        invocation arrives alone at its tick) step it through this exact
-        mirror of ``ParticleSwarm.step`` instead. State and RNG stream
-        are shared with the batched path, so the two can interleave
-        freely and stay bit-identical to a sequential optimizer.
-
-        The :meth:`step` contract holds here too: ``fitness`` is a pure
-        function of the positions for the duration of the call, personal
-        bests are re-scored on the first iteration only, and the swarm
-        draws the call's ``r1``/``r2`` in one ``uniform`` call.
-        """
+        """:meth:`step` for one swarm against a plain ``(rows, dim) ->
+        (rows,)`` fitness."""
         self._require_live(index)
-        if self.rescore_bests and self._has_best[index]:
-            self.best_scores[index] = float(
-                fitness(self.best_positions[index][None, :])[0]
-            )
-        n, d = self.n_particles, self.dim
-        draws = self._rngs[index].uniform(size=(iterations, 2, n, d))
-        for it in range(iterations):
-            pos = self.positions[index]  # (n, d) views
-            pb_pos = self.pbest_positions[index]
-            pb_scores = self.pbest_scores[index]
-
-            if self.rescore_bests and it == 0:
-                batch = np.concatenate([pos, pb_pos], axis=0)
-                scores = np.asarray(fitness(batch), dtype=float)
-                if scores.shape != (2 * n,):
-                    raise ValueError(
-                        f"fitness returned shape {scores.shape}, "
-                        f"expected {(2 * n,)}"
-                    )
-                cur, pb = scores[:n], scores[n:]
-            else:
-                cur = np.asarray(fitness(pos), dtype=float)
-                if cur.shape != (n,):
-                    raise ValueError(
-                        f"fitness returned shape {cur.shape}, expected {(n,)}"
-                    )
-                pb = pb_scores
-
-            improved = cur <= pb
-            pb_pos[improved] = pos[improved]
-            pb_scores[:] = np.where(improved, cur, pb)
-
-            g = int(np.argmin(pb_scores))
-            gbest = pb_pos[g]
-            if pb_scores[g] < self.best_scores[index]:
-                self.best_scores[index] = pb_scores[g]
-                self.best_positions[index] = gbest
-                self._has_best[index] = True
-
-            r1, r2 = draws[it]
-            vel = (
-                self.omega[index] * self.velocities[index]
-                + self.c1[index] * r1 * (pb_pos - pos)
-                + self.c2[index] * r2 * (gbest[None, :] - pos)
-            )
-            np.clip(vel, -self.vmax, self.vmax, out=vel)
-            self.velocities[index] = vel
-            self.positions[index] = clip_box(pos + vel)
+        self.step([index], lambda x: fitness(x[0])[None], iterations)
 
     @staticmethod
     def _check_scores(scores: np.ndarray, s: int, rows: int) -> None:

@@ -14,12 +14,16 @@
   ``fscore`` EPDM that :class:`~repro.core.adjustment.WarmPoolAdjuster`
   and :class:`~repro.core.epdm.ExecutionPlacementDecisionMaker` must
   reproduce.
+- :mod:`tests.oracles.intensity` -- the numpy ``searchsorted`` point
+  and cumulative-integral lookups that
+  :class:`~repro.carbon.intensity.CarbonIntensityTrace`'s list
+  ``bisect`` lookups must equal bit for bit.
 - :mod:`tests.oracles.replay` -- the per-arrival engine replay (drain,
   place, ``keepalive``, admit, one arrival at a time) that the engine's
   grouped stepping loop must reproduce.
 """
 
-from tests.oracles import adjustment, objective
+from tests.oracles import adjustment, intensity, objective
 from tests.oracles.dynamic_pso import DynamicPSO
 from tests.oracles.pso import ParticleSwarm
 from tests.oracles.replay import reference_replay
@@ -30,6 +34,7 @@ __all__ = [
     "ParticleSwarm",
     "SequentialKDM",
     "adjustment",
+    "intensity",
     "objective",
     "reference_replay",
     "sequential_ecolife",

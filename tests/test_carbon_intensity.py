@@ -1,11 +1,14 @@
 """Carbon-intensity trace: lookup, integration, statistics."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.carbon import CarbonIntensityTrace
+from tests.oracles import intensity as intensity_oracle
 
 
 @pytest.fixture
@@ -179,6 +182,72 @@ class TestStats:
         sh = step_trace.shifted(1000.0)
         assert sh.at(1000.0) == step_trace.at(0.0)
         assert sh.integrate(1000.0, 1060.0) == step_trace.integrate(0.0, 60.0)
+
+
+class TestListLookupsMatchOracle:
+    """The list ``bisect`` lookups == the numpy ``searchsorted`` ones in
+    ``tests/oracles/intensity.py``, bit for bit."""
+
+    TRACES = {
+        "offset": CarbonIntensityTrace(
+            times_s=np.array([100.0, 160.0, 220.0]),
+            values=np.array([100.0, 300.0, 200.0]),
+        ),
+        "irregular": CarbonIntensityTrace(
+            times_s=np.array([0.1, 0.7, 61.3, 3600.0, 3600.5]),
+            values=np.array([212.7, 0.0, 1e-3, 451.25, 97.3]),
+        ),
+        "constant": CarbonIntensityTrace.constant(250.0),
+    }
+
+    @staticmethod
+    def _queries(trace):
+        knots = trace.times_s
+        mids = (knots[:-1] + knots[1:]) / 2.0
+        near = np.concatenate(
+            (np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf))
+        )
+        left = knots[0] - np.array([1e-9, 0.5, 60.0, 1e6])
+        right = knots[-1] + np.array([1e-9, 0.5, 60.0, 1e6])
+        return np.concatenate((knots, mids, near, left, right)).tolist()
+
+    @pytest.mark.parametrize("name", sorted(TRACES))
+    def test_cum_at_bit_equal(self, name):
+        trace = self.TRACES[name]
+        for t in self._queries(trace):
+            got = trace._cum_at(t)
+            want = intensity_oracle.cum_at(trace, t)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), t
+
+    @pytest.mark.parametrize("name", sorted(TRACES))
+    def test_at_bit_equal(self, name):
+        trace = self.TRACES[name]
+        for t in self._queries(trace):
+            got = trace.at(t)
+            assert type(got) is float
+            assert got == intensity_oracle.at(trace, t), t
+
+    def test_numpy_scalar_queries(self):
+        trace = self.TRACES["irregular"]
+        for t in self._queries(trace):
+            t64 = np.float64(t)
+            assert trace._cum_at(t64) == intensity_oracle.cum_at(trace, t64)
+            assert trace.at(t64) == intensity_oracle.at(trace, t64)
+
+    def test_pickles_without_knot_lists_and_restores_old_state(self):
+        """The list copies are not pickled, and a state pickled before
+        they existed (no ``_knots``) still answers once loaded."""
+        trace = self.TRACES["irregular"]
+        state = trace.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2]
+        assert "_knots" not in state
+        old = object.__new__(CarbonIntensityTrace)
+        old.__setstate__(dict(state))  # what unpickling an older pickle does
+        restored = pickle.loads(pickle.dumps(trace))
+        for t in self._queries(trace):
+            want = intensity_oracle.cum_at(trace, t)
+            assert old._cum_at(t) == restored._cum_at(t) == want
+            assert old.at(t) == restored.at(t) == trace.at(t)
 
 
 # -- property-based invariants -------------------------------------------------

@@ -170,8 +170,16 @@ class TestCommands:
             ["sweep", "--kmax", "0"],
             ["trace", "sample", "out.csv", "--functions", "0"],
             ["trace", "sample", "out.csv", "--hours", "-1"],
+            ["serve", "--hours", "0"],
+            ["serve", "--port", "-1"],
+            ["serve", "--port", "65536"],
+            ["work", "tcp://127.0.0.1:7044", "--max-jobs", "0"],
+            ["trace", "compile", "in.csv", "out.npz", "--chunk-rows", "0"],
         ],
-        ids=lambda argv: " ".join(a for a in argv if a != "out.csv"),
+        ids=lambda argv: " ".join(
+            a for a in argv if a not in ("out.csv", "in.csv", "out.npz")
+            and not a.startswith("tcp://")
+        ),
     )
     def test_size_flags_fail_closed_at_parse_time(self, capsys, argv):
         """Non-positive sizes (negative pool memory) are usage errors:
@@ -183,6 +191,10 @@ class TestCommands:
         assert err.startswith("usage:")
         flag = next(a for a in argv if a.startswith("--"))
         assert f"argument {flag}: must be" in err
+
+    @pytest.mark.parametrize("port", [0, 65535])
+    def test_serve_port_bounds_are_inclusive(self, port):
+        assert build_parser().parse_args(["serve", "--port", str(port)]).port == port
 
     def test_sweep_has_no_shards_flag(self, capsys):
         with pytest.raises(SystemExit) as e:

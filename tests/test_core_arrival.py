@@ -67,16 +67,6 @@ class TestPWarm:
         assert ((0.0 <= p) & (p <= 1.0)).all()
 
 
-class TestMeanIat:
-    def test_mean_iat_blend(self):
-        est = make_est()
-        assert est.mean_iat_s == 600.0  # pure prior
-        for t in (0.0, 100.0, 200.0):
-            est.observe(t)
-        # 2 samples of 100 s, prior strength 2 -> halfway blend.
-        assert est.mean_iat_s == pytest.approx(0.5 * 100 + 0.5 * 600)
-
-
 class TestRegistry:
     def test_per_function_isolation(self):
         reg = ArrivalRegistry()

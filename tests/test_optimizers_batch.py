@@ -171,6 +171,39 @@ class TestFleetEquivalence:
             assert solo.c1 == batched.c1[i]
             assert solo.last_perception == batched.last_perception[i]
 
+    @pytest.mark.parametrize("fraction", [0.5, 1.0, 0.01])
+    def test_perceive_batch_all_fire_matches_oracle_redistribute(self, fraction):
+        """When every swarm fires, the one-scatter redistribution equals
+        each swarm's own oracle ``redistribute`` (same draws, same rows);
+        a fraction that rounds to 0 particles draws nothing."""
+        params = DPSOParams(redistribute_fraction=fraction)
+        solos = [
+            DynamicPSO(dim=2, rng=rng, n_particles=N_PARTICLES, params=params)
+            for rng in seeded_rngs(N_SWARMS)
+        ]
+        fleet = SwarmFleet(dim=2, n_particles=N_PARTICLES, params=params)
+        for rng in seeded_rngs(N_SWARMS):
+            fleet.add_swarm(rng)
+        targets = np.linspace(0.05, 0.95, N_SWARMS)
+        idx = np.arange(N_SWARMS)
+        for round_ in range(3):
+            # Each delta is a new maximum, so every swarm fires.
+            df, dci = 2.0 ** round_, 10.0 * 2.0 ** round_
+            fired = fleet.perceive_batch(
+                idx, np.full(N_SWARMS, df), np.full(N_SWARMS, dci)
+            )
+            assert fired.all()
+            assert all(solo.perceive(df, dci) for solo in solos)
+            for i, solo in enumerate(solos):
+                assert_swarm_equal(solo, fleet, i)
+                assert (
+                    solo.rng.bit_generator.state
+                    == fleet.rng_of(i).bit_generator.state
+                )
+            fleet.step(idx, batch_spheres(targets), iterations=2)
+            for i, solo in enumerate(solos):
+                solo.step(sphere_at(targets[i]), iterations=2)
+
     def test_perceive_batch_validation(self):
         _, fleet, _ = make_pairing()
         with pytest.raises(ValueError, match="distinct"):
@@ -265,6 +298,61 @@ class TestFixedLandscapeStep:
                     solo.rng.bit_generator.state
                     == fleet.rng_of(i).bit_generator.state
                 )
+
+    @staticmethod
+    def _corners(x):
+        """Minima at the box corners: the swarms pile onto 0.0 and 1.0."""
+        return -((x - 0.5) ** 2).sum(axis=-1)
+
+    @pytest.mark.parametrize("landscape", ["table", "corners"])
+    @pytest.mark.parametrize("width", [1, 2, 7])
+    def test_widths_match_dpso_oracle(self, width, landscape):
+        """Every batch width is one kernel: stepping 7 DPSO swarms in
+        groups of ``width`` == 7 ``DynamicPSO`` oracles."""
+        n_particles, n_swarms, iterations = 15, 7, 8
+        solos = [
+            DynamicPSO(dim=2, rng=r, n_particles=n_particles)
+            for r in seeded_rngs(n_swarms, base=500)
+        ]
+        fleet = SwarmFleet(dim=2, n_particles=n_particles, params=DPSOParams())
+        for r in seeded_rngs(n_swarms, base=500):
+            fleet.add_swarm(r)
+        groups = [
+            list(range(j, min(j + width, n_swarms)))
+            for j in range(0, n_swarms, width)
+        ]
+        land = np.random.default_rng(11)
+        for df, dci in [(0.0, 0.0), (3.0, 40.0), (0.1, 0.2), (5.0, 1.0)]:
+            tables = self._tables(land, n_swarms)
+            fired = fleet.perceive_batch(
+                np.arange(n_swarms), np.full(n_swarms, df), np.full(n_swarms, dci)
+            )
+            assert fired.tolist() == [solo.perceive(df, dci) for solo in solos]
+            for i, solo in enumerate(solos):
+                fit = (
+                    self._fitness(tables[i]) if landscape == "table"
+                    else self._corners
+                )
+                solo.step(fit, iterations=iterations)
+            for group in groups:
+                fit = (
+                    self._fitness(tables[group]) if landscape == "table"
+                    else self._corners
+                )
+                fleet.step(group, fit, iterations=iterations)
+            for i, solo in enumerate(solos):
+                assert_swarm_equal(solo, fleet, i)
+                assert np.array_equal(
+                    solo.best_position, fleet.best_positions[i]
+                )
+                assert (
+                    solo.rng.bit_generator.state
+                    == fleet.rng_of(i).bit_generator.state
+                )
+        if landscape == "corners":
+            live = fleet.positions[:n_swarms]
+            assert (live == 0.0).any() and (live == 1.0).any()
+            assert not np.signbit(live).any()  # no -0.0 from the clip
 
 
 class TestRetirement:
