@@ -12,7 +12,9 @@ functions get sensible keep-alive decisions instead of extremes.
 The KDM asks each estimator once per decision, on the whole K_AT grid
 (:meth:`repro.core.objective.ObjectiveBuilder.objective_table`); the
 swarm then searches that decision's table, so the queries are not
-repeated per particle or per iteration.
+repeated per particle or per iteration. The exponential prior over that
+fixed grid is the same on every decision; the objective builder computes
+it once per prior mean and passes it in.
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ from typing import Any, Sequence
 
 import numpy as np
 import numpy.typing as npt
+
+
+def exponential_prior(k_s: np.ndarray, prior_mean: float | np.ndarray) -> np.ndarray:
+    """``P(IAT <= k)`` under an exponential IAT of mean ``prior_mean``."""
+    return 1.0 - np.exp(-k_s / prior_mean)
 
 
 class ArrivalEstimator:
@@ -68,10 +75,18 @@ class ArrivalEstimator:
         if self._sorted is None:
             self._sorted = np.sort(np.asarray(self._iats, dtype=float))
 
-    def p_warm(self, k_s: npt.ArrayLike) -> np.ndarray:
-        """P(next IAT <= k) for an array of keep-alive periods (seconds)."""
+    def p_warm(
+        self, k_s: npt.ArrayLike, prior: np.ndarray | None = None
+    ) -> np.ndarray:
+        """P(next IAT <= k) for an array of keep-alive periods (seconds).
+
+        ``prior`` is ``exponential_prior(k, self.prior_mean)`` when the
+        caller already holds it (the KDM computes it once per K_AT grid);
+        with no history the result is ``prior`` itself.
+        """
         k = np.atleast_1d(np.asarray(k_s, dtype=float))
-        prior = 1.0 - np.exp(-k / self.prior_mean)
+        if prior is None:
+            prior = exponential_prior(k, self.prior_mean)
         n = self.n_samples
         if n == 0:
             return prior
@@ -146,7 +161,7 @@ class ArrivalRegistry:
             else:
                 emp.append(0.0)
                 w.append(0.0)
-        prior = 1.0 - np.exp(-np.asarray(k_s, dtype=float) / np.array(prior_mean))
+        prior = exponential_prior(np.asarray(k_s, dtype=float), np.array(prior_mean))
         w_arr = np.array(w)
         return w_arr * np.array(emp) + (1.0 - w_arr) * prior
 

@@ -467,10 +467,15 @@ class KeepAliveDecisionMaker:
             )
             fleet.step(indices, fitness, iterations=iterations)
 
-        decisions = []
-        for position in fleet.gbest_positions(indices):
-            location, k_s = self.builder.decode_single(position)
-            decisions.append(KeepAliveDecision(location=location, duration_s=k_s))
+        gbest = fleet.gbest_positions(indices)
+        locations = self.builder.config.locations
+        decisions = [
+            KeepAliveDecision(location=locations[i], duration_s=k_s)
+            for i, k_s in zip(
+                self.builder.decode_locations(gbest[:, 0]).tolist(),
+                self.builder.decode_k(gbest[:, 1]).tolist(),
+            )
+        ]
         self.decisions += len(batch)
         for func, t in batch:
             self._touch(func.name, t)

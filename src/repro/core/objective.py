@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import units
-from repro.core.arrival import ArrivalEstimator
+from repro.core.arrival import ArrivalEstimator, exponential_prior
 from repro.core.config import EcoLifeConfig
 from repro.hardware.specs import Generation
 from repro.optimizers.base import FitnessFn
@@ -244,17 +244,36 @@ class ObjectiveBuilder:
     ``K_AT`` (:meth:`SchedulerEnv.keepalive_grid_s`). The space is a
     location times a K_AT cell (2 x 31 cells by default), so one decision's
     objective is a small table: :meth:`objective_table` scores every cell
-    once -- one ``p_warm`` / ``E[min(IAT, k)]`` query per function, on the
-    grid -- and the fitness closures only map positions to cells and
-    gather. Within one decision the landscape is therefore fixed, which
+    once -- one ``p_warm`` query per function, on the grid -- and the
+    fitness closures only map positions to cells and gather. Within one
+    decision the landscape is therefore fixed, which
     the fleet's stepping relies on (:class:`~repro.optimizers.batch.
     SwarmFleet`).
+
+    Everything a table lookup needs besides the table is fixed for the
+    builder's lifetime and computed here once: the decode constants of
+    both coordinates as ``(2,)`` arrays (:meth:`_gather`) and, per prior
+    mean, the arrival prior over the K_AT grid (:meth:`_grid_prior`).
     """
 
     def __init__(self, env: SchedulerEnv, config: EcoLifeConfig) -> None:
         self.env = env
         self.config = config
         self.costs = CostModel(env, config)
+        # Column 0 decodes x0 to a location, column 1 x1 to a K_AT cell:
+        # min(trunc(x * scale / div + shift), top), then the flat cell
+        # index is cells . strides. Dividing by 1.0 and adding 0.0 are
+        # exact, so each column keeps the bits of its scalar expression
+        # (decode_locations / decode_cells).
+        n_loc = len(config.locations)
+        n_k = env.keepalive_grid_s().size
+        self._scale = np.array([float(n_loc), env.kmax_s])
+        self._div = np.array([1.0, env.k_step_s])
+        self._shift = np.array([0.0, 0.5])
+        self._top = np.array([n_loc - 1, n_k - 1], dtype=np.intp)
+        self._strides = np.array([n_k, 1], dtype=np.intp)
+        #: prior mean -> read-only arrival prior over the K_AT grid.
+        self._grid_priors: dict[float, np.ndarray] = {}
 
     # -- decoding ---------------------------------------------------------------
 
@@ -321,7 +340,12 @@ class ObjectiveBuilder:
             ]
         )[:, :, None, None]
         packed = np.array([self.costs.vectors(func).packed for func in funcs])
-        p = np.array([arrival.p_warm(grid) for arrival in arrivals])[:, None, :]
+        p = np.array(
+            [
+                arrival.p_warm(grid, self._grid_prior(arrival.prior_mean))
+                for arrival in arrivals
+            ]
+        )[:, None, :]
 
         # Warm service, cold service and keep-alive-rate carbon rows.
         fcv = FunctionCostVectors
@@ -351,6 +375,40 @@ class ObjectiveBuilder:
             + cfg.lambda_c * kc / norms[:, 2]
         )
 
+    def _grid_prior(self, prior_mean: float) -> np.ndarray:
+        """The arrival prior over the K_AT grid, computed once per mean."""
+        prior = self._grid_priors.get(prior_mean)
+        if prior is None:
+            prior = exponential_prior(self.env.keepalive_grid_s(), prior_mean)
+            prior.flags.writeable = False
+            self._grid_priors[prior_mean] = prior
+        return prior
+
+    def _gather(self, table: np.ndarray) -> FitnessFn:
+        """The lookup into one objective table, as a closure.
+
+        A ``(n_loc, n_k)`` table maps ``(rows, 2)`` positions to
+        ``(rows,)`` scores; an ``(s, n_loc, n_k)`` table maps ``(s, rows,
+        2)`` to ``(s, rows)``, row ``i`` reading ``table[i]``. Both decode
+        every coordinate in one pass and read the flattened table
+        through one ``take``.
+        """
+        flat = table.reshape(-1)
+        scale, div, shift = self._scale, self._div, self._shift
+        top, strides = self._top, self._strides
+        # Where row i's table starts in ``flat`` (0 for one function).
+        n_cells = table.shape[-2] * table.shape[-1]
+        offsets: np.ndarray | int = 0
+        if table.ndim == 3:
+            offsets = np.arange(0, flat.size, n_cells)[:, None]
+
+        def gather(x: np.ndarray) -> np.ndarray:
+            cells = (x * scale / div + shift).astype(np.intp)
+            np.minimum(cells, top, out=cells)
+            return flat.take(cells.dot(strides) + offsets)
+
+        return gather
+
     def fitness(
         self, func: FunctionProfile, t: float, arrival: ArrivalEstimator
     ) -> FitnessFn:
@@ -359,13 +417,7 @@ class ObjectiveBuilder:
         The closure gathers from a one-function :meth:`objective_table`
         built here, so it is a pure function of the positions.
         """
-        table = self.objective_table([func], [t], [arrival])[0]
-
-        def fitness_fn(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            return table[self.decode_locations(x[:, 0]), self.decode_cells(x[:, 1])]
-
-        return fitness_fn
+        return self._gather(self.objective_table([func], [t], [arrival])[0])
 
     def batch_fitness(
         self,
@@ -381,13 +433,4 @@ class ObjectiveBuilder:
         :meth:`objective_table`, the table :meth:`fitness` gathers from at
         width 1.
         """
-        table = self.objective_table(funcs, ts, arrivals)
-        rows = np.arange(len(funcs))[:, None]
-
-        def batch_fn(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            return table[
-                rows, self.decode_locations(x[..., 0]), self.decode_cells(x[..., 1])
-            ]
-
-        return batch_fn
+        return self._gather(self.objective_table(funcs, ts, arrivals))

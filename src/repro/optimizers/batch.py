@@ -38,10 +38,10 @@ positions for the active subset and returns ``(n_active, rows)`` scores
 (see :meth:`repro.core.objective.ObjectiveBuilder.batch_fitness`). It must
 be a pure function of the positions for the duration of one step call --
 the KDM's closures gather from a table built once per decision -- so the
-landscape is fixed within a call: personal bests are re-scored only on
-the call's first iteration (a later re-score would recompute the stored
-scores exactly), while the sequential oracles re-score on every
-iteration and still match bit for bit.
+landscape is fixed within a call: personal bests and the incumbent best
+are re-scored only inside the call's first evaluation (a later re-score
+would recompute the stored scores exactly), while the sequential oracles
+re-score on every iteration and still match bit for bit.
 
 **One kernel.** :meth:`SwarmFleet.step` is the only PSO loop. It gathers
 the stepped swarms' rows once per call, runs every iteration on those
@@ -446,9 +446,10 @@ class SwarmFleet:
         idx = np.asarray(indices, dtype=np.intp)
         if idx.size == 0:
             return np.zeros(0, dtype=bool)
-        if len(set(idx.tolist())) != idx.size:
+        ids = idx.tolist()
+        if len(set(ids)) != idx.size:
             raise ValueError("perceive_batch() indices must be distinct")
-        if not self._live[idx].all():
+        if min(ids) < 0 or not self._live[idx].all():
             raise IndexError("perceive_batch() indices must address live slots")
         p = self.params
         df = np.abs(np.asarray(delta_f, dtype=float))
@@ -458,15 +459,14 @@ class SwarmFleet:
         self._df_max[idx] = df_max
         self._dci_max[idx] = dci_max
 
-        # 0/0 rows are discarded by the where(); silence the transient.
-        with np.errstate(invalid="ignore", divide="ignore"):
-            nf = np.where(df_max > 0.0, df / df_max, 0.0)
-            nci = np.where(dci_max > 0.0, dci / dci_max, 0.0)
+        # A zero maximum reads as no change (never divided, so no 0/0).
+        nf = np.divide(df, df_max, out=np.zeros_like(df), where=df_max > 0.0)
+        nci = np.divide(dci, dci_max, out=np.zeros_like(dci), where=dci_max > 0.0)
         change = nf + nci
         self.last_perception[idx] = change
 
-        self.omega[idx] = np.clip(p.omega_max * change, p.omega_min, p.omega_max)
-        c = np.clip(p.c_max * (1.0 - change), p.c_min, p.c_max)
+        self.omega[idx] = (p.omega_max * change).clip(p.omega_min, p.omega_max)
+        c = (p.c_max * (1.0 - change)).clip(p.c_min, p.c_max)
         self.c1[idx] = c
         self.c2[idx] = c
 
@@ -528,11 +528,13 @@ class SwarmFleet:
 
         **Contract:** for the duration of one call, ``fitness`` is a pure
         function of the positions (the KDM's closures gather from a table
-        built per decision). So personal bests are re-scored only on the
-        first iteration -- later re-scores would recompute the stored
-        ``pbest_scores`` exactly -- and each swarm draws the whole call's
-        ``r1``/``r2`` in one ``uniform`` call, the same doubles in the same
-        order as per-iteration draws.
+        built per decision). So personal bests and the incumbent best are
+        re-scored only in the first iteration's evaluation -- later
+        re-scores would recompute the stored scores exactly -- and each
+        swarm draws the whole call's ``r1``/``r2`` in one ``uniform``
+        call, the same doubles in the same order as per-iteration draws.
+        A call with ``iterations`` iterations makes ``iterations`` fitness
+        calls.
 
         The swarms' rows are gathered once, iterated in locals and
         written back once after the last iteration; mirrors
@@ -543,9 +545,10 @@ class SwarmFleet:
         s = idx.size
         if s == 0:
             return
-        if s > 1 and len(set(idx.tolist())) != s:
+        ids = idx.tolist()
+        if s > 1 and len(set(ids)) != s:
             raise ValueError("step() indices must be distinct")
-        if not self._live[idx].all():
+        if min(ids) < 0 or not self._live[idx].all():
             raise IndexError("step() indices must address live slots")
         n, d, vmax = self.n_particles, self.dim, self.vmax
         rescore = self.rescore_bests
@@ -560,18 +563,10 @@ class SwarmFleet:
         om = self.omega[idx][:, None, None]
         rows = np.arange(s)
 
-        if rescore and has_best.any():
-            # _refresh_best: re-score incumbents under this landscape. A
-            # never-stepped swarm's zero placeholder row is evaluated (the
-            # kernel is rectangular) and its score discarded.
-            scores = fitness(best_pos[:, None, :])
-            self._check_scores(scores, s, 1)
-            np.copyto(best_scores, scores[:, 0], where=has_best)
-
         # r1/r2 for every iteration, pre-scaled by the per-swarm weights:
         # c1 * r1 is the sequential (c1 * r1) * (pbest - x) factor.
         draws = np.empty((2, iterations, s, n, d))
-        for j, i in enumerate(idx.tolist()):
+        for j, i in enumerate(ids):
             draws[:, :, j] = (
                 self._rngs[i].uniform(size=(iterations, 2, n, d)).swapaxes(0, 1)
             )
@@ -580,11 +575,17 @@ class SwarmFleet:
 
         for it in range(iterations):
             if rescore and it == 0:
-                # Current positions and stale personal bests in one call.
-                scores = fitness(np.concatenate((pos, pb_pos), axis=1))
-                self._check_scores(scores, s, 2 * n)
+                # Current positions, stale personal bests and the
+                # incumbent (_refresh_best) in one call. A never-stepped
+                # swarm's zero placeholder incumbent is evaluated (the
+                # kernel is rectangular) and its score discarded.
+                scores = fitness(
+                    np.concatenate((pos, pb_pos, best_pos[:, None, :]), axis=1)
+                )
+                self._check_scores(scores, s, 2 * n + 1)
                 cur = scores[:, :n]
-                pb_scores[...] = scores[:, n:]
+                pb_scores[...] = scores[:, n : 2 * n]
+                np.copyto(best_scores, scores[:, 2 * n], where=has_best)
             else:
                 cur = fitness(pos)
                 self._check_scores(cur, s, n)
@@ -645,7 +646,8 @@ class SwarmFleet:
     def gbest_positions(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
         """Current swarm-best position per requested swarm, ``(s, dim)``."""
         idx = np.asarray(indices, dtype=np.intp)
-        if not self._live[idx].all():
+        ids = idx.tolist()
+        if (ids and min(ids) < 0) or not self._live[idx].all():
             raise IndexError("gbest_positions() indices must address live slots")
         g = np.argmin(self.pbest_scores[idx], axis=1)
         return self.pbest_positions[idx, g]

@@ -36,6 +36,7 @@ on-arrival path, bit-identically.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import pathlib
@@ -88,7 +89,6 @@ class LiveArrivalLog:
             raise ValueError("retention_s must be > 0")
         self.retention_s = retention_s
         self._times: list[float] = []
-        self._array: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._times)
@@ -109,7 +109,6 @@ class LiveArrivalLog:
                 )
             last = t
         self._times.extend(float(t) for t in times)
-        self._array = None
 
     def prune(self, decided_t: float) -> None:
         """Drop times more than ``retention_s`` behind ``decided_t``.
@@ -122,25 +121,24 @@ class LiveArrivalLog:
         """
         cutoff = decided_t - self.retention_s
         if self._times and self._times[0] < cutoff:
-            keep = int(np.searchsorted(self.times_s, cutoff, side="left"))
-            del self._times[:keep]
-            self._array = None
+            del self._times[: bisect.bisect_left(self._times, cutoff)]
 
     @property
     def times_s(self) -> np.ndarray:
-        if self._array is None:
-            self._array = np.asarray(self._times, dtype=float)
-        return self._array
+        """The logged times as a fresh array."""
+        return np.asarray(self._times, dtype=float)
 
     def rate_per_minute(self, t: float, window_s: float = 60.0) -> float:
         """Logged invocations per minute over ``[t - window_s, t]``.
 
         Bit-identical to ``InvocationTrace.rate_per_minute`` over the
-        same arrival times (same searchsorted expression).
+        same arrival times: on the sorted log, ``bisect_right`` returns
+        the index ``searchsorted(..., side="right")`` does, so the counts
+        match without building an array per query.
         """
-        times = self.times_s
-        lo = int(np.searchsorted(times, t - window_s, side="right"))
-        hi = int(np.searchsorted(times, t, side="right"))
+        times = self._times
+        lo = bisect.bisect_right(times, t - window_s)
+        hi = bisect.bisect_right(times, t)
         if window_s <= 0.0:
             return 0.0
         return (hi - lo) * 60.0 / window_s

@@ -60,10 +60,20 @@ class WarmPool:
     capacity_gb: float = math.inf
     _containers: dict[str, WarmContainer] = field(default_factory=dict)
     _used_gb: float = 0.0
+    #: Member name -> memory (GB): what :meth:`_recount` sums.
+    _mems: dict[str, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.capacity_gb < 0.0:
             raise ValueError(f"capacity_gb must be >= 0, got {self.capacity_gb}")
+
+    def __setstate__(self, state: dict) -> None:
+        # Pools pickled before ``_mems`` existed carry only the members.
+        self.__dict__.update(state)
+        if "_mems" not in state:
+            self._mems = {name: c.mem_gb for name, c in self._containers.items()}
 
     # -- queries -------------------------------------------------------------
 
@@ -113,11 +123,13 @@ class WarmPool:
                 f"({self._used_gb:.2f}/{self.capacity_gb:.2f} GB used)"
             )
         self._containers[container.name] = container
+        self._mems[container.name] = container.mem_gb
         self._recount()
 
     def remove(self, name: str) -> WarmContainer:
         """Remove and return a container (KeyError if absent)."""
         container = self._containers.pop(name)
+        del self._mems[name]
         self._recount()
         return container
 
@@ -131,4 +143,4 @@ class WarmPool:
         keeps ``used_gb`` the correctly-rounded sum of the *current*
         members -- exactly ``0.0`` for an empty pool, no clamp needed.
         """
-        self._used_gb = math.fsum(c.mem_gb for c in self._containers.values())
+        self._used_gb = math.fsum(self._mems.values())

@@ -8,7 +8,8 @@
 - :mod:`tests.oracles.objective` -- the per-particle KDM objective
   closures (and the padded ``ArrivalBatch`` queries) that
   :class:`~repro.core.objective.ObjectiveBuilder`'s table gather must
-  equal bit for bit.
+  equal bit for bit, and the per-column table lookups its one-pass
+  gather must equal.
 - :mod:`tests.oracles.adjustment` -- the scalar per-location cost
   estimates, the per-candidate warm-pool ranker and the ``min``-over-
   ``fscore`` EPDM that :class:`~repro.core.adjustment.WarmPoolAdjuster`

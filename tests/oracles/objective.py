@@ -16,6 +16,11 @@ equal the table gather bit for bit.
 Positions decode with the original expression,
 ``clip(floor(x1 * kmax / step + 0.5) * step, 0, kmax)``, independently of
 the table's cell mapping.
+
+:func:`table_fitness` and :func:`table_batch_fitness` are the table
+lookups as they were before the builder's one-pass gather: each column
+decoded on its own (:func:`decode_locations`, :func:`decode_cells`),
+then one fancy index into the unflattened table.
 """
 
 from __future__ import annotations
@@ -35,6 +40,52 @@ def decode_k(builder: ObjectiveBuilder, x1: np.ndarray) -> np.ndarray:
     kmax = builder.env.kmax_s
     steps = np.floor(np.asarray(x1) * kmax / step + 0.5)
     return np.clip(steps * step, 0.0, kmax)
+
+
+def decode_locations(builder: ObjectiveBuilder, x0: np.ndarray) -> np.ndarray:
+    """Map x0 in [0,1] to indices into ``config.locations``."""
+    n_loc = len(builder.config.locations)
+    return np.minimum((np.asarray(x0) * n_loc).astype(int), n_loc - 1)
+
+
+def decode_cells(builder: ObjectiveBuilder, x1: np.ndarray) -> np.ndarray:
+    """Map x1 in [0,1] to K_AT cells: ``floor(x1 * kmax / step + 0.5)``,
+    clamped to the top cell."""
+    steps = np.asarray(x1) * builder.env.kmax_s / builder.env.k_step_s + 0.5
+    top = builder.env.keepalive_grid_s().size - 1
+    return np.minimum(steps.astype(np.intp), top)
+
+
+def table_fitness(
+    builder: ObjectiveBuilder, table: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Lookup into one function's ``(n_loc, n_k)`` table: ``(rows, 2) ->
+    (rows,)``."""
+
+    def fitness_fn(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        loc = decode_locations(builder, x[:, 0])
+        return table[loc, decode_cells(builder, x[:, 1])]
+
+    return fitness_fn
+
+
+def table_batch_fitness(
+    builder: ObjectiveBuilder, table: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Lookup into an ``(s, n_loc, n_k)`` table: ``(s, rows, 2) -> (s,
+    rows)``, row ``i`` reading ``table[i]``."""
+    rows = np.arange(table.shape[0])[:, None]
+
+    def batch_fn(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return table[
+            rows,
+            decode_locations(builder, x[..., 0]),
+            decode_cells(builder, x[..., 1]),
+        ]
+
+    return batch_fn
 
 
 def fitness(

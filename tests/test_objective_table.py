@@ -139,6 +139,89 @@ def test_table_gather_equals_oracle_closures(
         assert np.array_equal(solo, table[i])
 
 
+def edge_positions(builder: ObjectiveBuilder) -> np.ndarray:
+    """``(rows, 2)``: every decode boundary and its neighbours, crossed.
+
+    x0 takes 0, 1, each location boundary ``j / n_loc`` and 0.5, each
+    one ULP either side; x1 takes 0, 1 and each K_AT midpoint, each one
+    ULP either side.
+    """
+    n_loc = len(builder.config.locations)
+    step_x = builder.env.k_step_s / builder.env.kmax_s
+    mids = (np.arange(builder.env.keepalive_grid_s().size) + 0.5) * step_x
+    x0 = np.concatenate([[0.0, 0.5, 1.0], np.arange(1, n_loc) / n_loc])
+    x1 = np.concatenate([[0.0, 1.0], mids[mids <= 1.0]])
+
+    def with_ulps(v: np.ndarray) -> np.ndarray:
+        near = np.concatenate([np.nextafter(v, -1.0), v, np.nextafter(v, 2.0)])
+        return np.unique(near[(near >= 0.0) & (near <= 1.0)])
+
+    a, b = np.meshgrid(with_ulps(x0), with_ulps(x1), indexing="ij")
+    return np.stack([a.ravel(), b.ravel()], axis=1)
+
+
+@pytest.mark.parametrize("kmax_minutes", KMAX_MINUTES)
+@pytest.mark.parametrize("locations", LOCATION_SETS)
+class TestGather:
+    """The one-pass table gather == per-column decode + fancy index
+    (``tests/oracles/objective.py``), bit for bit."""
+
+    def _decision(self, kmax_minutes, locations, width, seed=0):
+        rng = np.random.default_rng(seed)
+        builder = ObjectiveBuilder(
+            make_env(kmax_minutes), EcoLifeConfig(locations=locations)
+        )
+        funcs = [
+            FunctionProfile(
+                name=f"f{i}",
+                mem_gb=float(rng.uniform(0.1, 2.0)),
+                exec_ref_s=float(rng.uniform(0.2, 5.0)),
+                cold_ref_s=float(rng.uniform(0.1, 3.0)),
+            )
+            for i in range(width)
+        ]
+        ts = [float(t) for t in rng.uniform(0.0, 240 * 60.0, size=width)]
+        arrivals = [
+            make_estimator(rng, 20, 2.0, False, builder.env.k_step_s)
+            for _ in range(width)
+        ]
+        return rng, builder, funcs, ts, arrivals
+
+    def test_decode_edges(self, kmax_minutes, locations):
+        _, builder, funcs, ts, arrivals = self._decision(kmax_minutes, locations, 1)
+        x = edge_positions(builder)
+        assert np.array_equal(
+            builder.decode_locations(x[:, 0]), ref.decode_locations(builder, x[:, 0])
+        )
+        assert np.array_equal(
+            builder.decode_cells(x[:, 1]), ref.decode_cells(builder, x[:, 1])
+        )
+        table = builder.objective_table(funcs, ts, arrivals)[0]
+        fast = builder.fitness(funcs[0], ts[0], arrivals[0])(x)
+        assert np.array_equal(fast, ref.table_fitness(builder, table)(x))
+
+    @pytest.mark.parametrize("width", [1, 2, 7])
+    def test_batch_gather(self, kmax_minutes, locations, width):
+        rng, builder, funcs, ts, arrivals = self._decision(
+            kmax_minutes, locations, width, seed=width
+        )
+        edges = edge_positions(builder)
+        x = np.concatenate(
+            [
+                np.broadcast_to(edges, (width, *edges.shape)),
+                rng.uniform(size=(width, 45, 2)),
+            ],
+            axis=1,
+        )
+        table = builder.objective_table(funcs, ts, arrivals)
+        fast = builder.batch_fitness(funcs, ts, arrivals)(x)
+        assert fast.shape == x.shape[:2]
+        assert np.array_equal(fast, ref.table_batch_fitness(builder, table)(x))
+        for i in range(width):
+            solo = builder.fitness(funcs[i], ts[i], arrivals[i])(x[i])
+            assert np.array_equal(solo, ref.table_fitness(builder, table[i])(x[i]))
+
+
 @pytest.mark.parametrize("kmax_minutes", KMAX_MINUTES)
 class TestKeepAliveGrid:
     def test_grid_is_the_decodable_set(self, kmax_minutes):

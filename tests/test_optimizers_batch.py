@@ -592,6 +592,42 @@ class TestFleetValidation:
         with pytest.raises(ValueError):
             SwarmFleet(dim=2, vmax=0.0)
 
+    @staticmethod
+    def _full_fleet():
+        """Four live swarms in four slots: slot -1 would wrap to slot 3."""
+        fleet = SwarmFleet(dim=2, n_particles=N_PARTICLES, params=DPSOParams())
+        for rng in seeded_rngs(4):
+            fleet.add_swarm(rng)
+        assert fleet.capacity == fleet.n_swarms == 4
+        return fleet
+
+    def test_step_rejects_negative_slot(self):
+        fleet = self._full_fleet()
+        before = fleet.positions.copy()
+        state = fleet.rng_of(3).bit_generator.state
+        for indices in ([-1], [0, -1]):
+            with pytest.raises(IndexError, match="live"):
+                fleet.step(indices, batch_spheres([0.5, 0.5]))
+        assert np.array_equal(fleet.positions, before)
+        assert fleet.rng_of(3).bit_generator.state == state
+
+    def test_perceive_rejects_negative_slot(self):
+        fleet = self._full_fleet()
+        with pytest.raises(IndexError, match="live"):
+            fleet.perceive_batch([-1], [1.0], [1.0])
+        with pytest.raises(IndexError, match="live"):
+            fleet.perceive_batch([1, -4], [1.0, 1.0], [1.0, 1.0])
+        assert not fleet._df_max.any()
+        assert not fleet.last_perception.any()
+
+    def test_gbest_rejects_negative_slot(self):
+        fleet = self._full_fleet()
+        with pytest.raises(IndexError, match="live"):
+            fleet.gbest_positions([-1])
+        with pytest.raises(IndexError, match="live"):
+            fleet.gbest_positions([2, -2])
+        assert fleet.gbest_positions([]).shape == (0, 2)
+
     def test_empty_step_is_noop(self):
         _, fleet, _ = make_pairing()
         # Compare only live rows: the backing arrays are np.empty-allocated

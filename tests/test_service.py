@@ -129,6 +129,32 @@ class TestLiveArrivalLog:
         log.extend([1.0])
         assert log.rate_per_minute(1.0, 0.0) == 0.0
 
+    def test_lookups_match_searchsorted_at_ties_and_ulps(self):
+        """``rate_per_minute`` and ``prune`` bisect the logged list; on
+        tied times and on queries one ULP either side of every time (and
+        of every time plus the window) they must give the indices of
+        ``searchsorted`` over the same times."""
+        times = [0.0, 1.5, 1.5, 1.5, 60.0, 61.5, 61.5, 120.0, 3600.0, 3600.0, 3661.5]
+        arr = np.array(times)
+        near = np.concatenate(
+            [np.nextafter(arr, -np.inf), arr, np.nextafter(arr, np.inf)]
+        )
+        for window in (60.0, 1.5, 300.0):
+            log = LiveArrivalLog()
+            log.extend(times)
+            for t in np.concatenate([near, near + window]).tolist():
+                lo = int(np.searchsorted(arr, t - window, side="right"))
+                hi = int(np.searchsorted(arr, t, side="right"))
+                assert log.rate_per_minute(t, window) == (hi - lo) * 60.0 / window
+        retention = 100.0
+        for cutoff in near.tolist():
+            log = LiveArrivalLog(retention_s=retention)
+            log.extend(times)
+            decided_t = cutoff + retention
+            log.prune(decided_t)
+            keep = int(np.searchsorted(arr, decided_t - retention, side="left"))
+            assert log.times_s.tolist() == times[keep:]
+
 
 class TestDecisionParity:
     """/decide == replay, bit for bit (the acceptance criterion)."""

@@ -1,8 +1,11 @@
 """Warm pool mechanics."""
 
 import math
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware import Generation
 from repro.simulator import PoolFullError, WarmContainer, WarmPool
@@ -110,6 +113,49 @@ class TestWarmPool:
             pool.remove(f"f{i}")
         assert pool.used_gb == 0.1
         assert pool.fits(0.9)
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.integers(0, 11),
+                st.floats(0.01, 8.0, allow_nan=False, allow_infinity=False),
+            ),
+            max_size=200,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_churn_ledger_is_fsum_of_members(self, ops):
+        """Random insert/remove churn: ``used_gb`` is always the fsum of
+        the current members' ``mem_gb``, and an emptied pool reads 0.0."""
+        pool = WarmPool(generation=Generation.NEW)
+        for slot, mem in ops:
+            name = f"f{slot}"
+            if name in pool:
+                pool.remove(name)
+            else:
+                pool.insert(_container(name, mem=mem))
+            assert pool.used_gb == math.fsum(c.mem_gb for c in pool.containers())
+        for name in pool.names():
+            pool.remove(name)
+        assert pool.used_gb == 0.0
+        assert pool.free_gb == math.inf
+
+    def test_pickle_without_member_sizes_restores_ledger(self):
+        """A pool pickled before the name -> size map existed restores
+        with the map rebuilt from its members."""
+        pool = WarmPool(generation=Generation.NEW, capacity_gb=4.0)
+        pool.insert(_container("a", mem=0.1))
+        pool.insert(_container("b", mem=0.7))
+        state = dict(pool.__dict__)
+        del state["_mems"]
+        old = WarmPool.__new__(WarmPool)
+        old.__setstate__(state)
+        restored = pickle.loads(pickle.dumps(old))
+        restored.remove("a")
+        assert restored.used_gb == 0.7
+        restored.insert(_container("c", mem=0.2))
+        assert restored.used_gb == math.fsum([0.7, 0.2])
+        assert restored.names() == ["b", "c"]
 
 
 class TestWarmContainer:

@@ -328,7 +328,7 @@ class Eco003FloatLedger(Rule):
                                 f"credited and debited in {cls.name}; "
                                 "paired float ledgers drift -- recount from "
                                 "the source of truth (see "
-                                "WarmPool._recount_used)",
+                                "WarmPool._recount)",
                             )
                         )
         return out
