@@ -40,10 +40,9 @@ import time
 
 from repro.carbon import CarbonIntensityTrace
 from repro.core import EcoLifeConfig, EcoLifeScheduler
-from repro.core.arrival import ArrivalRegistry
-from repro.core.kdm import KeepAliveDecisionMaker
 from repro.hardware import PAIR_A
 from repro.simulator import SimulationConfig, SimulationEngine
+from repro.workloads import InvocationTrace
 from repro.workloads.generators import WorkloadSpec, build_trace
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -65,9 +64,15 @@ def bench_sweep(n_live: int, repeats: int) -> dict:
       selection + archival).
     """
     def fresh_kdm(**cfg_kw):
-        kdm = KeepAliveDecisionMaker(
-            None, EcoLifeConfig(**cfg_kw), ArrivalRegistry()
-        )
+        # The KDM needs a bound env (its objective builder reads the
+        # K_AT grid), so take it from a started scheduler.
+        sched = EcoLifeScheduler(EcoLifeConfig(**cfg_kw))
+        SimulationEngine(
+            pair=PAIR_A,
+            trace=InvocationTrace.from_events([]),
+            ci_trace=CarbonIntensityTrace.constant(250.0),
+        ).start(sched)
+        kdm = sched.kdm
         for i in range(n_live):
             kdm._touch(f"fn-{i:06d}", float(i))
         return kdm
@@ -175,6 +180,9 @@ def bench(
         "memory": {
             "peak_live_on": kdm_on.peak_live,
             "peak_live_off": kdm_off.peak_live,
+            # Memoised normaliser triples left by the unbounded run: only
+            # reference (running-max) intensities key the memo.
+            "normaliser_entries_off": kdm_off.builder.costs.normaliser_count,
             "plateau_ratio": kdm_on.peak_live / max(kdm_off.peak_live, 1),
             "active_cohort_bound": active_bound,
             "plateau_ok": plateau_ok,

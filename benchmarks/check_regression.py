@@ -117,6 +117,7 @@ SUITES: dict[str, dict] = {
             "replay.on_s",
             "memory.peak_live_on",
             "memory.peak_live_off",
+            "memory.normaliser_entries_off",
             "memory.plateau_ratio",
             "sweep.scan_sweeps_per_s",
             "sweep.cap_sweep_s",

@@ -53,11 +53,11 @@ class CarbonIntensityTrace:
     values: np.ndarray
     name: str = "trace"
     _cum: np.ndarray = field(init=False, repr=False, compare=False)
-    #: ``times_s``, ``values`` and ``_cum`` as lists of Python floats for
-    #: the scalar lookups: ``bisect`` on a list costs less per call than
-    #: a numpy scalar ``searchsorted``. Rebuilt on unpickling, never
-    #: pickled.
-    _knots: tuple[list[float], list[float], list[float]] = field(
+    #: ``times_s``, ``values``, ``_cum`` and the running max of
+    #: ``values`` as lists of Python floats for the scalar lookups:
+    #: ``bisect`` on a list costs less per call than a numpy scalar
+    #: ``searchsorted``. Rebuilt on unpickling, never pickled.
+    _knots: tuple[list[float], list[float], list[float], list[float]] = field(
         init=False, repr=False, compare=False
     )
 
@@ -79,7 +79,12 @@ class CarbonIntensityTrace:
         self._set_knots()
 
     def _set_knots(self) -> None:
-        knots = (self.times_s.tolist(), self.values.tolist(), self._cum.tolist())
+        knots = (
+            self.times_s.tolist(),
+            self.values.tolist(),
+            self._cum.tolist(),
+            np.maximum.accumulate(self.values).tolist(),
+        )
         object.__setattr__(self, "_knots", knots)
 
     def __getstate__(self) -> dict:
@@ -122,8 +127,18 @@ class CarbonIntensityTrace:
 
     def at(self, t: float) -> float:
         """Carbon intensity (g/kWh) at time ``t``."""
-        times, values, _ = self._knots
+        times, values, _, _ = self._knots
         return values[max(bisect_right(times, t) - 1, 0)]
+
+    def at_and_max(self, t: float) -> tuple[float, float]:
+        """``(at(t), the largest value of any knot at or before t)``.
+
+        Both read the knot that :meth:`at` reads (the first knot before
+        the trace starts), from one lookup.
+        """
+        times, values, _, running_max = self._knots
+        i = max(bisect_right(times, t) - 1, 0)
+        return values[i], running_max[i]
 
     def at_many(self, t) -> np.ndarray:
         """Vectorised :meth:`at`."""
@@ -140,7 +155,7 @@ class CarbonIntensityTrace:
         consistent with :meth:`at`'s clamp for intervals left of, or
         straddling, the first knot -- see the class docstring.
         """
-        times, values, cum = self._knots
+        times, values, cum, _ = self._knots
         t0 = times[0]
         if t <= t0:
             # Flat left-extension at values[0]: signed linear ramp.

@@ -23,9 +23,11 @@ the paper-literal ranking.
 
 A request is scored in one pass: one CI read, the benefit terms from the
 pool generation's column of every candidate's packed
-:class:`~repro.core.objective.FunctionCostVectors`, and every arrival
-mass from one :meth:`~repro.core.arrival.ArrivalRegistry.p_warm_each`
-call. ``tests/test_core_adjustment.py`` checks it against the scalar
+:class:`~repro.core.objective.FunctionCostVectors`, the normalisers from
+the whole stack (:func:`~repro.core.objective.current_normalisers`), and
+every arrival mass from one
+:meth:`~repro.core.arrival.ArrivalRegistry.p_warm_each` call.
+``tests/test_core_adjustment.py`` checks it against the scalar
 per-candidate ranker in ``tests/oracles/adjustment.py``.
 """
 
@@ -36,7 +38,11 @@ import numpy as np
 from repro import units
 from repro.core.arrival import ArrivalRegistry
 from repro.core.config import EcoLifeConfig
-from repro.core.objective import CostModel, FunctionCostVectors
+from repro.core.objective import (
+    CostModel,
+    FunctionCostVectors,
+    current_normalisers,
+)
 from repro.simulator.scheduler import AdjustmentRequest, PoolCandidate, SchedulerEnv
 
 
@@ -66,24 +72,21 @@ class WarmPoolAdjuster:
         costs = self.costs
         cands = req.candidates
         ci = self.env.ci_at(req.t)
-        ci_norm = max(ci, 1e-12)
         col = cfg.locations.index(req.generation)
-        packed_rows: list[np.ndarray] = []
-        norm_rows: list[tuple[float, float, float]] = []
-        for c in cands:
-            packed_rows.append(costs.vectors(c.func).packed)
-            norm_rows.append(costs.normalisers(c.func, ci_norm))
-        # (n, 8): the pool generation's column of each packed array.
-        packed = np.array(packed_rows)[:, :, col]
-        norms = np.array(norm_rows)
+        stack = np.array([costs.vectors(c.func).packed for c in cands])
         fcv = FunctionCostVectors
+        s_max, sc_max = current_normalisers(
+            stack, fcv.cold_carbon(stack, max(ci, 1e-12))
+        )
+        # (n, 8): the pool generation's column of each packed array.
+        packed = stack[:, :, col]
         sc = (
             units.operational_carbon_g(packed[:, fcv.ENERGY], ci)
             + packed[:, fcv.EMBODIED]
         )
         ds = packed[:, fcv.S_COLD] - packed[:, fcv.S_WARM]
         dsc = sc[:, fcv.COLD] - sc[:, fcv.WARM]
-        score = cfg.lambda_s * ds / norms[:, 0] + cfg.lambda_c * dsc / norms[:, 1]
+        score = cfg.lambda_s * ds / s_max + cfg.lambda_c * dsc / sc_max
         if self.arrivals is None or not cfg.adjustment_arrival_weighting:
             return score
         # P(the function arrives while its container is still warm).

@@ -42,7 +42,7 @@ class ExecutionPlacementDecisionMaker:
         if not warm_locations:
             return self.costs.best_cold(func, ci)[0]
         v = self.costs.vectors(func)
-        s_max, sc_max = self.costs.normalisers(func, max(ci, 1e-12))[:2]
+        s_max, sc_max = v.current_normalisers(ci)
         scores = (
             self.config.lambda_s * v.s_warm / s_max
             + self.config.lambda_c * v.sc_warm(ci) / sc_max

@@ -435,10 +435,15 @@ class KeepAliveDecisionMaker:
         indices = [self._slot_for(func.name) for func, _ in batch]
 
         dynamic = self.config.use_dynamic_pso
+        # (ci, running max) per decision, read once: the perception
+        # delta and the objective table both use it.
+        intensities: list[tuple[float, float]] = []
         deltas_f: list[float] = []
         deltas_ci: list[float] = []
         for func, t in batch:
-            ci = self.env.ci_at(t)
+            pair = self.env.ci_pair(t)
+            intensities.append(pair)
+            ci = pair[0]
             rate = self.env.rate_per_minute(t)
             if dynamic:
                 deltas_ci.append(abs(ci - self._last_ci.get(func.name, ci)))
@@ -446,8 +451,8 @@ class KeepAliveDecisionMaker:
             self._last_ci[func.name] = ci
             self._last_rate[func.name] = rate
         if dynamic:
-            # One fused perception pass (weight math vectorised for the
-            # whole batch; redistribution draws stay per swarm) --
+            # One perception pass (scalar weight math per swarm, one
+            # scatter of the fired swarms' redistributions) --
             # bit-identical to per-swarm perceive.
             fired = fleet.perceive_batch(indices, deltas_f, deltas_ci)
             self.redistributions += int(fired.sum())
@@ -457,13 +462,16 @@ class KeepAliveDecisionMaker:
             # Nothing to fuse: gather from a one-function table; the
             # fleet steps the lone swarm through its kernel at width 1.
             func, t = batch[0]
-            fitness = self.builder.fitness(func, t, self.arrivals.get(func.name))
+            fitness = self.builder.fitness(
+                func, t, self.arrivals.get(func.name), intensity=intensities[0]
+            )
             fleet.step_one(indices[0], fitness, iterations=iterations)
         else:
             fitness = self.builder.batch_fitness(
                 [func for func, _ in batch],
                 [t for _, t in batch],
                 [self.arrivals.get(func.name) for func, _ in batch],
+                intensities=intensities,
             )
             fleet.step(indices, fitness, iterations=iterations)
 

@@ -114,6 +114,44 @@ class FunctionCostVectors:
         """Keep-alive carbon rate (g/s) per location at intensity ``ci``."""
         return self._carbon(self.KA, ci)
 
+    @classmethod
+    def cold_carbon(cls, packed: np.ndarray, ci: float | np.ndarray) -> np.ndarray:
+        """Cold service carbon of an ``(n, 8, n_loc)`` stack of packed
+        arrays at ``ci`` (one intensity, or an ``(n, 1)`` column): row
+        ``i`` is ``sc_cold(ci_i)`` of function ``i``, bit for bit."""
+        return (
+            units.operational_carbon_g(packed[:, cls.ENERGY.start + cls.COLD], ci)
+            + packed[:, cls.EMBODIED.start + cls.COLD]
+        )
+
+    def current_normalisers(
+        self, ci: float, sc_cold: np.ndarray | None = None
+    ) -> tuple[float, float]:
+        """Guarded ``(s_max, sc_max)`` at the current intensity ``ci``.
+
+        :func:`current_normalisers` for one function. ``sc_cold`` may
+        carry ``self.sc_cold(ci)`` when the caller has priced it already.
+        """
+        if sc_cold is None or ci < 1e-12:
+            sc_cold = self.sc_cold(max(ci, 1e-12))
+        return max(self.s_max, 1e-9), max(float(sc_cold.max()), 1e-12)
+
+
+def current_normalisers(
+    packed: np.ndarray, sc_cold: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Guarded ``(s_max, sc_max)`` of an ``(n, 8, n_loc)`` stack of packed
+    cost arrays at the current intensities, as two ``(n,)`` arrays.
+
+    ``sc_cold`` is the stack's cold service carbon priced at ``max(ci,
+    1e-12)`` (``(n, n_loc)``). Row ``i`` then equals
+    ``CostModel.normalisers(func_i, max(ci_i, 1e-12))[:2]`` bit for bit,
+    without the memo: the current intensity moves with every CI knot, so
+    a memo keyed by it would gain a key per knot.
+    """
+    s_max = np.maximum(packed[:, FunctionCostVectors.S_COLD].max(axis=1), 1e-9)
+    return s_max, np.maximum(sc_cold.max(axis=1), 1e-12)
+
 
 class CostModel:
     """Decision-time estimates shared by KDM, EPDM and the adjuster.
@@ -122,8 +160,10 @@ class CostModel:
     times (every KDM decision rebuilds its objective table), so the
     CI-independent pieces -- service times, energy/embodied splits,
     keep-alive power -- are computed once per function and cached as
-    per-location vectors (:class:`FunctionCostVectors`), and the guarded
-    normalisers are memoised per ``(function, reference CI)``. Functions
+    per-location vectors (:class:`FunctionCostVectors`). The guarded
+    normalisers at the reference CI (the running max, which moves
+    rarely) are memoised per ``(function, reference CI)``; those at the
+    current CI are computed inline (:func:`current_normalisers`). Functions
     are keyed by name; the trace guarantees names map to unique profiles.
     """
 
@@ -133,6 +173,11 @@ class CostModel:
         self._vectors: dict[str, FunctionCostVectors] = {}
         #: Per-function: reference CI -> guarded normaliser triple.
         self._normalisers: dict[str, dict[float, tuple[float, float, float]]] = {}
+
+    @property
+    def normaliser_count(self) -> int:
+        """Memoised normaliser triples over all functions (memory telemetry)."""
+        return sum(len(per_ci) for per_ci in self._normalisers.values())
 
     # -- cache -----------------------------------------------------------------
 
@@ -226,8 +271,8 @@ class CostModel:
     ) -> tuple[Generation, float, float]:
         """The EPDM's cold-placement choice: (location, S, SC)."""
         v = self.vectors(func)
-        s_max, sc_max, _ = self.normalisers(func, max(ci, 1e-12))
         sc_cold = v.sc_cold(ci)
+        s_max, sc_max = v.current_normalisers(ci, sc_cold)
         scores = (
             self.config.lambda_s * v.s_cold / s_max
             + self.config.lambda_c * sc_cold / sc_max
@@ -312,6 +357,8 @@ class ObjectiveBuilder:
         funcs: Sequence[FunctionProfile],
         ts: Sequence[float],
         arrivals: Sequence[ArrivalEstimator],
+        *,
+        intensities: Sequence[tuple[float, float]] | None = None,
     ) -> np.ndarray:
         """The objective of ``funcs[i]`` at ``ts[i]`` over every cell.
 
@@ -321,25 +368,32 @@ class ObjectiveBuilder:
         and the arrival queries ``(n_funcs, 1, n_k)`` rows, so each cell's
         float arithmetic is the per-particle expression evaluated at that
         cell's (location, k) -- the same value for one function or many.
+
+        ``intensities[i]`` is ``env.ci_pair(ts[i])``, for a caller that
+        has read it already; by default the table reads it.
         """
         cfg = self.config
         s = len(funcs)
         if not (s == len(ts) == len(arrivals)):
             raise ValueError("funcs, ts and arrivals must have equal length")
+        if intensities is None:
+            intensities = [self.env.ci_pair(t) for t in ts]
+        elif len(intensities) != s:
+            raise ValueError("intensities must have one (ci, ci_ref) per function")
         grid = self.env.keepalive_grid_s()
+        costs = self.costs
 
-        ci, ci_ref = self.env.ci_many(ts)
-        # Per function: (s_max, sc_max, kc_max) at the reference
-        # intensity, then the cold fallback's (s_max, sc_max) at the
-        # current one.
-        norms = np.array(
+        # (s_max, sc_max, kc_max) at the reference intensity, memoised.
+        # Only its sc_max and kc_max are read: s_max is CI-independent and
+        # comes with the current-intensity normalisers below.
+        ref = np.array(
             [
-                self.costs.normalisers(func, max(c_ref, 1e-9))
-                + self.costs.normalisers(func, max(c, 1e-12))[:2]
-                for func, c, c_ref in zip(funcs, ci.tolist(), ci_ref.tolist())
+                costs.normalisers(func, max(ci_ref, 1e-9))
+                for func, (_, ci_ref) in zip(funcs, intensities)
             ]
         )[:, :, None, None]
-        packed = np.array([self.costs.vectors(func).packed for func in funcs])
+        cis = [ci for ci, _ in intensities]
+        packed = np.array([costs.vectors(func).packed for func in funcs])
         p = np.array(
             [
                 arrival.p_warm(grid, self._grid_prior(arrival.prior_mean))
@@ -350,15 +404,23 @@ class ObjectiveBuilder:
         # Warm service, cold service and keep-alive-rate carbon rows.
         fcv = FunctionCostVectors
         carbon = (
-            units.operational_carbon_g(packed[:, fcv.ENERGY], ci[:, None, None])
+            units.operational_carbon_g(
+                packed[:, fcv.ENERGY], np.array(cis)[:, None, None]
+            )
             + packed[:, fcv.EMBODIED]
         )
         s_cold, sc_cold = packed[:, fcv.S_COLD], carbon[:, fcv.COLD]
+        # The current-CI normalisers price the cold row at max(ci, 1e-12):
+        # the row priced above unless an intensity is below the clamp.
+        sc_norm = sc_cold
+        if min(cis) < 1e-12:
+            sc_norm = fcv.cold_carbon(packed, np.maximum(cis, 1e-12)[:, None])
+        s_max, sc_max = current_normalisers(packed, sc_norm)
+        s_max = s_max[:, None]
 
         # The EPDM's cold fallback (CostModel.best_cold) for every function.
         cold_scores = (
-            cfg.lambda_s * s_cold / norms[:, 3, 0]
-            + cfg.lambda_c * sc_cold / norms[:, 4, 0]
+            cfg.lambda_s * s_cold / s_max + cfg.lambda_c * sc_cold / sc_max[:, None]
         )
         best = np.argmin(cold_scores, axis=1)  # first-index ties, as argmin()
         r = np.arange(s)
@@ -370,9 +432,9 @@ class ObjectiveBuilder:
         e_sc = p * carbon[:, fcv.WARM, :, None] + q * sc_cold_best
         kc = carbon[:, fcv.KA, :, None] * grid
         return (
-            cfg.lambda_s * e_s / norms[:, 0]
-            + cfg.lambda_c * e_sc / norms[:, 1]
-            + cfg.lambda_c * kc / norms[:, 2]
+            cfg.lambda_s * e_s / s_max[:, :, None]
+            + cfg.lambda_c * e_sc / ref[:, 1]
+            + cfg.lambda_c * kc / ref[:, 2]
         )
 
     def _grid_prior(self, prior_mean: float) -> np.ndarray:
@@ -410,20 +472,30 @@ class ObjectiveBuilder:
         return gather
 
     def fitness(
-        self, func: FunctionProfile, t: float, arrival: ArrivalEstimator
+        self,
+        func: FunctionProfile,
+        t: float,
+        arrival: ArrivalEstimator,
+        *,
+        intensity: tuple[float, float] | None = None,
     ) -> FitnessFn:
         """The objective for one decision instant: ``(rows, 2) -> (rows,)``.
 
         The closure gathers from a one-function :meth:`objective_table`
         built here, so it is a pure function of the positions.
+        ``intensity`` is ``env.ci_pair(t)`` if the caller has it.
         """
-        return self._gather(self.objective_table([func], [t], [arrival])[0])
+        intensities = None if intensity is None else [intensity]
+        table = self.objective_table([func], [t], [arrival], intensities=intensities)
+        return self._gather(table[0])
 
     def batch_fitness(
         self,
         funcs: Sequence[FunctionProfile],
         ts: Sequence[float],
         arrivals: Sequence[ArrivalEstimator],
+        *,
+        intensities: Sequence[tuple[float, float]] | None = None,
     ) -> BatchFitnessFn:
         """One objective scoring several functions' swarms at once.
 
@@ -431,6 +503,8 @@ class ObjectiveBuilder:
         at decision time ``ts[i]`` -- input ``(n_funcs, rows, 2)``, output
         ``(n_funcs, rows)`` -- by gathering from row ``i`` of
         :meth:`objective_table`, the table :meth:`fitness` gathers from at
-        width 1.
+        width 1. ``intensities`` as for :meth:`objective_table`.
         """
-        return self._gather(self.objective_table(funcs, ts, arrivals))
+        return self._gather(
+            self.objective_table(funcs, ts, arrivals, intensities=intensities)
+        )

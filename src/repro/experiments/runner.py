@@ -544,13 +544,6 @@ class GridResult:
             seen.setdefault(job.scenario_label)
         return tuple(seen)
 
-    @property
-    def scheduler_names(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for job in self.jobs:
-            seen.setdefault(job.scheduler)
-        return tuple(seen)
-
     def by_scenario(self) -> dict[str, dict[str, ResultSummary]]:
         """``{scenario label: {scheduler name: summary}}``."""
         out: dict[str, dict[str, ResultSummary]] = {}

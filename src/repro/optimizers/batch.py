@@ -78,6 +78,14 @@ import numpy as np
 
 from repro.optimizers.dynamic_pso import DPSOParams
 
+# The ``clip`` ufunc itself: ``ndarray.clip`` reaches it through a Python
+# wrapper (``numpy._core._methods._clip``) whose overhead shows at the
+# step's array sizes. numpy's stubs do not list it.
+try:
+    from numpy._core.umath import clip as _clip  # type: ignore[attr-defined]
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip  # type: ignore[attr-defined,no-redef]
+
 #: Batched objective: (n_active, rows, dim) positions -> (n_active, rows)
 #: scores, lower is better. Row order follows the ``indices`` passed to
 #: :meth:`SwarmFleet.step`.
@@ -429,15 +437,17 @@ class SwarmFleet:
         delta_f: Sequence[float] | np.ndarray,
         delta_ci: Sequence[float] | np.ndarray,
     ) -> np.ndarray:
-        """Vectorised DPSO perception for a batch of swarms.
+        """DPSO perception for a batch of swarms.
 
-        Per element this computes exactly what the sequential
-        ``DynamicPSO.perceive`` oracle (``tests/oracles``) computes for
-        one swarm -- the weight updates are elementwise
-        float64, so the values are bit-identical to the scalar oracle
-        regardless of batch shape. The triggered swarms are
-        redistributed together by :meth:`_redistribute`.
-        Returns the boolean fired mask (aligned with ``indices``).
+        Per swarm this runs the sequential ``DynamicPSO.perceive`` oracle
+        (``tests/oracles``) on Python floats -- the same operations in the
+        same order, so the weights are bit-identical to it. ``min(max(x,
+        lo), hi)`` is the oracle's ``np.clip`` on a scalar: both keep
+        ``x`` on ties and pass a NaN through. The KDM's batches are a few
+        swarms wide, where one scalar write per slot costs less than a
+        numpy call per array. The triggered swarms are redistributed together
+        by :meth:`_redistribute`. Returns the boolean fired mask (aligned
+        with ``indices``).
         """
         if not self.dynamic:
             raise RuntimeError(
@@ -451,28 +461,31 @@ class SwarmFleet:
             raise ValueError("perceive_batch() indices must be distinct")
         if min(ids) < 0 or not self._live[idx].all():
             raise IndexError("perceive_batch() indices must address live slots")
+        if not len(delta_f) == len(delta_ci) == len(ids):
+            raise ValueError("perceive_batch() needs one delta pair per index")
         p = self.params
-        df = np.abs(np.asarray(delta_f, dtype=float))
-        dci = np.abs(np.asarray(delta_ci, dtype=float))
-        df_max = np.maximum(self._df_max[idx], df)
-        dci_max = np.maximum(self._dci_max[idx], dci)
-        self._df_max[idx] = df_max
-        self._dci_max[idx] = dci_max
-
-        # A zero maximum reads as no change (never divided, so no 0/0).
-        nf = np.divide(df, df_max, out=np.zeros_like(df), where=df_max > 0.0)
-        nci = np.divide(dci, dci_max, out=np.zeros_like(dci), where=dci_max > 0.0)
-        change = nf + nci
-        self.last_perception[idx] = change
-
-        self.omega[idx] = (p.omega_max * change).clip(p.omega_min, p.omega_max)
-        c = (p.c_max * (1.0 - change)).clip(p.c_min, p.c_max)
-        self.c1[idx] = c
-        self.c2[idx] = c
-
-        fired = change > p.perception_threshold
-        self._redistribute(idx[fired], p.redistribute_fraction)
-        return fired
+        fired: list[bool] = []
+        for i, d_f, d_ci in zip(ids, delta_f, delta_ci):
+            df = abs(float(d_f))
+            dci = abs(float(d_ci))
+            df_max = max(self._df_max.item(i), df)
+            dci_max = max(self._dci_max.item(i), dci)
+            # A zero maximum reads as no change (never divided, so no 0/0).
+            nf = df / df_max if df_max > 0.0 else 0.0
+            nci = dci / dci_max if dci_max > 0.0 else 0.0
+            change = nf + nci
+            c = min(max(p.c_max * (1.0 - change), p.c_min), p.c_max)
+            self._df_max[i] = df_max
+            self._dci_max[i] = dci_max
+            self.last_perception[i] = change
+            self.omega[i] = min(max(p.omega_max * change, p.omega_min), p.omega_max)
+            self.c1[i] = c
+            self.c2[i] = c
+            fired.append(change > p.perception_threshold)
+        mask = np.array(fired)
+        if any(fired):
+            self._redistribute(idx[mask], p.redistribute_fraction)
+        return mask
 
     def redistribute(self, index: int, fraction: float = 0.5) -> None:
         """Re-place a fraction of one swarm; mirrors
@@ -552,6 +565,7 @@ class SwarmFleet:
             raise IndexError("step() indices must address live slots")
         n, d, vmax = self.n_particles, self.dim, self.vmax
         rescore = self.rescore_bests
+        first_shape, shape = (s, 2 * n + 1), (s, n)
 
         pos = self.positions[idx]  # (s, n, d) gathered copies
         vel = self.velocities[idx]
@@ -582,13 +596,15 @@ class SwarmFleet:
                 scores = fitness(
                     np.concatenate((pos, pb_pos, best_pos[:, None, :]), axis=1)
                 )
-                self._check_scores(scores, s, 2 * n + 1)
+                if scores.shape != first_shape:
+                    self._check_scores(scores, s, 2 * n + 1)
                 cur = scores[:, :n]
                 pb_scores[...] = scores[:, n : 2 * n]
                 np.copyto(best_scores, scores[:, 2 * n], where=has_best)
             else:
                 cur = fitness(pos)
-                self._check_scores(cur, s, n)
+                if cur.shape != shape:
+                    self._check_scores(cur, s, n)
 
             # The gathered locals are copies: update them in place.
             improved = cur <= pb_scores
@@ -610,9 +626,9 @@ class SwarmFleet:
                 + c1r1[it] * (pb_pos - pos)
                 + c2r2[it] * (gbest[:, None, :] - pos)
             )
-            vel.clip(-vmax, vmax, out=vel)
+            _clip(vel, -vmax, vmax, out=vel)
             pos = pos + vel
-            pos.clip(0.0, 1.0, out=pos)
+            _clip(pos, 0.0, 1.0, out=pos)
 
         self.positions[idx] = pos
         self.velocities[idx] = vel

@@ -214,10 +214,6 @@ class DecisionService:
     def healthy(self, now_s: float | None = None) -> bool:
         return self.provider.healthy(self.last_t if now_s is None else now_s)
 
-    def register_function(self, profile: FunctionProfile) -> None:
-        """Add a function to the serving catalog."""
-        self.functions[profile.name] = profile
-
     def metrics_snapshot(self, now_s: float | None = None) -> dict[str, object]:
         now = self.last_t if now_s is None else now_s
         kdm = self._scheduler.kdm

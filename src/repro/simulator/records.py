@@ -197,9 +197,6 @@ class SimulationResult:
     def carbon_per_invocation(self) -> np.ndarray:
         return np.array([r.carbon_g for r in self.records], dtype=float)
 
-    def energy_per_invocation(self) -> np.ndarray:
-        return np.array([r.energy_wh for r in self.records], dtype=float)
-
     def record_arrays(self) -> RecordArrays:
         """Columnar view of all records (persistence / CDF analyses)."""
         return RecordArrays.from_result(self)

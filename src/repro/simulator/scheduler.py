@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
-import numpy.typing as npt
 
 from repro import units
 from repro.carbon.footprint import CarbonModel
@@ -139,9 +138,7 @@ class SchedulerEnv:
         self._k_grid = np.minimum(np.arange(n + 1, dtype=float) * k_step_s, kmax_s)
         self._k_grid.flags.writeable = False
         self._allow_lookahead = allow_lookahead
-        # Running max of observed CI (causal normaliser for the objective).
         self._ci_trace: CarbonIntensityTrace = carbon_model.trace
-        self._ci_cummax: np.ndarray | None = None
 
     # -- hardware / carbon -----------------------------------------------------
 
@@ -150,14 +147,12 @@ class SchedulerEnv:
 
         The online service calls this when its intensity provider
         delivers new forecast knots: the env starts reading the new
-        trace and drops the cached running-max (``ci_max_observed``
-        stays causal -- it is recomputed over the refreshed knots, which
-        extend rather than rewrite the observed past; see
-        ``IntensityRing`` append rules).
+        trace (``ci_max_observed`` stays causal -- the running max is
+        taken over the refreshed knots, which extend rather than rewrite
+        the observed past; see ``IntensityRing`` append rules).
         """
         self.carbon_model = carbon_model
         self._ci_trace = carbon_model.trace
-        self._ci_cummax = None
 
     def server(self, gen: Generation) -> ServerSpec:
         """The server on one side of the pair."""
@@ -169,25 +164,16 @@ class SchedulerEnv:
 
     def ci_max_observed(self, t: float) -> float:
         """Maximum CI observed up to ``t`` (causal; used for normalisation)."""
-        knots = self._ci_trace.times_s
-        idx = int(np.searchsorted(knots, t, side="right"))
-        if idx <= 0:
-            return float(self._ci_trace.values[0])
-        if self._ci_cummax is None:
-            # Queried once per KDM decision; precompute the running max.
-            self._ci_cummax = np.maximum.accumulate(self._ci_trace.values)
-        return float(self._ci_cummax[idx - 1])
+        return self._ci_trace.at_and_max(t)[1]
 
-    def ci_many(self, ts: npt.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised ``(ci_at, ci_max_observed)`` for a batch of decision
-        instants, element-identical to the scalar queries: both read the
-        knot at or before each instant (the first knot before the trace
-        starts), and the running max at the first knot is its value."""
-        idx = np.searchsorted(self._ci_trace.times_s, ts, side="right") - 1
-        np.maximum(idx, 0, out=idx)
-        if self._ci_cummax is None:
-            self._ci_cummax = np.maximum.accumulate(self._ci_trace.values)
-        return self._ci_trace.values[idx], self._ci_cummax[idx]
+    def ci_pair(self, t: float) -> tuple[float, float]:
+        """``(ci_at(t), ci_max_observed(t))`` from one knot lookup.
+
+        The KDM reads both once per decision: the current intensity feeds
+        its perception delta and the objective, the running max the
+        objective's reference normalisers.
+        """
+        return self._ci_trace.at_and_max(t)
 
     # -- workload observations ---------------------------------------------------
 
@@ -199,18 +185,6 @@ class SchedulerEnv:
 
     def warm_locations(self, name: str) -> tuple[Generation, ...]:
         return tuple(g for g in GENERATIONS if name in self._pools[g])
-
-    def pool_used_gb(self, gen: Generation) -> float:
-        return self._pools[gen].used_gb
-
-    def pool_capacity_gb(self, gen: Generation) -> float:
-        return self._pools[gen].capacity_gb
-
-    def pool_free_gb(self, gen: Generation) -> float:
-        return self._pools[gen].free_gb
-
-    def pool_containers(self, gen: Generation) -> list[WarmContainer]:
-        return self._pools[gen].containers()
 
     # -- keep-alive search space ------------------------------------------------
 

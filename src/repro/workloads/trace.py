@@ -280,10 +280,12 @@ class InvocationTrace:
 
     def rate_per_minute(self, t: float, window_s: float = 60.0) -> float:
         """Invocations per minute over ``[t - window_s, t]``."""
-        lo = int(np.searchsorted(self.times_s, t - window_s, side="right"))
-        hi = int(np.searchsorted(self.times_s, t, side="right"))
         if window_s <= 0.0:
             return 0.0
+        # The method, not np.searchsorted: the wrapper's dispatch costs
+        # more than the search on this per-decision path.
+        lo = int(self.times_s.searchsorted(t - window_s, side="right"))
+        hi = int(self.times_s.searchsorted(t, side="right"))
         return (hi - lo) * 60.0 / window_s
 
     def subset(self, names: Iterable[str]) -> "InvocationTrace":

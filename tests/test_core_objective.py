@@ -4,12 +4,23 @@ import numpy as np
 import pytest
 
 from repro.carbon import CarbonIntensityTrace, CarbonModel
-from repro.core import ArrivalEstimator, EcoLifeConfig, ObjectiveBuilder
+from repro.core import (
+    ArrivalEstimator,
+    ArrivalRegistry,
+    EcoLifeConfig,
+    EcoLifeScheduler,
+    ExecutionPlacementDecisionMaker,
+    ObjectiveBuilder,
+    WarmPoolAdjuster,
+)
+from repro.core.objective import CostModel, current_normalisers
 from repro.hardware import PAIR_A, Generation
-from repro.simulator import SimulationConfig, WarmPool
-from repro.simulator.scheduler import SchedulerEnv
-from repro.workloads import InvocationTrace, get_function
+from repro.simulator import SimulationConfig, SimulationEngine, WarmPool
+from repro.simulator.scheduler import AdjustmentRequest, PoolCandidate, SchedulerEnv
+from repro.workloads import FunctionProfile, InvocationTrace, get_function
+from repro.workloads.generators import WorkloadSpec, build_trace
 from tests.oracles import adjustment as oracle
+from tests.oracles import objective as objective_oracle
 
 
 def make_env(ci=250.0, kmax_minutes=30.0):
@@ -210,3 +221,144 @@ class TestFitness:
         # Old keep-alive is cheaper but old execution is slower; the carbon
         # term dominates for graph-bfs at CI=250 in this calibration.
         assert old != new  # the trade-off is visible either way
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+_CLAMP_FUNCS = (
+    get_function("graph-bfs"),
+    FunctionProfile(name="tiny", mem_gb=0.25, exec_ref_s=0.05, cold_ref_s=0.2),
+    FunctionProfile(name="big", mem_gb=2.0, exec_ref_s=12.0, cold_ref_s=6.0),
+)
+
+
+class TestCurrentIntensityClamp:
+    """Below ``1e-12`` the current-intensity normalisers are priced at the
+    clamp, bit for bit as the oracles' ``normalisers(func, max(ci,
+    1e-12))`` reads -- though the carbon they normalise is priced at the
+    unclamped intensity."""
+
+    @pytest.fixture(params=[0.0, 1e-13])
+    def env0(self, request):
+        return make_env(ci=request.param)
+
+    def _arrivals(self):
+        est = [ArrivalEstimator(), ArrivalEstimator(), ArrivalEstimator()]
+        for t in np.arange(20) * 95.0:
+            est[1].observe(float(t))
+        for t in np.arange(6) * 1300.0:
+            est[2].observe(float(t))
+        return est
+
+    def test_current_normalisers(self, env0):
+        costs = CostModel(env0, EcoLifeConfig())
+        ci = env0.ci_at(0.0)
+        want = [costs.normalisers(f, max(ci, 1e-12))[:2] for f in _CLAMP_FUNCS]
+        stack = np.array([costs.vectors(f).packed for f in _CLAMP_FUNCS])
+        clamped = np.array([costs.vectors(f).sc_cold(1e-12) for f in _CLAMP_FUNCS])
+        fcv = type(costs.vectors(_CLAMP_FUNCS[0]))
+        for priced in (
+            clamped,
+            fcv.cold_carbon(stack, max(ci, 1e-12)),
+            fcv.cold_carbon(stack, np.maximum([ci] * 3, 1e-12)[:, None]),
+        ):
+            assert _hex(priced) == _hex(clamped)
+            got = current_normalisers(stack, priced)
+            assert _hex(np.column_stack(got)) == _hex(want)
+        for f, w in zip(_CLAMP_FUNCS, want):
+            v = costs.vectors(f)
+            assert _hex(v.current_normalisers(ci, v.sc_cold(ci))) == _hex(w)
+            assert _hex(v.current_normalisers(ci)) == _hex(w)
+
+    def test_objective_table(self, env0):
+        builder = ObjectiveBuilder(env0, EcoLifeConfig())
+        funcs, arrivals = list(_CLAMP_FUNCS), self._arrivals()
+        ts = [0.0, 60.0, 7200.0]
+        x = np.random.default_rng(3).uniform(size=(3, 40, 2))
+        want = objective_oracle.batch_fitness(builder, funcs, ts, arrivals)(x)
+        pairs = [env0.ci_pair(t) for t in ts]
+        assert _hex(builder.batch_fitness(funcs, ts, arrivals)(x)) == _hex(want)
+        got = builder.batch_fitness(funcs, ts, arrivals, intensities=pairs)(x)
+        assert _hex(got) == _hex(want)
+        for i in range(3):
+            solo = objective_oracle.fitness(builder, funcs[i], ts[i], arrivals[i])
+            got = builder.fitness(funcs[i], ts[i], arrivals[i])(x[i])
+            assert _hex(got) == _hex(solo(x[i]))
+
+    def test_best_cold(self, env0):
+        costs = CostModel(env0, EcoLifeConfig())
+        ci = env0.ci_at(0.0)
+        for f in _CLAMP_FUNCS:
+            gen, s, sc = costs.best_cold(f, ci)
+            assert gen is oracle.choose(costs, f, 0.0, ())
+            v = costs.vectors(f)
+            i = costs.config.locations.index(gen)
+            assert (s, sc) == (v.s_cold[i], v.sc_cold(ci)[i])
+
+    def test_epdm_choose(self, env0):
+        both = (Generation.OLD, Generation.NEW)
+        for locations in (both, both[::-1]):
+            cfg = EcoLifeConfig(locations=locations, lambda_s=0.3, lambda_c=0.7)
+            epdm = ExecutionPlacementDecisionMaker(env0, cfg, CostModel(env0, cfg))
+            ref = CostModel(env0, cfg)
+            for f in _CLAMP_FUNCS:
+                for warm in ((), both):
+                    got = epdm.choose(f, 0.0, warm)
+                    assert got is oracle.choose(ref, f, 0.0, warm)
+
+    def test_adjuster_priorities(self, env0):
+        reg = ArrivalRegistry()
+        for t in np.arange(10) * 120.0:
+            reg.observe("tiny", float(t))
+        cfg = EcoLifeConfig(lambda_s=0.3, lambda_c=0.7)
+        adj = WarmPoolAdjuster(env0, cfg, CostModel(env0, cfg), reg)
+        cands = tuple(
+            PoolCandidate(func=f, expire_s=600.0 * (i + 1), is_incoming=i == 2)
+            for i, f in enumerate(_CLAMP_FUNCS)
+        )
+        for gen in cfg.locations:
+            req = AdjustmentRequest(
+                t=60.0, generation=gen, candidates=cands, capacity_gb=1.0
+            )
+            want = [oracle.priority(adj, c, req) for c in cands]
+            assert _hex(adj.priorities(req)) == _hex(want)
+
+
+class TestNormaliserMemo:
+    """Only reference intensities (the running max) key the memo: the
+    current intensity changes with every CI knot and is computed inline."""
+
+    def test_memo_keys_are_running_max_values(self):
+        ci = CarbonIntensityTrace.from_minute_values(
+            200.0 + 150.0 * np.sin(np.arange(120) / 7.0) + np.arange(120)
+        )
+        trace = build_trace(WorkloadSpec.make("poisson"), 12, 3600.0, seed=5)
+        engine = SimulationEngine(
+            pair=PAIR_A,
+            trace=trace,
+            ci_trace=ci,
+            config=SimulationConfig(
+                pool_capacity_old_gb=1.0,
+                pool_capacity_new_gb=1.0,
+                measure_decision_overhead=False,
+            ),
+        )
+        sched = EcoLifeScheduler(EcoLifeConfig())
+        adjustments = []
+        rank = sched.rank_keepalive_candidates
+
+        def counted(req):
+            adjustments.append(req)
+            return rank(req)
+
+        sched.rank_keepalive_candidates = counted
+        engine.run(sched)
+        assert adjustments, "the pools never overflowed"
+        memo = sched.kdm.builder.costs._normalisers
+        assert memo
+        running_max = {max(c, 1e-9) for c in np.maximum.accumulate(ci.values)}
+        keys = {k for per_ci in memo.values() for k in per_ci}
+        assert keys <= running_max
+        assert len(set(ci.values.tolist())) > len(running_max) > 1

@@ -128,6 +128,11 @@ def test_table_gather_equals_oracle_closures(
 
     table = builder.batch_fitness(funcs, ts, arrivals)(x)
     assert table.shape == (width, rows)
+    # The KDM hands over the (ci, ci_ref) pairs it read for perception.
+    pairs = [env.ci_pair(t) for t in ts]
+    assert np.array_equal(
+        table, builder.batch_fitness(funcs, ts, arrivals, intensities=pairs)(x)
+    )
     assert np.array_equal(table, ref.batch_fitness(builder, funcs, ts, arrivals)(x))
     assert np.array_equal(
         table, ref.looped_batch_fitness(builder, funcs, ts, arrivals)(x)

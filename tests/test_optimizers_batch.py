@@ -228,6 +228,90 @@ class TestFleetEquivalence:
         assert np.array_equal(fleet.positions[first], snapshot)
 
 
+class TestScalarPerception:
+    """``perceive_batch`` runs the oracle's scalar perception per swarm:
+    weights, maxima and fired masks equal ``DynamicPSO.perceive`` to the
+    bit (signed zeros included) at every batch width, and the fired
+    swarms' redistributions draw what the oracle draws."""
+
+    @staticmethod
+    def _rounds(width, rng):
+        zeros = np.zeros(width)
+        # First perception with zero deltas: both maxima are 0 (0/0 guard).
+        yield zeros, zeros
+        # Each df is a new maximum and dci stays 0: change == 1.0 exactly.
+        yield np.full(width, 4.0), zeros
+        # df equal to its maximum: change == 1.0 again, dF alone.
+        yield np.full(width, 4.0), zeros
+        # 0.5% of the maximum: below the 0.02 threshold, nothing fires.
+        yield np.full(width, 0.02), zeros
+        for _ in range(6):
+            df = rng.uniform(0.0, 6.0, width) * (rng.uniform(size=width) < 0.7)
+            dci = rng.uniform(0.0, 60.0, width) * (rng.uniform(size=width) < 0.5)
+            yield df, dci
+
+    @pytest.mark.parametrize("width", [1, 3, 64])
+    @pytest.mark.parametrize(
+        "params",
+        [DPSOParams(), DPSOParams(c_min=0.0, c_max=0.0, perception_threshold=0.0)],
+        ids=["default", "zero-c"],
+    )
+    def test_matches_oracle(self, width, params):
+        solos = [
+            DynamicPSO(dim=2, rng=rng, n_particles=N_PARTICLES, params=params)
+            for rng in seeded_rngs(width)
+        ]
+        fleet = SwarmFleet(dim=2, n_particles=N_PARTICLES, params=params)
+        for rng in seeded_rngs(width):
+            fleet.add_swarm(rng)
+        # Slots in a scrambled order: row j of the deltas is slot order[j].
+        order = np.random.default_rng(width).permutation(width).tolist()
+        hexed = float.hex  # tells -0.0 from 0.0
+        seen = set()
+        for df, dci in self._rounds(width, np.random.default_rng(11)):
+            fired = fleet.perceive_batch(order, df.tolist(), dci.tolist())
+            want = [solos[i].perceive(df[j], dci[j]) for j, i in enumerate(order)]
+            assert fired.dtype == bool and fired.tolist() == want
+            seen.update(want)
+            for j, i in enumerate(order):
+                solo = solos[i]
+                assert hexed(fleet.omega[i]) == hexed(solo.omega)
+                assert hexed(fleet.c1[i]) == hexed(solo.c1)
+                assert hexed(fleet.c2[i]) == hexed(solo.c2)
+                assert hexed(fleet.last_perception[i]) == hexed(solo.last_perception)
+                assert fleet._df_max[i] == solo._df_max
+                assert fleet._dci_max[i] == solo._dci_max
+                assert_swarm_equal(solo, fleet, i)
+        assert seen == {True, False}
+
+    def test_change_of_exactly_one(self):
+        fleet = SwarmFleet(dim=2, n_particles=5, params=DPSOParams())
+        fleet.add_swarm(np.random.default_rng(0))
+        assert not fleet.perceive_batch([0], [0.0], [0.0])[0]
+        assert fleet.last_perception[0] == 0.0
+        assert fleet.perceive_batch([0], [2.0], [0.0])[0]
+        assert fleet.last_perception[0] == 1.0
+        assert fleet.omega[0] == DPSOParams().omega_max
+        assert fleet.c1[0] == fleet.c2[0] == DPSOParams().c_min
+
+    def test_rejects_bad_batches_before_any_write(self):
+        fleet = SwarmFleet(dim=2, n_particles=5, params=DPSOParams())
+        for rng in seeded_rngs(3):
+            fleet.add_swarm(rng)
+        bad = [
+            (ValueError, [0, 2, 0], [1.0] * 3, [1.0] * 3),
+            (IndexError, [0, -1], [1.0] * 2, [1.0] * 2),
+            (IndexError, [1, 3], [1.0] * 2, [1.0] * 2),
+            (ValueError, [0, 1], [1.0] * 2, [1.0]),
+            (ValueError, [0, 1], [1.0], [1.0] * 2),
+        ]
+        for error, idx, df, dci in bad:
+            with pytest.raises(error):
+                fleet.perceive_batch(idx, df, dci)
+        assert not fleet._df_max.any() and not fleet._dci_max.any()
+        assert not fleet.last_perception.any()
+
+
 class TestFixedLandscapeStep:
     """``step`` / ``step_one`` against a fixed landscape ==
     the oracles, which re-score every iteration and draw r1/r2 per
