@@ -10,21 +10,19 @@ Two hot paths introduced by the runner/caching work:
   grid through :class:`ParallelRunner` with 1 and 4 workers.
 
 Run directly (plain script, CI-invocable) it instead times one grid
-through each **executor backend** -- serial reference, local process
-pool, and the TCP job fabric with in-process worker threads -- asserts
-the three result sets are identical, and archives the timings as
-``benchmarks/results/BENCH_distributed.json`` (gated by
-``check_regression.py --suite distributed``)::
+serially (the reference) and on the local process pool, asserts the
+two result sets are identical, and archives wall time and jobs/s with
+the core count as ``benchmarks/results/BENCH_distributed.json`` (gated
+by ``check_regression.py --suite distributed``)::
 
     PYTHONPATH=src python benchmarks/bench_runner.py --quick
-    PYTHONPATH=src python benchmarks/bench_runner.py --executor tcp
 """
 
 import argparse
 import json
+import os
 import pathlib
 import platform
-import threading
 import time
 
 import numpy as np
@@ -136,65 +134,28 @@ def _det(result):
     return [s.deterministic_dict() for s in result.summaries]
 
 
-def bench_executors(grid, schedulers, backends, n_workers=2):
-    """Time one grid through each executor backend.
+def time_sweep(grid, schedulers, n_workers=2):
+    """Time one grid serially and on an ``n_workers`` local pool.
 
-    The serial run is always the reference; every other backend's
-    summaries must equal it field-for-field (``identical`` is 1.0 or the
-    gate fails). TCP workers run as in-process threads so the bench is
-    self-contained, but they speak the real wire protocol end to end.
+    The serial run is the reference; the pool's summaries must equal it
+    field-for-field (``identical`` is 1.0 or the gate fails).
     """
-    out = {}
+    n_jobs = len(grid.jobs(list(schedulers)))
     t0 = time.perf_counter()
     serial = ParallelRunner(n_workers=1).run_grid(grid, schedulers)
-    out["serial"] = {"wall_s": time.perf_counter() - t0}
-    expected = _det(serial)
-
-    if "local" in backends:
-        runner = ParallelRunner(n_workers=n_workers)
-        t0 = time.perf_counter()
-        result = runner.run_grid(grid, schedulers)
-        out["local_pool"] = {
-            "wall_s": time.perf_counter() - t0,
+    serial_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    pool = ParallelRunner(n_workers=n_workers).run_grid(grid, schedulers)
+    pool_s = time.perf_counter() - t0
+    return {
+        "serial": {"wall_s": serial_s, "jobs_per_s": n_jobs / serial_s},
+        "local_pool": {
+            "wall_s": pool_s,
+            "jobs_per_s": n_jobs / pool_s,
             "workers": n_workers,
-            "identical": float(_det(result) == expected),
-        }
-
-    tcp_spec = next((b for b in backends if b.startswith("tcp")), None)
-    if tcp_spec is not None:
-        from repro.distributed import TcpExecutor, run_worker
-
-        bind = tcp_spec if tcp_spec.startswith("tcp://") else "tcp://127.0.0.1:0"
-        executor = TcpExecutor(bind=bind)
-        threads = [
-            threading.Thread(
-                target=run_worker,
-                args=(executor.address,),
-                kwargs={"name": f"bench-w{i}", "exit_when_drained": True},
-                daemon=True,
-            )
-            for i in range(n_workers)
-        ]
-        try:
-            for thread in threads:
-                thread.start()
-            runner = ParallelRunner(executor=executor)
-            t0 = time.perf_counter()
-            result = runner.run_grid(grid, schedulers)
-            wall = time.perf_counter() - t0
-            stats = executor.stats()
-            out["tcp"] = {
-                "wall_s": wall,
-                "workers": n_workers,
-                "identical": float(_det(result) == expected),
-                "retries": stats["retries_total"],
-                "expired_leases": stats["expired_leases"],
-            }
-        finally:
-            executor.shutdown()
-            for thread in threads:
-                thread.join(timeout=10)
-    return out
+            "identical": float(_det(pool) == _det(serial)),
+        },
+    }
 
 
 def main(argv=None) -> int:
@@ -204,25 +165,14 @@ def main(argv=None) -> int:
         help="CI-scale run (smaller grid)",
     )
     parser.add_argument(
-        "--executor", action="append", dest="executors", metavar="SPEC",
-        help="backend(s) to time against the serial reference: 'local', "
-        "'tcp' (self-hosted on an ephemeral port), or an explicit "
-        "tcp://host:port bind for external workers; repeatable "
-        "(default: local and tcp)",
-    )
-    parser.add_argument(
         "--workers", type=int, default=2,
-        help="worker count for each non-serial backend (default: 2)",
+        help="local pool size (default: 2)",
     )
     parser.add_argument(
         "--out", default=str(RESULTS_DIR / "BENCH_distributed.json"),
         help="JSON output path",
     )
     args = parser.parse_args(argv)
-    backends = args.executors or ["local", "tcp"]
-    for spec in backends:
-        if spec != "local" and spec != "tcp" and not spec.startswith("tcp://"):
-            parser.error(f"unknown executor spec: {spec!r}")
 
     if args.quick:
         grid = ScenarioGrid(
@@ -239,33 +189,28 @@ def main(argv=None) -> int:
         "quick": args.quick,
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
         "n_jobs": n_jobs,
-        **bench_executors(grid, GRID_SCHEDULERS, backends, args.workers),
+        **time_sweep(grid, GRID_SCHEDULERS, args.workers),
     }
 
     out = pathlib.Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-    serial_s = payload["serial"]["wall_s"]
-    print(f"grid: {n_jobs} jobs; serial {serial_s:.2f}s")
-    broken = []
-    for key in ("local_pool", "tcp"):
-        if key not in payload:
-            continue
-        row = payload[key]
-        extra = (
-            f", {row['retries']} retries" if key == "tcp" else ""
-        )
-        print(
-            f"{key}: {row['wall_s']:.2f}s with {row['workers']} workers "
-            f"({serial_s / row['wall_s']:.2f}x vs serial, "
-            f"identical={row['identical']:g}{extra})"
-        )
-        if row["identical"] != 1.0:
-            broken.append(key)
-    if broken:
-        print(f"FAIL: non-identical results from {broken}")
+    serial, pool = payload["serial"], payload["local_pool"]
+    print(
+        f"grid: {n_jobs} jobs on {payload['cpu_count']} cores; serial "
+        f"{serial['wall_s']:.2f}s ({serial['jobs_per_s']:.2f} jobs/s)"
+    )
+    print(
+        f"local_pool: {pool['wall_s']:.2f}s with {pool['workers']} workers "
+        f"({pool['jobs_per_s']:.2f} jobs/s, "
+        f"{serial['wall_s'] / pool['wall_s']:.2f}x vs serial, "
+        f"identical={pool['identical']:g})"
+    )
+    if pool["identical"] != 1.0:
+        print("FAIL: local pool results differ from serial")
         return 1
     return 0
 

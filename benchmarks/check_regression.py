@@ -16,6 +16,8 @@ gated is per **suite** (``--suite``, default ``swarm``):
   state-retirement sweep against slowing replays down).
 - ``service``    -- end-to-end /decide throughput and p99 per-decision
   latency from ``bench_service.py``.
+- ``distributed`` -- that the local-pool sweep in ``bench_runner.py``
+  reproduces the serial summaries exactly.
 - ``trace``      -- the mmap-replay RSS check from ``bench_swarm.py``'s
   trace section; the compile throughput is info-only at CI scale.
 
@@ -125,25 +127,21 @@ SUITES: dict[str, dict] = {
         "threshold": 0.25,
     },
     "distributed": {
-        # Executor-backend comparison from bench_runner.py (script
-        # mode): the gated metrics are the *correctness* flags -- every
-        # backend's summaries must equal the serial reference
-        # field-for-field (1.0 or bust; the threshold is irrelevant for
-        # a 0/1 metric). Wall-clock numbers are info-only: at bench
-        # scale the grid is seconds long, so executor overhead -- not
-        # simulation throughput -- dominates, and the TCP fabric's win
-        # only shows on multi-machine sweeps CI can't run.
-        "gated": (
-            "local_pool.identical",
-            "tcp.identical",
-        ),
+        # Serial-vs-local-pool sweep comparison from bench_runner.py
+        # (script mode; the suite keeps its historical name). The gated
+        # metric is the *correctness* flag -- the pool's summaries must
+        # equal the serial reference field-for-field (1.0 or bust; the
+        # threshold is irrelevant for a 0/1 metric). Wall clock and
+        # jobs/s are info-only: at bench scale the grid is seconds long,
+        # so pool start-up -- not simulation throughput -- dominates.
+        "gated": ("local_pool.identical",),
         "info": (
+            "cpu_count",
             "n_jobs",
             "serial.wall_s",
+            "serial.jobs_per_s",
             "local_pool.wall_s",
-            "tcp.wall_s",
-            "tcp.retries",
-            "tcp.expired_leases",
+            "local_pool.jobs_per_s",
         ),
         "threshold": 0.25,
     },

@@ -6,8 +6,6 @@ Examples::
     ecolife run-experiment fig7 --quick
     ecolife simulate --scheduler ecolife --functions 40 --hours 4
     ecolife sweep --regions CAL TEN --seeds 1 2 --workers 4
-    ecolife sweep --regions CAL TEN --executor tcp://0.0.0.0:7044
-    ecolife work tcp://sweep-host:7044
     ecolife trace compile azure.csv azure.npz
     ecolife trace info azure.npz
     ecolife simulate --scheduler ecolife --trace azure.npz
@@ -152,12 +150,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown schedulers {unknown}; options: {list(known)}")
         return 2
-    if args.executor != "local" and not args.executor.startswith("tcp://"):
-        print(
-            f"unknown executor {args.executor!r}; "
-            "options: local, tcp://host:port"
-        )
-        return 2
     bad_regions = [r for r in args.regions if r.upper() not in REGION_NAMES]
     if bad_regions:
         print(f"unknown regions {bad_regions}; options: {sorted(REGION_NAMES)}")
@@ -198,32 +190,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.cache_dir
         else None
     )
-    executor = None
-    if args.executor != "local":
-        from repro.distributed import TcpExecutor
-
-        executor = TcpExecutor(bind=args.executor, cache=cache)
-        print(
-            f"job server on {executor.address} -- attach workers with "
-            f"`ecolife work {executor.address}` "
-            "(no workers -> jobs degrade to local execution)"
-        )
-    runner = ParallelRunner(
-        n_workers=args.workers, cache=cache, executor=executor
-    )
-    try:
-        result = runner.run_grid(grid, args.schedulers)
-        if executor is not None:
-            stats = executor.stats()
-            print(
-                f"distributed: {stats['done']} done, "
-                f"{stats['retries_total']} retries, "
-                f"{stats['expired_leases']} expired leases, "
-                f"{len(stats['workers'])} worker(s)"
-            )
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    runner = ParallelRunner(n_workers=args.workers, cache=cache)
+    result = runner.run_grid(grid, args.schedulers)
     by_scenario = result.by_scenario()
 
     n_jobs = len(result)
@@ -265,27 +233,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"cache: {cache.hits} hits, {cache.misses} misses ({args.cache_dir})")
         if args.store_records:
             print(f"per-invocation records: {cache.record_count()} npz entries")
-    return 0
-
-
-def _cmd_work(args: argparse.Namespace) -> int:
-    from repro.distributed import run_worker
-
-    try:
-        completed = run_worker(
-            args.address,
-            name=args.name,
-            plugins=tuple(args.imports),
-            max_jobs=args.max_jobs,
-            exit_when_drained=args.exit_when_drained,
-        )
-    except (ConnectionError, ValueError) as exc:
-        print(f"worker: {exc}")
-        return 1
-    except KeyboardInterrupt:
-        print("worker interrupted")
-        return 130
-    print(f"worker exiting: {completed} job(s) completed")
     return 0
 
 
@@ -541,37 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--relative-to", default="oracle",
         help="reference scheme for the %%-increase table",
     )
-    sweep_p.add_argument(
-        "--executor", default="local", metavar="SPEC",
-        help="execution backend: 'local' (process pool) or "
-        "'tcp://host:port' to host a job server leasing jobs to "
-        "`ecolife work` clients (port 0 picks a free port; with no "
-        "workers attached, jobs degrade to local execution)",
-    )
-
-    work_p = sub.add_parser(
-        "work",
-        help="serve sweep jobs as a TCP worker (see docs/distributed.md)",
-    )
-    work_p.add_argument("address", help="job server address, tcp://host:port")
-    work_p.add_argument(
-        "--name", default=None,
-        help="worker name in the server's stats table (default host:pid)",
-    )
-    work_p.add_argument(
-        "--import", dest="imports", action="append", default=[],
-        metavar="MODULE",
-        help="import this module before serving, for its "
-        "@register_scheduler side effects (repeatable)",
-    )
-    work_p.add_argument(
-        "--max-jobs", type=_POSITIVE_INT, default=None,
-        help="exit after completing this many jobs",
-    )
-    work_p.add_argument(
-        "--exit-when-drained", action="store_true",
-        help="exit once the server reports every job terminal",
-    )
 
     serve_p = sub.add_parser(
         "serve",
@@ -663,7 +579,6 @@ def main(argv: list[str] | None = None) -> int:
         "run-experiment": _cmd_run_experiment,
         "simulate": _cmd_simulate,
         "sweep": _cmd_sweep,
-        "work": _cmd_work,
         "serve": _cmd_serve,
         "trace": _cmd_trace,
         "catalog": _cmd_catalog,

@@ -24,10 +24,7 @@ from repro.experiments.registry import (
     unregister_scheduler,
 )
 from repro.experiments.runner import (
-    Executor,
     GridResult,
-    JobFailedError,
-    LocalPoolExecutor,
     ParallelRunner,
     ResultCache,
     ResultSummary,
@@ -105,9 +102,6 @@ __all__ = [
     "is_registered",
     "scheduler_factory",
     "create_scheduler",
-    "Executor",
-    "LocalPoolExecutor",
-    "JobFailedError",
     "execute_job",
     "execute_job_with_records",
     "run_fig01",

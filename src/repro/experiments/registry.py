@@ -1,26 +1,21 @@
 """The scheme table: every scheduler name resolves here.
 
-Simulations, sweeps, figure drivers, TCP workers and examples all name
-schedulers by string and resolve the name through
-:func:`create_scheduler`, so this module is the one place that maps a
-scheme name to its constructor. Names keep sweep jobs picklable across
-process and machine boundaries
-(:class:`~repro.experiments.runner.RunnerJob` ships only the string).
+Simulations, sweeps, figure drivers and examples all name schedulers
+by string and resolve the name through :func:`create_scheduler`, so
+this module is the one place that maps a scheme name to its
+constructor. Names keep sweep jobs picklable across the process-pool
+boundary (:class:`~repro.experiments.runner.RunnerJob` ships only the
+string).
 
 The paper's 13 schemes are registered below. Out-of-tree schedulers --
-learned policies, remote-worker plugins -- join a comparison by name
-without editing this module::
+learned policies, for instance -- join a comparison by name without
+editing this module::
 
     from repro.experiments.registry import register_scheduler
 
     @register_scheduler("my-policy")
     def _make_my_policy(config):
         return MyPolicyScheduler(config or EcoLifeConfig())
-
-Distributed workers load such plugin modules with
-``ecolife work tcp://host:port --import my_package.schedulers`` -- the
-registration side effect runs at import time, after which leased jobs
-naming ``my-policy`` resolve exactly like the built-ins.
 
 Factories take ``EcoLifeConfig | None`` (baseline schedulers are free
 to ignore it) and must return a fresh scheduler per call: the engine

@@ -12,16 +12,12 @@ multiply that by a scenario grid. This module makes such sweeps practical:
   are referenced by registry name so jobs stay picklable; per-job
   determinism comes from the spec's seed plus the scheduler's own config
   seed (the KDM already derives per-function RNGs stably from those).
-- :class:`ParallelRunner` -- executes jobs through a pluggable
-  :class:`Executor` backend: in-process for ``n_workers=1``, a
-  :class:`LocalPoolExecutor` over
-  :class:`concurrent.futures.ProcessPoolExecutor` for ``n_workers>1``,
-  or any user-supplied backend (e.g.
-  :class:`repro.distributed.TcpExecutor`, which leases jobs to TCP
-  worker clients on other hosts). Every backend runs the identical
-  :func:`execute_job`, so results are byte-identical across all of
-  them. An optional on-disk :class:`ResultCache` keyed by (scenario
-  label, scheduler name, config hash) makes reruns free.
+- :class:`ParallelRunner` -- executes jobs in-process for
+  ``n_workers=1`` (the reference) or over a local
+  :class:`concurrent.futures.ProcessPoolExecutor` for ``n_workers>1``.
+  Both paths run the identical :func:`execute_job`, so results are
+  byte-identical. An optional on-disk :class:`ResultCache` keyed by
+  (scenario label, scheduler name, config hash) makes reruns free.
 
 Workers return :class:`ResultSummary`, a frozen aggregate that mirrors the
 ``SimulationResult`` properties the analysis layer consumes
@@ -43,7 +39,7 @@ import os
 import pathlib
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Protocol, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core import EcoLifeConfig
 from repro.experiments.common import Scenario, run_scheduler, workload_scenario
@@ -483,8 +479,8 @@ class ResultCache:
         returns the fresh summary. Hit/miss accounting matches calling
         :meth:`get` followed by :meth:`put` exactly. ``get``/``put``
         stay public for callers that need the halves separately (the
-        distributed job server commits worker results it did not run
-        itself), but in-repo code should prefer this entry point.
+        pool path commits results its workers ran), but in-repo code
+        should prefer this entry point.
         """
         cached = self.get(job)
         if cached is not None:
@@ -552,115 +548,6 @@ class GridResult:
         return out
 
 
-# ---------------------------------------------------------------------------
-# Execution backends.
-# ---------------------------------------------------------------------------
-
-
-class Executor(Protocol):
-    """Pluggable execution backend for :class:`ParallelRunner`.
-
-    An executor turns submitted :class:`RunnerJob`\\ s into future-like
-    handles (plain :class:`concurrent.futures.Future` objects resolving
-    to a :data:`JobOutcome`) and streams them back as they finish. One
-    capability flag tells the runner how the backend behaves:
-    ``commits_results`` (cache locality): ``True`` means the backend
-    already commits summaries/records into the shared
-    :class:`ResultCache` as they land (the TCP job server commits
-    server-side, at most once per job), so the runner must not write
-    them again. ``False`` means the runner owns the cache write.
-
-    A backend reports a lost job by failing its future:
-    :class:`JobFailedError` once an internal retry budget is exhausted,
-    or ``BrokenProcessPool`` when a worker crash breaks the whole pool;
-    the runner classifies failures by exception type.
-
-    Shipped backends: :class:`LocalPoolExecutor` (this module) and
-    :class:`repro.distributed.TcpExecutor`.
-    """
-
-    commits_results: bool
-
-    def submit(
-        self, job: RunnerJob, with_records: bool = False
-    ) -> concurrent.futures.Future[JobOutcome]:
-        """Queue one job; the future resolves to its outcome."""
-        ...
-
-    def as_completed(self) -> Iterator[concurrent.futures.Future[JobOutcome]]:
-        """Yield outstanding submitted futures as they complete."""
-        ...
-
-    def shutdown(self) -> None:
-        """Release backend resources (idempotent)."""
-        ...
-
-
-class JobFailedError(RuntimeError):
-    """One job failed permanently inside an executor backend.
-
-    Set as a job future's exception by backends with internal retry
-    once the job's bounded retry budget is exhausted -- e.g. the TCP fabric after repeated lease expiries or
-    worker-side errors. :class:`ParallelRunner` aggregates these
-    (together with ``BrokenProcessPool``) into one
-    :class:`WorkerCrashError` naming every lost job.
-    """
-
-    def __init__(self, label: str, attempts: int, last_error: str) -> None:
-        self.label = label
-        self.attempts = attempts
-        self.last_error = last_error
-        super().__init__(
-            f"job {label} failed permanently after {attempts} attempt(s); "
-            f"last error: {last_error}"
-        )
-
-
-class LocalPoolExecutor:
-    """The classic single-host backend: a local process pool.
-
-    Behaviour-identical to the pre-executor ``ParallelRunner`` fan-out
-    (the pool workers run the exact same :func:`execute_job` /
-    :func:`execute_job_with_records` entry points, so results are
-    bit-identical), with the crash semantics preserved: a worker death
-    breaks the pool and every unfinished future fails with
-    ``BrokenProcessPool``, which the runner wraps into
-    :class:`WorkerCrashError`.
-    """
-
-    commits_results = False
-
-    def __init__(self, n_workers: int | None = None) -> None:
-        self.n_workers = (
-            int(n_workers) if n_workers is not None else (os.cpu_count() or 1)
-        )
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        self._pool: concurrent.futures.ProcessPoolExecutor | None = None
-        self._outstanding: list[concurrent.futures.Future[JobOutcome]] = []
-
-    def submit(
-        self, job: RunnerJob, with_records: bool = False
-    ) -> concurrent.futures.Future[JobOutcome]:
-        if self._pool is None:
-            self._pool = concurrent.futures.ProcessPoolExecutor(self.n_workers)
-        entry: Callable[[RunnerJob], JobOutcome] = (
-            execute_job_with_records if with_records else execute_job
-        )
-        future = self._pool.submit(entry, job)
-        self._outstanding.append(future)
-        return future
-
-    def as_completed(self) -> Iterator[concurrent.futures.Future[JobOutcome]]:
-        outstanding, self._outstanding = self._outstanding, []
-        yield from concurrent.futures.as_completed(outstanding)
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-
 class WorkerCrashError(RuntimeError):
     """A pool worker died mid-sweep (OOM kill, segfault, ``os._exit``).
 
@@ -671,12 +558,6 @@ class WorkerCrashError(RuntimeError):
     (``completed``). Completed results were already written to the
     :class:`ResultCache` (if one is configured), so re-running the same
     grid resumes from the cache and only re-executes the failed tail.
-
-    Backends with internal retry (:class:`repro.distributed.TcpExecutor`)
-    raise the same error once a job's retry budget is exhausted -- there
-    ``failed_labels`` names the poison jobs while every healthy job's
-    result is already committed, so a re-run likewise resumes from the
-    cache.
     """
 
     def __init__(self, failed_labels: Sequence[str], completed: int) -> None:
@@ -693,29 +574,22 @@ class WorkerCrashError(RuntimeError):
 
 
 class ParallelRunner:
-    """Executes runner jobs through a pluggable backend, cache-first.
+    """Executes runner jobs, cache-first, in-process or on a local pool.
 
-    ``n_workers=1`` runs in-process; ``n_workers>1`` fans out over a
-    :class:`LocalPoolExecutor`; ``n_workers=None`` uses the CPU count.
-    Passing ``executor=`` swaps the backend: an :class:`Executor`
-    instance, ``"local"`` (the default pool), or a ``"tcp://host:port"``
-    spec that lazily hosts a :class:`repro.distributed.TcpExecutor` job
-    server at that address (call :meth:`close` when done with a
-    string-built backend). Every backend runs the same
-    :func:`execute_job` entry point, so results are bit-identical
-    regardless of where they ran. Job order is always preserved in the
-    returned list.
+    ``n_workers=1`` runs in-process; ``n_workers>1`` fans the cache
+    misses out over a :class:`concurrent.futures.ProcessPoolExecutor`;
+    ``n_workers=None`` uses the CPU count. Both paths run the same
+    :func:`execute_job` entry point, so results are bit-identical.
+    Job order is always preserved in the returned list.
 
-    If workers die mid-sweep the run raises :class:`WorkerCrashError`
-    naming the lost jobs; everything that completed before the crash is
-    already in the cache, so re-running the same grid skips it.
+    If a pool worker dies mid-sweep the run raises
+    :class:`WorkerCrashError` naming the lost jobs; everything that
+    completed before the crash is already in the cache, so re-running
+    the same grid skips it.
     """
 
     def __init__(
-        self,
-        n_workers: int | None = 1,
-        cache: ResultCache | None = None,
-        executor: "Executor | str | None" = None,
+        self, n_workers: int | None = 1, cache: ResultCache | None = None
     ) -> None:
         self.n_workers = (
             int(n_workers) if n_workers is not None else (os.cpu_count() or 1)
@@ -723,45 +597,6 @@ class ParallelRunner:
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.cache = cache
-        self._executor: Executor | None = None
-        self._executor_spec: str | None = None
-        self._owns_executor = False
-        if isinstance(executor, str):
-            spec = executor.strip()
-            if spec and spec != "local" and not spec.startswith("tcp://"):
-                raise ValueError(
-                    f"unknown executor spec {executor!r}; "
-                    "expected 'local' or 'tcp://host:port'"
-                )
-            self._executor_spec = spec or None
-        elif executor is not None:
-            self._executor = executor
-
-    def _resolve_executor(self) -> "Executor | None":
-        """Materialise a string executor spec on first use."""
-        if self._executor is not None:
-            return self._executor
-        spec = self._executor_spec
-        if spec is None or spec == "local":
-            return None
-        # Lazy import: repro.distributed imports this module for the job
-        # and entry-point types.
-        from repro.distributed import TcpExecutor
-
-        self._executor = TcpExecutor(bind=spec, cache=self.cache)
-        self._owns_executor = True
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down an executor this runner built from a string spec.
-
-        Backends passed in as instances belong to the caller and are
-        left running; idempotent either way.
-        """
-        if self._owns_executor and self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-            self._owns_executor = False
 
     def _entry(self) -> Callable[[RunnerJob], JobOutcome]:
         # A record-persisting cache needs the per-invocation columns
@@ -773,8 +608,7 @@ class ParallelRunner:
     def run(self, jobs: Sequence[RunnerJob]) -> list[ResultSummary]:
         """Execute all jobs (cache-first), preserving job order."""
         jobs = list(jobs)
-        executor = self._resolve_executor()
-        if executor is None and self.n_workers == 1:
+        if self.n_workers == 1:
             return self._run_serial(jobs)
 
         results: list[ResultSummary | None] = [None] * len(jobs)
@@ -786,22 +620,15 @@ class ParallelRunner:
             else:
                 pending.append(i)
 
-        if pending:
-            if executor is None and len(pending) == 1:
-                # A single miss is not worth a pool spin-up.
-                [i] = pending
-                summary, records = unpack_outcome(self._entry()(jobs[i]))
-                results[i] = summary
-                if self.cache is not None:
-                    self.cache.put(jobs[i], summary, records=records)
-            elif executor is None:
-                local = LocalPoolExecutor(min(self.n_workers, len(pending)))
-                try:
-                    self._run_on(local, jobs, pending, results)
-                finally:
-                    local.shutdown()
-            else:
-                self._run_on(executor, jobs, pending, results)
+        if len(pending) == 1:
+            # A single miss is not worth a pool spin-up.
+            [i] = pending
+            summary, records = unpack_outcome(self._entry()(jobs[i]))
+            results[i] = summary
+            if self.cache is not None:
+                self.cache.put(jobs[i], summary, records=records)
+        elif pending:
+            self._run_on_pool(jobs, pending, results)
 
         return list(results)  # type: ignore[arg-type]
 
@@ -812,45 +639,43 @@ class ParallelRunner:
         entry = self._entry()
         return [self.cache.fetch_or_run(job, entry) for job in jobs]
 
-    def _run_on(
+    def _run_on_pool(
         self,
-        executor: "Executor",
         jobs: Sequence[RunnerJob],
         pending: Sequence[int],
         results: "list[ResultSummary | None]",
     ) -> None:
-        """Fan the pending jobs out over ``executor`` and collect.
+        """Fan the pending jobs out over a process pool and collect.
 
         Results are committed as they land so record arrays are dropped
         immediately -- peak memory stays one in-flight result per
-        worker, not the whole grid's records. Crash-type failures
-        (``BrokenProcessPool`` from the local pool, retry-exhausted
-        :class:`JobFailedError` from retrying backends) are aggregated
-        into one :class:`WorkerCrashError`; any other exception is a
-        bug in the job itself and re-raises directly.
+        worker, not the whole grid's records. A worker death breaks the
+        pool and fails every unfinished future with
+        ``BrokenProcessPool``; those are aggregated into one
+        :class:`WorkerCrashError`. Any other exception is a bug in the
+        job itself and re-raises directly.
         """
-        cache = self.cache if not executor.commits_results else None
-        with_records = self.cache is not None and self.cache.store_records
-        index_of: dict[concurrent.futures.Future[JobOutcome], int] = {
-            executor.submit(jobs[i], with_records=with_records): i
-            for i in pending
-        }
+        entry = self._entry()
         failed: list[int] = []
         first_exc: BaseException | None = None
-        for future in executor.as_completed():
-            i = index_of[future]
-            exc = future.exception()
-            if exc is None:
-                summary, records = unpack_outcome(future.result())
-                results[i] = summary
-                if cache is not None:
-                    cache.put(jobs[i], summary, records=records)
-            elif isinstance(exc, (BrokenProcessPool, JobFailedError)):
-                failed.append(i)
-                if first_exc is None:
-                    first_exc = exc
-            else:
-                raise exc
+        with concurrent.futures.ProcessPoolExecutor(
+            min(self.n_workers, len(pending))
+        ) as pool:
+            index_of = {pool.submit(entry, jobs[i]): i for i in pending}
+            for future in concurrent.futures.as_completed(index_of):
+                i = index_of[future]
+                exc = future.exception()
+                if exc is None:
+                    summary, records = unpack_outcome(future.result())
+                    results[i] = summary
+                    if self.cache is not None:
+                        self.cache.put(jobs[i], summary, records=records)
+                elif isinstance(exc, BrokenProcessPool):
+                    failed.append(i)
+                    if first_exc is None:
+                        first_exc = exc
+                else:
+                    raise exc
 
         if failed:
             labels = [

@@ -3,14 +3,16 @@
 :meth:`repro.service.online.DecisionService.checkpoint` persists the
 per-function scheduler state -- the KDM's
 :class:`~repro.core.kdm.RetiredFunction` archives and the arrival
-estimators -- as two :class:`ArchiveSpill` stores under the checkpoint
-directory, and :meth:`~repro.service.online.DecisionService.restore`
+estimators -- as two :class:`CheckpointStore` directories under the
+checkpoint directory, and :meth:`~repro.service.online.DecisionService.restore`
 reads them back. A store is pickled records in a flat directory, one
 file per function, plus a name -> filename manifest that the checkpoint
 writes into its ``manifest.json``. Records round-trip losslessly --
 numpy arrays, RNG bit-generator state dicts and counter keys all pickle
 exactly -- so a restored service decides bit-identically to one that
-never stopped (``tests/test_service.py``).
+never stopped (``tests/test_service.py``). Like the runtime pickle, the
+files are trusted local state: restore only checkpoints this service
+wrote.
 
 Files use sequential names rather than the function name: function
 names are workload-controlled strings and must not reach the
@@ -28,13 +30,13 @@ import pickle
 import tempfile
 
 
-class ArchiveSpill:
+class CheckpointStore:
     """Pickle-per-record directory with an in-memory name index."""
 
     def __init__(self, root: str | os.PathLike) -> None:
         base = pathlib.Path(root)
         base.mkdir(parents=True, exist_ok=True)
-        self.root = pathlib.Path(tempfile.mkdtemp(prefix="kdm-", dir=base))
+        self.root = pathlib.Path(tempfile.mkdtemp(prefix="store-", dir=base))
         self._paths: dict[str, pathlib.Path] = {}
         self._seq = 0
 
@@ -68,7 +70,7 @@ class ArchiveSpill:
     @classmethod
     def attach(
         cls, root: str | os.PathLike, files: dict[str, str]
-    ) -> "ArchiveSpill":
+    ) -> "CheckpointStore":
         """Open an existing store from its checkpoint manifest, for reading.
 
         Unlike the constructor this does not create a fresh

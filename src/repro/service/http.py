@@ -45,6 +45,14 @@ _REASONS = {
 }
 
 
+class _BadContentLength(Exception):
+    """A request whose body cannot be framed: answered, then closed."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 class DecisionServer:
     """Serve one :class:`DecisionService` over HTTP.
 
@@ -110,7 +118,15 @@ class DecisionServer:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _BadContentLength as exc:
+                    # The body's extent is unknown, so the stream cannot
+                    # be resynchronised: answer and close.
+                    await self._write_response(
+                        writer, exc.status, {"error": str(exc)}, False
+                    )
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -152,10 +168,19 @@ class DecisionServer:
                 break
             key, _, value = raw.decode("latin-1").partition(":")
             headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > _MAX_BODY_BYTES:
-            raise asyncio.IncompleteReadError(b"", length)
-        body = await reader.readexactly(length) if length else b""
+        raw_length = headers.get("content-length", "0") or "0"
+        try:
+            length = int(raw_length)
+            if length > _MAX_BODY_BYTES:
+                raise _BadContentLength(
+                    413, f"body of {length} bytes exceeds {_MAX_BODY_BYTES}"
+                )
+            # readexactly raises ValueError on a negative size.
+            body = await reader.readexactly(length) if length else b""
+        except ValueError:
+            raise _BadContentLength(
+                400, f"bad Content-Length: {raw_length!r}"
+            ) from None
         return method.upper(), path, headers, body
 
     async def _write_response(

@@ -27,9 +27,9 @@ POSTed arrivals).
 Checkpointing rides the KDM's state-retirement machinery:
 ``checkpoint()`` retires every live function (an identity for
 decisions), writes the archives and estimator shelf as pickled records
-into two :class:`~repro.core.spill.ArchiveSpill` stores under the
-checkpoint directory, and pickles the engine runtime (records, event
-heap, warm pools). ``restore()`` rebuilds a fresh
+into two :class:`~repro.service.checkpoint.CheckpointStore` directories
+under the checkpoint directory, and pickles the engine runtime
+(records, event heap, warm pools). ``restore()`` rebuilds a fresh
 service and imports everything; functions rehydrate through the normal
 on-arrival path, bit-identically.
 """
@@ -52,9 +52,9 @@ from repro.core.arrival import ArrivalEstimator
 from repro.core.config import EcoLifeConfig
 from repro.core.kdm import RetiredFunction
 from repro.core.scheduler import EcoLifeScheduler
-from repro.core.spill import ArchiveSpill
 from repro.hardware.catalog import DEFAULT_PAIR
 from repro.hardware.specs import HardwarePair
+from repro.service.checkpoint import CheckpointStore
 from repro.service.metrics import ServiceMetrics
 from repro.simulator.engine import SimulationConfig, SimulationEngine
 from repro.simulator.records import InvocationRecord
@@ -334,10 +334,10 @@ class DecisionService:
         archives = kdm.export_archives()
         shelf = arrivals.export_shelf()
 
-        kdm_store = ArchiveSpill(root / "kdm")
+        kdm_store = CheckpointStore(root / "kdm")
         for name, record in archives.items():
             kdm_store.put(name, record)
-        shelf_store = ArchiveSpill(root / "arrivals")
+        shelf_store = CheckpointStore(root / "arrivals")
         for name, est in shelf.items():
             shelf_store.put(name, est)
 
@@ -424,14 +424,14 @@ class DecisionService:
         arrivals = service._scheduler.arrivals
         assert kdm is not None and arrivals is not None
 
-        kdm_store = ArchiveSpill.attach(
+        kdm_store = CheckpointStore.attach(
             root / manifest["kdm"]["root"], manifest["kdm"]["files"]
         )
         for name in kdm_store.names():
             record = kdm_store.peek(name)
             assert isinstance(record, RetiredFunction)
             kdm.import_archive(name, record)
-        shelf_store = ArchiveSpill.attach(
+        shelf_store = CheckpointStore.attach(
             root / manifest["arrivals"]["root"], manifest["arrivals"]["files"]
         )
         for name in shelf_store.names():

@@ -201,7 +201,7 @@ class InvocationTrace:
 
     def __getstate__(self) -> dict:
         # Materialize any memory-mapped columns and drop caches: a
-        # pickled trace (e.g. a sweep job on the TCP fabric) must be
+        # pickled trace (e.g. a sweep job sent to a pool worker) must be
         # self-contained and as small as the columns themselves.
         return {
             "functions": self.functions,

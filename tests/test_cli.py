@@ -147,9 +147,8 @@ class TestCommands:
         [
             ["simulate", "--shards", "2"],
             ["serve", "--shards", "2"],
-            ["work", "tcp://127.0.0.1:7044", "--shard"],
         ],
-        ids=["simulate", "serve", "work"],
+        ids=["simulate", "serve"],
     )
     def test_shard_flags_are_unrecognized(self, capsys, argv):
         with pytest.raises(SystemExit) as e:
@@ -173,12 +172,10 @@ class TestCommands:
             ["serve", "--hours", "0"],
             ["serve", "--port", "-1"],
             ["serve", "--port", "65536"],
-            ["work", "tcp://127.0.0.1:7044", "--max-jobs", "0"],
             ["trace", "compile", "in.csv", "out.npz", "--chunk-rows", "0"],
         ],
         ids=lambda argv: " ".join(
             a for a in argv if a not in ("out.csv", "in.csv", "out.npz")
-            and not a.startswith("tcp://")
         ),
     )
     def test_size_flags_fail_closed_at_parse_time(self, capsys, argv):

@@ -358,6 +358,27 @@ class TestWorkerCrash:
         assert resumed.scheduler_name == "new-only"
 
 
+class TestPoolPath:
+    def test_single_miss_runs_in_process(self, tmp_path, monkeypatch):
+        """One miss among cache hits runs in-process: no pool starts."""
+        cache = ResultCache(tmp_path)
+        jobs = tiny_grid().jobs(["oracle", "new-only"])
+        cache.put(jobs[0], execute_job(jobs[0]))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single miss must not start a pool")
+
+        monkeypatch.setattr(
+            "concurrent.futures.ProcessPoolExecutor", no_pool
+        )
+        summaries = ParallelRunner(n_workers=2, cache=cache).run(jobs)
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert len(cache) == 2
+        assert [s.deterministic_dict() for s in summaries] == [
+            execute_job(job).deterministic_dict() for job in jobs
+        ]
+
+
 class TestGridResult:
     def test_by_scenario_pivot(self):
         g = tiny_grid(regions=("CAL", "TEN"))

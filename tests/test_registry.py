@@ -1,9 +1,8 @@
-"""Scheduler registry, ``ResultCache.fetch_or_run``, and the Executor
-seam's local backend.
+"""Scheduler registry and ``ResultCache.fetch_or_run``.
 
 The registry is the one table from scheme name to constructor: jobs
-reference schedulers by name (the picklable cross-process/machine
-currency), and out-of-tree code adds names via ``@register_scheduler``.
+reference schedulers by name (the picklable cross-process currency),
+and out-of-tree code adds names via ``@register_scheduler``.
 """
 
 import pytest
@@ -19,7 +18,6 @@ from repro.experiments.registry import (
     unregister_scheduler,
 )
 from repro.experiments.runner import (
-    LocalPoolExecutor,
     ResultCache,
     RunnerJob,
     ScenarioSpec,
@@ -207,53 +205,3 @@ class TestFetchOrRun:
         assert seen == [job]
         expected, _ = unpack_outcome(execute_job_with_records(job))
         assert summary.deterministic_dict() == expected.deterministic_dict()
-
-
-class TestLocalPoolExecutor:
-    def jobs(self):
-        return [
-            RunnerJob(
-                scheduler="new-only",
-                spec=ScenarioSpec(n_functions=4, hours=0.5, seed=s),
-            )
-            for s in (1, 2)
-        ]
-
-    def test_capability_flags(self):
-        ex = LocalPoolExecutor(2)
-        assert ex.commits_results is False
-
-    def test_submit_and_as_completed_round_trip(self):
-        jobs = self.jobs()
-        expected = {
-            job.scenario_label: execute_job(job).deterministic_dict()
-            for job in jobs
-        }
-        ex = LocalPoolExecutor(2)
-        try:
-            futures = {ex.submit(job): job for job in jobs}
-            done = list(ex.as_completed())
-            assert set(done) == set(futures)
-            for fut in done:
-                summary, records = unpack_outcome(fut.result())
-                assert records is None
-                label = futures[fut].scenario_label
-                assert summary.deterministic_dict() == expected[label]
-        finally:
-            ex.shutdown()
-
-    def test_with_records_ships_record_arrays(self):
-        [job] = self.jobs()[:1]
-        ex = LocalPoolExecutor(1)
-        try:
-            fut = ex.submit(job, with_records=True)
-            [done] = list(ex.as_completed())
-            assert done is fut
-            summary, records = unpack_outcome(fut.result())
-            assert records is not None and len(records.service_s) > 0
-        finally:
-            ex.shutdown()
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError, match="n_workers"):
-            LocalPoolExecutor(0)

@@ -16,7 +16,6 @@ import pytest
 
 from repro.carbon import RecordedFixtureProvider, TraceProvider
 from repro.core import EcoLifeConfig, EcoLifeScheduler
-from repro.core.spill import ArchiveSpill
 from repro.experiments import quick_scenario
 from repro.service import (
     DecisionServer,
@@ -26,6 +25,7 @@ from repro.service import (
     ServiceMetrics,
     StaleCarbonFeed,
 )
+from repro.service.checkpoint import CheckpointStore
 from repro.simulator.engine import SimulationEngine
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -307,14 +307,14 @@ class TestCheckpointRestore:
     def test_record_stores_sharing_a_directory_stay_apart(self, tmp_path):
         """Two stores under one root (repeated checkpoints into one
         directory) write into separate subdirectories."""
-        a = ArchiveSpill(tmp_path)
-        b = ArchiveSpill(tmp_path)
+        a = CheckpointStore(tmp_path)
+        b = CheckpointStore(tmp_path)
         assert a.root != b.root
         a.put("fn", {"origin": "a"})
         b.put("fn", {"origin": "b"})
         assert a.peek("fn") == {"origin": "a"}
         assert b.peek("fn") == {"origin": "b"}
-        reopened = ArchiveSpill.attach(a.root, a.manifest())
+        reopened = CheckpointStore.attach(a.root, a.manifest())
         assert reopened.names() == ("fn",)
         assert reopened.peek("fn") == {"origin": "a"}
 
@@ -461,6 +461,58 @@ class TestHTTPServer:
                 assert status == 405
             finally:
                 await server.stop(checkpoint=False)
+
+        asyncio.run(drive())
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [("abc", 400), ("-5", 400), (str(64 * 1024 * 1024 + 1), 413)],
+        ids=["non-numeric", "negative", "oversized"],
+    )
+    def test_bad_content_length_fails_closed(self, length, status):
+        """A Content-Length that cannot frame a body gets its status with
+        ``Connection: close`` and the socket closes; the server raises
+        nothing into the loop and the next connection decides as if the
+        bad request never came."""
+        scenario = quick_scenario(seed=3)
+        expected = replay_payloads(scenario)
+        arrivals = [
+            {"t_s": t, "function": name} for t, name in scenario_arrivals(scenario)
+        ]
+
+        async def drive():
+            loop_errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            server = DecisionServer(scenario_service(scenario), port=0)
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(
+                    (
+                        "POST /decide HTTP/1.1\r\nHost: localhost\r\n"
+                        f"Content-Length: {length}\r\n\r\n"
+                    ).encode("latin-1")
+                )
+                await writer.drain()
+                head, _, body = (await reader.read()).partition(b"\r\n\r\n")
+                writer.close()
+                lines = head.decode("latin-1").split("\r\n")
+                assert int(lines[0].split()[1]) == status
+                assert "Connection: close" in lines[1:]
+                assert json.loads(body)["error"]
+
+                got, decided = await _request(
+                    server.port, "POST", "/decide", {"arrivals": arrivals}
+                )
+                assert got == 200
+                assert decided["decisions"] == expected
+            finally:
+                await server.stop(checkpoint=False)
+            assert loop_errors == []
 
         asyncio.run(drive())
 
