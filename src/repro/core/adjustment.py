@@ -21,12 +21,13 @@ containers that convert memory into avoided cold starts. The weighting can
 be disabled via ``EcoLifeConfig.adjustment_arrival_weighting`` to recover
 the paper-literal ranking.
 
-A request is scored in one pass: one CI read, the benefit terms from the
-pool generation's column of every candidate's packed
-:class:`~repro.core.objective.FunctionCostVectors`, the normalisers from
-the whole stack (:func:`~repro.core.objective.current_normalisers`), and
-every arrival mass from one
-:meth:`~repro.core.arrival.ArrivalRegistry.p_warm_each` call.
+A request is scored in one pass: one CI read, one pricing of every
+candidate's packed :class:`~repro.core.objective.FunctionCostVectors` at
+that intensity (:func:`~repro.core.objective.price`), whose cold row
+also gives the normalisers (:func:`~repro.core.objective.
+current_normalisers`) unless the intensity is below their clamp, the
+benefit terms from the pool generation's column, and every arrival mass
+from one :meth:`~repro.core.arrival.ArrivalRegistry.p_warm_each` call.
 ``tests/test_core_adjustment.py`` checks it against the scalar
 per-candidate ranker in ``tests/oracles/adjustment.py``.
 """
@@ -35,13 +36,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import units
 from repro.core.arrival import ArrivalRegistry
 from repro.core.config import EcoLifeConfig
 from repro.core.objective import (
     CostModel,
     FunctionCostVectors,
     current_normalisers,
+    price,
 )
 from repro.simulator.scheduler import AdjustmentRequest, PoolCandidate, SchedulerEnv
 
@@ -75,18 +76,12 @@ class WarmPoolAdjuster:
         col = cfg.locations.index(req.generation)
         stack = np.array([costs.vectors(c.func).packed for c in cands])
         fcv = FunctionCostVectors
-        s_max, sc_max = current_normalisers(
-            stack, fcv.cold_carbon(stack, max(ci, 1e-12))
-        )
-        # (n, 8): the pool generation's column of each packed array.
-        packed = stack[:, :, col]
-        sc = (
-            units.operational_carbon_g(packed[:, fcv.ENERGY], ci)
-            + packed[:, fcv.EMBODIED]
-        )
-        ds = packed[:, fcv.S_COLD] - packed[:, fcv.S_WARM]
-        dsc = sc[:, fcv.COLD] - sc[:, fcv.WARM]
-        score = cfg.lambda_s * ds / s_max + cfg.lambda_c * dsc / sc_max
+        carbon = price(stack, ci)  # (n, 3, n_loc)
+        s_max, sc_max = current_normalisers(stack, ci, carbon[:, fcv.COLD])
+        # Every location's benefit, then the pool generation's column.
+        ds = stack[:, fcv.S_COLD] - stack[:, fcv.S_WARM]
+        dsc = carbon[:, fcv.COLD] - carbon[:, fcv.WARM]
+        score = (cfg.lambda_s * ds / s_max + cfg.lambda_c * dsc / sc_max)[:, col]
         if self.arrivals is None or not cfg.adjustment_arrival_weighting:
             return score
         # P(the function arrives while its container is still warm).

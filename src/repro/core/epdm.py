@@ -6,16 +6,24 @@ the cold execution location minimising::
 
     fscore = lambda_s * S_r / S_f_max + lambda_c * SC_r / SC_max
 
-Both scores are one vector expression over the function's cached
-per-location costs (:class:`~repro.core.objective.FunctionCostVectors`);
-the cold choice is :meth:`~repro.core.objective.CostModel.best_cold`,
-the same fallback the KDM's objective table prices.
+Both scores read the function's cached packed costs
+(:class:`~repro.core.objective.FunctionCostVectors`) and price only the
+row they score through :func:`~repro.core.objective.price`. The cold
+choice is :func:`~repro.core.objective.cold_choice`, the same expression
+that prices the KDM objective table's cold fallback. A function warm on
+exactly one location is placed there without reading the intensity.
 """
 
 from __future__ import annotations
 
 from repro.core.config import EcoLifeConfig
-from repro.core.objective import CostModel
+from repro.core.objective import (
+    CostModel,
+    FunctionCostVectors,
+    cold_choice,
+    current_normalisers,
+    price,
+)
 from repro.hardware.specs import Generation
 from repro.simulator.scheduler import SchedulerEnv
 from repro.workloads.functions import FunctionProfile
@@ -38,15 +46,18 @@ class ExecutionPlacementDecisionMaker:
         """Pick the execution location for one invocation."""
         if len(warm_locations) == 1:
             return warm_locations[0]
+        cfg = self.config
+        fcv = FunctionCostVectors
         ci = self.env.ci_at(t)
+        packed = self.costs.vectors(func).packed
+        sc_cold = price(packed, ci, fcv.COLD)
         if not warm_locations:
-            return self.costs.best_cold(func, ci)[0]
-        v = self.costs.vectors(func)
-        s_max, sc_max = v.current_normalisers(ci)
+            return cfg.locations[int(cold_choice(cfg, packed, ci, sc_cold)[0])]
+        s_max, sc_max = current_normalisers(packed, ci, sc_cold)
         scores = (
-            self.config.lambda_s * v.s_warm / s_max
-            + self.config.lambda_c * v.sc_warm(ci) / sc_max
+            cfg.lambda_s * packed[fcv.S_WARM] / s_max
+            + cfg.lambda_c * price(packed, ci, fcv.WARM) / sc_max
         )
-        by_location = dict(zip(self.config.locations, scores.tolist()))
+        by_location = dict(zip(cfg.locations, scores.tolist()))
         # A warm location outside config.locations is never preferred.
         return min(warm_locations, key=lambda g: by_location.get(g, float("inf")))

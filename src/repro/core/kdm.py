@@ -14,14 +14,19 @@ of a serverless function, EcoLife assigns a PSO optimizer and preserves it
 4. decodes the swarm's best position into (location, keep-alive period).
 
 The PSO backends keep every function's swarm in one
-:class:`~repro.optimizers.batch.SwarmFleet`, and grouped decisions
-for distinct functions step together through fused kernels
-(:meth:`KeepAliveDecisionMaker.decide_batch`); see
+:class:`~repro.optimizers.batch.SwarmFleet`. Every group of decisions
+for distinct functions (:meth:`KeepAliveDecisionMaker.decide_batch`), a
+group of one included, gathers from one objective table
+(:meth:`~repro.core.objective.ObjectiveBuilder.batch_fitness`) and steps
+through one :meth:`~repro.optimizers.batch.SwarmFleet.step` call; see
 ``docs/optimizers.md``.
 
 The GA/SA backends exist for the paper's in-text optimizer comparison and
-share the exact same objective; they keep one optimizer object per
-function and decide one item at a time.
+share the exact same objective (the one-function
+:meth:`~repro.core.objective.ObjectiveBuilder.fitness`); they keep one
+optimizer object per function and decide one item at a time. Both paths
+decode best positions the same way (``decode_locations`` and
+``decode_k``).
 
 Under function churn the per-function state (slots/optimizers, arrival
 estimators, perception scalars) grows without bound, so the KDM also
@@ -422,10 +427,9 @@ class KeepAliveDecisionMaker:
             else self.config.iterations_per_invocation
         )
         opt.step(fitness, iterations=iterations)
-        location, k_s = self.builder.decode_single(opt.best_position)
         self.decisions += 1
         self._touch(func.name, t)
-        return KeepAliveDecision(location=location, duration_s=k_s)
+        return self._decode(opt.best_position[None])[0]
 
     def _decide_fleet(
         self, batch: Sequence[tuple[FunctionProfile, float]]
@@ -457,34 +461,28 @@ class KeepAliveDecisionMaker:
             fired = fleet.perceive_batch(indices, deltas_f, deltas_ci)
             self.redistributions += int(fired.sum())
 
-        iterations = self.config.iterations_per_invocation
-        if len(batch) == 1:
-            # Nothing to fuse: gather from a one-function table; the
-            # fleet steps the lone swarm through its kernel at width 1.
-            func, t = batch[0]
-            fitness = self.builder.fitness(
-                func, t, self.arrivals.get(func.name), intensity=intensities[0]
-            )
-            fleet.step_one(indices[0], fitness, iterations=iterations)
-        else:
-            fitness = self.builder.batch_fitness(
-                [func for func, _ in batch],
-                [t for _, t in batch],
-                [self.arrivals.get(func.name) for func, _ in batch],
-                intensities=intensities,
-            )
-            fleet.step(indices, fitness, iterations=iterations)
+        # Every group, a lone swarm included, gathers from one table and
+        # steps through the fleet's one kernel.
+        fitness = self.builder.batch_fitness(
+            [func for func, _ in batch],
+            [t for _, t in batch],
+            [self.arrivals.get(func.name) for func, _ in batch],
+            intensities=intensities,
+        )
+        fleet.step(indices, fitness, iterations=self.config.iterations_per_invocation)
 
-        gbest = fleet.gbest_positions(indices)
-        locations = self.builder.config.locations
-        decisions = [
-            KeepAliveDecision(location=locations[i], duration_s=k_s)
-            for i, k_s in zip(
-                self.builder.decode_locations(gbest[:, 0]).tolist(),
-                self.builder.decode_k(gbest[:, 1]).tolist(),
-            )
-        ]
         self.decisions += len(batch)
         for func, t in batch:
             self._touch(func.name, t)
-        return decisions
+        return self._decode(fleet.gbest_positions(indices))
+
+    def _decode(self, positions: np.ndarray) -> list[KeepAliveDecision]:
+        """Decode ``(n, 2)`` best positions into keep-alive decisions."""
+        locations = self.builder.config.locations
+        return [
+            KeepAliveDecision(location=locations[i], duration_s=k_s)
+            for i, k_s in zip(
+                self.builder.decode_locations(positions[:, 0]).tolist(),
+                self.builder.decode_k(positions[:, 1]).tolist(),
+            )
+        ]

@@ -49,7 +49,7 @@ class FunctionCostVectors:
     ``COLD``, ``KA``), and the ``EMBODIED`` rows their embodied carbon. So
     ``packed[ENERGY] * ci / 1000 + packed[EMBODIED]`` prices all three at
     a new intensity in one broadcast -- for one function or a stack of
-    them (:meth:`ObjectiveBuilder.objective_table`).
+    them (:func:`price`).
     """
 
     ENERGY, EMBODIED = slice(0, 3), slice(3, 6)
@@ -88,69 +88,74 @@ class FunctionCostVectors:
         )
         self.packed.flags.writeable = False
 
-    @property
-    def s_warm(self) -> np.ndarray:
-        return self.packed[self.S_WARM]
 
-    @property
-    def s_cold(self) -> np.ndarray:
-        return self.packed[self.S_COLD]
+def price(
+    packed: np.ndarray, ci: float | np.ndarray, row: int | None = None
+) -> np.ndarray:
+    """Carbon (g) of packed cost arrays at intensity ``ci``.
 
-    def _carbon(self, row: int, ci: float) -> np.ndarray:
-        return (
-            units.operational_carbon_g(self.packed[self.ENERGY][row], ci)
-            + self.packed[self.EMBODIED][row]
-        )
-
-    def sc_warm(self, ci: float) -> np.ndarray:
-        """Warm service carbon per location at intensity ``ci``."""
-        return self._carbon(self.WARM, ci)
-
-    def sc_cold(self, ci: float) -> np.ndarray:
-        """Cold service carbon per location at intensity ``ci``."""
-        return self._carbon(self.COLD, ci)
-
-    def ka_rate(self, ci: float) -> np.ndarray:
-        """Keep-alive carbon rate (g/s) per location at intensity ``ci``."""
-        return self._carbon(self.KA, ci)
-
-    @classmethod
-    def cold_carbon(cls, packed: np.ndarray, ci: float | np.ndarray) -> np.ndarray:
-        """Cold service carbon of an ``(n, 8, n_loc)`` stack of packed
-        arrays at ``ci`` (one intensity, or an ``(n, 1)`` column): row
-        ``i`` is ``sc_cold(ci_i)`` of function ``i``, bit for bit."""
-        return (
-            units.operational_carbon_g(packed[:, cls.ENERGY.start + cls.COLD], ci)
-            + packed[:, cls.EMBODIED.start + cls.COLD]
-        )
-
-    def current_normalisers(
-        self, ci: float, sc_cold: np.ndarray | None = None
-    ) -> tuple[float, float]:
-        """Guarded ``(s_max, sc_max)`` at the current intensity ``ci``.
-
-        :func:`current_normalisers` for one function. ``sc_cold`` may
-        carry ``self.sc_cold(ci)`` when the caller has priced it already.
-        """
-        if sc_cold is None or ci < 1e-12:
-            sc_cold = self.sc_cold(max(ci, 1e-12))
-        return max(self.s_max, 1e-9), max(float(sc_cold.max()), 1e-12)
+    ``packed`` is one ``(8, n_loc)`` array or an ``(n, 8, n_loc)`` stack,
+    ``ci`` one intensity or, for a stack, a column that broadcasts over
+    its rows. With ``row`` (``WARM``, ``COLD`` or ``KA``) only that row
+    is priced, ``(..., n_loc)``; without, all three, ``(..., 3, n_loc)``
+    in that order. Every element is ``operational_carbon_g(energy, ci) +
+    embodied``, the expression ``CarbonModel.est_service_g`` and
+    ``est_keepalive_rate_g_per_s`` evaluate per location.
+    """
+    fcv = FunctionCostVectors
+    if row is None:
+        energy, embodied = packed[..., fcv.ENERGY, :], packed[..., fcv.EMBODIED, :]
+    else:
+        energy = packed[..., fcv.ENERGY.start + row, :]
+        embodied = packed[..., fcv.EMBODIED.start + row, :]
+    return units.operational_carbon_g(energy, ci) + embodied
 
 
 def current_normalisers(
-    packed: np.ndarray, sc_cold: np.ndarray
+    packed: np.ndarray, ci: float | np.ndarray, sc_cold: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Guarded ``(s_max, sc_max)`` of an ``(n, 8, n_loc)`` stack of packed
-    cost arrays at the current intensities, as two ``(n,)`` arrays.
+    """Guarded ``(s_max, sc_max)`` at the current intensity ``ci``.
 
-    ``sc_cold`` is the stack's cold service carbon priced at ``max(ci,
-    1e-12)`` (``(n, n_loc)``). Row ``i`` then equals
-    ``CostModel.normalisers(func_i, max(ci_i, 1e-12))[:2]`` bit for bit,
-    without the memo: the current intensity moves with every CI knot, so
-    a memo keyed by it would gain a key per knot.
+    For one packed array they are two ``(1,)`` arrays, for an ``(n, 8,
+    n_loc)`` stack two ``(n, 1)`` columns (``ci`` then an ``(n, 1)``
+    column or one intensity), so they divide per-location rows as they
+    are. ``sc_max`` prices the cold row at ``max(ci, 1e-12)``;
+    ``sc_cold`` is that row priced at ``ci``, which is the same row
+    unless an intensity is below the clamp, and only then is it priced
+    again. Row ``i`` equals ``CostModel.normalisers(func_i, max(ci_i,
+    1e-12))[:2]`` bit for bit, without the memo: the current intensity
+    moves with every CI knot, so a memo keyed by it would gain a key per
+    knot.
     """
-    s_max = np.maximum(packed[:, FunctionCostVectors.S_COLD].max(axis=1), 1e-9)
-    return s_max, np.maximum(sc_cold.max(axis=1), 1e-12)
+    if (ci.min() if isinstance(ci, np.ndarray) else ci) < 1e-12:
+        sc_cold = price(packed, np.maximum(ci, 1e-12), FunctionCostVectors.COLD)
+    # ``initial`` is the guard: max(row max, floor), exactly.
+    s_max = packed[..., FunctionCostVectors.S_COLD, :].max(
+        axis=-1, keepdims=True, initial=1e-9
+    )
+    return s_max, sc_cold.max(axis=-1, keepdims=True, initial=1e-12)
+
+
+def cold_choice(
+    config: EcoLifeConfig,
+    packed: np.ndarray,
+    ci: float | np.ndarray,
+    sc_cold: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The EPDM's cold placement: ``(best, s_max)``.
+
+    ``best`` indexes ``config.locations`` at the lowest cold ``fscore``
+    (first index on ties); ``s_max`` is the service-time normaliser it
+    scored with (:func:`current_normalisers`), which the KDM's table
+    reuses. Arguments as for :func:`current_normalisers`; on a stack
+    ``best`` has one entry per function.
+    """
+    s_max, sc_max = current_normalisers(packed, ci, sc_cold)
+    scores = (
+        config.lambda_s * packed[..., FunctionCostVectors.S_COLD, :] / s_max
+        + config.lambda_c * sc_cold / sc_max
+    )
+    return scores.argmin(axis=-1), s_max
 
 
 class CostModel:
@@ -163,7 +168,8 @@ class CostModel:
     per-location vectors (:class:`FunctionCostVectors`). The guarded
     normalisers at the reference CI (the running max, which moves
     rarely) are memoised per ``(function, reference CI)``; those at the
-    current CI are computed inline (:func:`current_normalisers`). Functions
+    current CI are computed inline (:func:`current_normalisers`). All of
+    them price carbon through :func:`price`. Functions
     are keyed by name; the trace guarantees names map to unique profiles.
     """
 
@@ -229,10 +235,12 @@ class CostModel:
         cached = per_ci.get(ci_ref)
         if cached is None:
             v = self.vectors(func)
+            carbon = price(v.packed, ci_ref)
+            fcv = FunctionCostVectors
             cached = (
                 max(v.s_max, 1e-9),
-                max(float(v.sc_cold(ci_ref).max()), 1e-12),
-                max(float(v.ka_rate(ci_ref).max()) * self.env.kmax_s, 1e-12),
+                max(float(carbon[fcv.COLD].max()), 1e-12),
+                max(float(carbon[fcv.KA].max()) * self.env.kmax_s, 1e-12),
             )
             per_ci[ci_ref] = cached
         return cached
@@ -263,22 +271,6 @@ class CostModel:
         return func.service_time_s(
             self.env.server(gen), cold=cold, setup_s=self.env.setup_delay_s
         )
-
-    # -- EPDM -----------------------------------------------------------------------
-
-    def best_cold(
-        self, func: FunctionProfile, ci: float
-    ) -> tuple[Generation, float, float]:
-        """The EPDM's cold-placement choice: (location, S, SC)."""
-        v = self.vectors(func)
-        sc_cold = v.sc_cold(ci)
-        s_max, sc_max = v.current_normalisers(ci, sc_cold)
-        scores = (
-            self.config.lambda_s * v.s_cold / s_max
-            + self.config.lambda_c * sc_cold / sc_max
-        )
-        idx = int(np.argmin(scores))
-        return self.config.locations[idx], float(v.s_cold[idx]), float(sc_cold[idx])
 
 
 class ObjectiveBuilder:
@@ -344,12 +336,6 @@ class ObjectiveBuilder:
         """Map x1 in [0,1] to the keep-alive grid (seconds)."""
         return self.env.keepalive_grid_s()[self.decode_cells(x1)]
 
-    def decode_single(self, position: np.ndarray) -> tuple[Generation, float]:
-        """Decode one position into a (location, keep-alive seconds) pair."""
-        idx = int(self.decode_locations(np.array([position[0]]))[0])
-        k = float(self.decode_k(np.array([position[1]]))[0])
-        return self.config.locations[idx], k
-
     # -- objective ------------------------------------------------------------------
 
     def objective_table(
@@ -392,7 +378,8 @@ class ObjectiveBuilder:
                 for func, (_, ci_ref) in zip(funcs, intensities)
             ]
         )[:, :, None, None]
-        cis = [ci for ci, _ in intensities]
+        # (n, 1): one current intensity per function.
+        ci = np.array([pair[0] for pair in intensities])[:, None]
         packed = np.array([costs.vectors(func).packed for func in funcs])
         p = np.array(
             [
@@ -401,31 +388,14 @@ class ObjectiveBuilder:
             ]
         )[:, None, :]
 
-        # Warm service, cold service and keep-alive-rate carbon rows.
+        # Warm service, cold service and keep-alive-rate carbon rows, and
+        # the EPDM's cold fallback for every function.
         fcv = FunctionCostVectors
-        carbon = (
-            units.operational_carbon_g(
-                packed[:, fcv.ENERGY], np.array(cis)[:, None, None]
-            )
-            + packed[:, fcv.EMBODIED]
-        )
-        s_cold, sc_cold = packed[:, fcv.S_COLD], carbon[:, fcv.COLD]
-        # The current-CI normalisers price the cold row at max(ci, 1e-12):
-        # the row priced above unless an intensity is below the clamp.
-        sc_norm = sc_cold
-        if min(cis) < 1e-12:
-            sc_norm = fcv.cold_carbon(packed, np.maximum(cis, 1e-12)[:, None])
-        s_max, sc_max = current_normalisers(packed, sc_norm)
-        s_max = s_max[:, None]
-
-        # The EPDM's cold fallback (CostModel.best_cold) for every function.
-        cold_scores = (
-            cfg.lambda_s * s_cold / s_max + cfg.lambda_c * sc_cold / sc_max[:, None]
-        )
-        best = np.argmin(cold_scores, axis=1)  # first-index ties, as argmin()
+        carbon = price(packed, ci[:, :, None])
+        best, s_max = cold_choice(cfg, packed, ci, carbon[:, fcv.COLD])
         r = np.arange(s)
-        s_cold_best = s_cold[r, best][:, None, None]
-        sc_cold_best = sc_cold[r, best][:, None, None]
+        s_cold_best = packed[r, fcv.S_COLD, best][:, None, None]
+        sc_cold_best = carbon[r, fcv.COLD, best][:, None, None]
 
         q = 1.0 - p
         e_s = p * packed[:, fcv.S_WARM, :, None] + q * s_cold_best

@@ -1,11 +1,10 @@
-"""Optimization substrate: the batched (D)PSO fleet, GA/SA baselines, grid search."""
+"""Optimization substrate: the batched (D)PSO fleet and the GA/SA baselines."""
 
 from repro.optimizers.annealing import SimulatedAnnealing
 from repro.optimizers.base import ContinuousOptimizer, FitnessFn, clip_box
 from repro.optimizers.batch import BatchFitnessFn, SwarmArchive, SwarmFleet
 from repro.optimizers.dynamic_pso import DPSOParams
 from repro.optimizers.genetic import GeneticOptimizer
-from repro.optimizers.gridsearch import cartesian_grid, grid_best
 
 __all__ = [
     "BatchFitnessFn",
@@ -17,6 +16,4 @@ __all__ = [
     "DPSOParams",
     "GeneticOptimizer",
     "SimulatedAnnealing",
-    "grid_best",
-    "cartesian_grid",
 ]

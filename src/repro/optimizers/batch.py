@@ -45,12 +45,11 @@ re-score on every iteration and still match bit for bit.
 
 **One kernel.** :meth:`SwarmFleet.step` is the only PSO loop. It gathers
 the stepped swarms' rows once per call, runs every iteration on those
-local copies and writes them back once after the last iteration. A lone
-swarm goes through the same kernel at width 1:
-:meth:`SwarmFleet.step_one` only adapts a plain ``(rows, dim) ->
-(rows,)`` fitness to the batched signature. Perception-response draws
-each fired swarm's redistribution from its own stream and applies all of
-them with one scatter per array.
+local copies and writes them back once after the last iteration. The
+KDM steps every decision group through it, a lone swarm at width 1
+against a one-row batched fitness. Perception-response draws each fired
+swarm's redistribution from its own stream and applies all of them with
+one scatter per array.
 
 Under function churn the set of ever-seen functions is unbounded, so the
 fleet also supports **slot retirement**: :meth:`SwarmFleet.retire`
@@ -645,7 +644,13 @@ class SwarmFleet:
         iterations: int = 1,
     ) -> None:
         """:meth:`step` for one swarm against a plain ``(rows, dim) ->
-        (rows,)`` fitness."""
+        (rows,)`` fitness.
+
+        Nothing in the scheduler calls it: the KDM steps a lone swarm
+        through :meth:`step`. It stays because the repository benchmark's
+        tracer (``perfbench/tracing.py``) wraps it by name; it goes with
+        that hook.
+        """
         self._require_live(index)
         self.step([index], lambda x: fitness(x[0])[None], iterations)
 

@@ -170,12 +170,14 @@ class DecisionServer:
             headers[key.strip().lower()] = value.strip()
         raw_length = headers.get("content-length", "0") or "0"
         try:
+            # ASCII digits only: int() also takes "+5", "-5" and "1_0".
+            if not (raw_length.isascii() and raw_length.isdigit()):
+                raise ValueError(raw_length)
             length = int(raw_length)
             if length > _MAX_BODY_BYTES:
                 raise _BadContentLength(
                     413, f"body of {length} bytes exceeds {_MAX_BODY_BYTES}"
                 )
-            # readexactly raises ValueError on a negative size.
             body = await reader.readexactly(length) if length else b""
         except ValueError:
             raise _BadContentLength(

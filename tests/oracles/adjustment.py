@@ -12,7 +12,11 @@ and the orderings and placements must be the same.
 
 - cost primitives on a :class:`~repro.core.objective.CostModel`:
   :func:`service_carbon`, :func:`keepalive_rate`, :func:`s_max`,
-  :func:`sc_max`, :func:`kc_max` and the EPDM score :func:`fscore`;
+  :func:`sc_max`, :func:`kc_max`, the guarded :func:`normalisers` and
+  the EPDM score :func:`fscore`. They read only the carbon model's
+  scalar estimates and :meth:`CostModel.service_time`, one location at
+  a time -- never the packed cost arrays, :func:`~repro.core.objective.
+  price` or the normaliser memo that the code under test uses;
 - the ranker on a :class:`WarmPoolAdjuster`: :func:`benefit_score`,
   :func:`arrival_mass`, :func:`priority` and :func:`rank`;
 - :func:`choose` -- the EPDM's placement as ``min`` over :func:`fscore`.
@@ -51,25 +55,39 @@ def keepalive_rate(
 
 def s_max(costs: CostModel, func: FunctionProfile) -> float:
     """Max service time: cold start on the slowest allowed location."""
-    return costs.vectors(func).s_max
+    return max(costs.service_time(func, g, cold=True) for g in costs.config.locations)
 
 
 def sc_max(costs: CostModel, func: FunctionProfile, ci_ref: float) -> float:
     """Max service carbon across allowed locations at the reference CI."""
-    return float(costs.vectors(func).sc_cold(ci_ref).max())
+    return max(
+        service_carbon(costs, func, g, cold=True, ci=ci_ref)
+        for g in costs.config.locations
+    )
 
 
 def kc_max(costs: CostModel, func: FunctionProfile, ci_ref: float) -> float:
     """Max keep-alive carbon: highest-rate location for the full k_max."""
-    rate = float(costs.vectors(func).ka_rate(ci_ref).max())
+    rate = max(keepalive_rate(costs, func, g, ci_ref) for g in costs.config.locations)
     return rate * costs.env.kmax_s
+
+
+def normalisers(
+    costs: CostModel, func: FunctionProfile, ci_ref: float
+) -> tuple[float, float, float]:
+    """Guarded ``(s_max, sc_max, kc_max)`` at intensity ``ci_ref``."""
+    return (
+        max(s_max(costs, func), 1e-9),
+        max(sc_max(costs, func, ci_ref), 1e-12),
+        max(kc_max(costs, func, ci_ref), 1e-12),
+    )
 
 
 def fscore(
     costs: CostModel, func: FunctionProfile, gen: Generation, cold: bool, ci: float
 ) -> float:
     """The EPDM placement score (Sec. IV-D) with guarded normalisers."""
-    s_max_, sc_max_, _ = costs.normalisers(func, max(ci, 1e-12))
+    s_max_, sc_max_, _ = normalisers(costs, func, max(ci, 1e-12))
     s = costs.service_time(func, gen, cold)
     sc = service_carbon(costs, func, gen, cold, ci)
     return costs.config.lambda_s * s / s_max_ + costs.config.lambda_c * sc / sc_max_
@@ -103,8 +121,7 @@ def benefit_score(
 ) -> float:
     """Warm-vs-cold benefit of keeping ``func`` alive on ``gen``."""
     costs = adj.costs
-    s_max_ = max(s_max(costs, func), 1e-9)
-    sc_max_ = max(sc_max(costs, func, max(ci, 1e-12)), 1e-12)
+    s_max_, sc_max_, _ = normalisers(costs, func, max(ci, 1e-12))
     ds = costs.service_time(func, gen, cold=True) - costs.service_time(
         func, gen, cold=False
     )

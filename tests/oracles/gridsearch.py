@@ -1,8 +1,8 @@
 """Exhaustive grid search over a discrete candidate set.
 
-Used by the oracle solutions ("computed via brute-forcing every possible
-scheduling option for each function invocation", Sec. V) and as a reference
-optimum when testing the heuristic optimizers.
+A reference optimum for the heuristic optimizers' tests: no optimizer
+can beat exhaustive search over the same candidates. The scheduler does
+not use it; the ORACLE baseline enumerates its own options.
 """
 
 from __future__ import annotations

@@ -15,7 +15,13 @@ equal the table gather bit for bit.
 
 Positions decode with the original expression,
 ``clip(floor(x1 * kmax / step + 0.5) * step, 0, kmax)``, independently of
-the table's cell mapping.
+the table's cell mapping. Costs and normalisers come from the scalar
+per-location primitives in :mod:`tests.oracles.adjustment`, and the cold
+fallback is the ``min`` over their ``fscore``, so nothing here reads the
+builder's packed cost arrays or its pricing helpers.
+
+:func:`decode_single` decodes one position into a (location, keep-alive
+seconds) pair for the sequential oracle KDM.
 
 :func:`table_fitness` and :func:`table_batch_fitness` are the table
 lookups as they were before the builder's one-pass gather: each column
@@ -31,7 +37,9 @@ import numpy as np
 
 from repro.core.arrival import ArrivalEstimator
 from repro.core.objective import ObjectiveBuilder
+from repro.hardware.specs import Generation
 from repro.workloads.functions import FunctionProfile
+from tests.oracles import adjustment as scalar
 
 
 def decode_k(builder: ObjectiveBuilder, x1: np.ndarray) -> np.ndarray:
@@ -46,6 +54,47 @@ def decode_locations(builder: ObjectiveBuilder, x0: np.ndarray) -> np.ndarray:
     """Map x0 in [0,1] to indices into ``config.locations``."""
     n_loc = len(builder.config.locations)
     return np.minimum((np.asarray(x0) * n_loc).astype(int), n_loc - 1)
+
+
+def decode_single(
+    builder: ObjectiveBuilder, position: np.ndarray
+) -> tuple[Generation, float]:
+    """Decode one position into a (location, keep-alive seconds) pair."""
+    idx = int(builder.decode_locations(np.array([position[0]]))[0])
+    k = float(builder.decode_k(np.array([position[1]]))[0])
+    return builder.config.locations[idx], k
+
+
+def _terms(
+    builder: ObjectiveBuilder, func: FunctionProfile, ci: float, ci_ref: float
+) -> tuple:
+    """One function's objective terms, location by location.
+
+    ``(s_warm, sc_warm, ka_rate)`` per location at ``ci``; the cold
+    fallback's ``(s_cold, sc_cold)`` at the location of least cold
+    ``fscore`` (first on ties); the guarded ``(s_max, sc_max, kc_max)``
+    at ``ci_ref``.
+    """
+    costs = builder.costs
+    locations = builder.config.locations
+    s_warm = np.array([costs.service_time(func, g, cold=False) for g in locations])
+    sc_warm = np.array(
+        [scalar.service_carbon(costs, func, g, cold=False, ci=ci) for g in locations]
+    )
+    ka_rate = np.array([scalar.keepalive_rate(costs, func, g, ci) for g in locations])
+    cold = min(
+        locations, key=lambda g: scalar.fscore(costs, func, g, cold=True, ci=ci)
+    )
+    s_cold = costs.service_time(func, cold, cold=True)
+    sc_cold = scalar.service_carbon(costs, func, cold, cold=True, ci=ci)
+    return (
+        s_warm,
+        sc_warm,
+        ka_rate,
+        s_cold,
+        sc_cold,
+        *scalar.normalisers(costs, func, ci_ref),
+    )
 
 
 def decode_cells(builder: ObjectiveBuilder, x1: np.ndarray) -> np.ndarray:
@@ -99,14 +148,9 @@ def fitness(
     env = builder.env
     ci = env.ci_at(t)
     ci_ref = max(env.ci_max_observed(t), 1e-9)
-
-    s_max, sc_max, kc_max = builder.costs.normalisers(func, ci_ref)
-
-    _, s_cold, sc_cold = builder.costs.best_cold(func, ci)
-    vectors = builder.costs.vectors(func)
-    s_warm = vectors.s_warm
-    sc_warm = vectors.sc_warm(ci)
-    ka_rate = vectors.ka_rate(ci)
+    s_warm, sc_warm, ka_rate, s_cold, sc_cold, s_max, sc_max, kc_max = _terms(
+        builder, func, ci, ci_ref
+    )
 
     def fitness_fn(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -164,45 +208,17 @@ def _batch_fitness(
 ) -> Callable[[np.ndarray], np.ndarray]:
     cfg = builder.config
     env = builder.env
-    costs = builder.costs
-    s = len(funcs)
-    ci = np.array([env.ci_at(t) for t in ts])
-    ci_ref = np.array([env.ci_max_observed(t) for t in ts])
-    s_max = np.empty(s)
-    sc_max = np.empty(s)
-    kc_max = np.empty(s)
-    cold_s_max = np.empty(s)
-    cold_sc_max = np.empty(s)
-    for i, func in enumerate(funcs):
-        s_max[i], sc_max[i], kc_max[i] = costs.normalisers(
-            func, max(float(ci_ref[i]), 1e-9)
-        )
-        # best_cold normalises at the *current* intensity.
-        cold_s_max[i], cold_sc_max[i], _ = costs.normalisers(
-            func, max(float(ci[i]), 1e-12)
-        )
-
-    vectors = [costs.vectors(f) for f in funcs]
-    ci_col = ci[:, None]
-    s_warm = np.stack([v.s_warm for v in vectors])  # (s, n_loc)
-    s_cold_all = np.stack([v.s_cold for v in vectors])
-    sc_warm = np.stack([v.sc_warm(c) for v, c in zip(vectors, ci_col)])
-    sc_cold_all = np.stack([v.sc_cold(c) for v, c in zip(vectors, ci_col)])
-    ka_rate = np.stack([v.ka_rate(c) for v, c in zip(vectors, ci_col)])
-
-    cold_scores = (
-        cfg.lambda_s * s_cold_all / cold_s_max[:, None]
-        + cfg.lambda_c * sc_cold_all / cold_sc_max[:, None]
+    terms = [
+        _terms(builder, func, env.ci_at(t), max(env.ci_max_observed(t), 1e-9))
+        for func, t in zip(funcs, ts)
+    ]
+    # (s, n_loc) rows and (s, 1) columns, one per function.
+    cols = list(zip(*terms))
+    s_warm, sc_warm, ka_rate = (np.stack(col) for col in cols[:3])
+    s_cold, sc_cold, s_max, sc_max, kc_max = (
+        np.array(col)[:, None] for col in cols[3:]
     )
-    best = np.argmin(cold_scores, axis=1)
-    r = np.arange(s)
-    s_cold = s_cold_all[r, best][:, None]
-    sc_cold = sc_cold_all[r, best][:, None]
-
-    s_max = s_max[:, None]
-    sc_max = sc_max[:, None]
-    kc_max = kc_max[:, None]
-    rows = np.arange(s)[:, None]
+    rows = np.arange(len(funcs))[:, None]
 
     def batch_fn(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

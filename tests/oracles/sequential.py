@@ -20,6 +20,7 @@ from repro.simulator.records import KeepAliveDecision
 from repro.simulator.scheduler import SchedulerEnv
 from repro.workloads.functions import FunctionProfile
 from tests.oracles.dynamic_pso import DynamicPSO
+from tests.oracles.objective import decode_single
 from tests.oracles.pso import ParticleSwarm
 
 
@@ -70,7 +71,7 @@ class SequentialKDM(KeepAliveDecisionMaker):
         self._last_rate[func.name] = rate
         fitness = self.builder.fitness(func, t, self.arrivals.get(func.name))
         opt.step(fitness, iterations=self.config.iterations_per_invocation)
-        location, k_s = self.builder.decode_single(opt.gbest_position)
+        location, k_s = decode_single(self.builder, opt.gbest_position)
         self.decisions += 1
         self._touch(func.name, t)
         return KeepAliveDecision(location=location, duration_s=k_s)

@@ -13,7 +13,13 @@ from repro.core import (
     ObjectiveBuilder,
     WarmPoolAdjuster,
 )
-from repro.core.objective import CostModel, current_normalisers
+from repro.core.objective import (
+    CostModel,
+    FunctionCostVectors,
+    cold_choice,
+    current_normalisers,
+    price,
+)
 from repro.hardware import PAIR_A, Generation
 from repro.simulator import SimulationConfig, SimulationEngine, WarmPool
 from repro.simulator.scheduler import AdjustmentRequest, PoolCandidate, SchedulerEnv
@@ -85,13 +91,13 @@ class TestDecoding:
         assert k.tolist() == [60.0, 120.0, 180.0]
 
     def test_decode_single(self, builder):
-        gen, k = builder.decode_single(np.array([0.9, 1.0]))
+        gen, k = objective_oracle.decode_single(builder, np.array([0.9, 1.0]))
         assert gen is Generation.NEW
         assert k == pytest.approx(1800.0)
 
     def test_single_location_config(self, env):
         b = ObjectiveBuilder(env, EcoLifeConfig(locations=(Generation.OLD,)))
-        gen, _ = b.decode_single(np.array([0.99, 0.5]))
+        gen, _ = objective_oracle.decode_single(b, np.array([0.99, 0.5]))
         assert gen is Generation.OLD
 
 
@@ -116,23 +122,29 @@ class TestCostCache:
     """The memoised vectors must agree with the primitive estimators."""
 
     def test_vectors_match_primitives(self, builder, bfs):
-        v = builder.costs.vectors(bfs)
+        """Priced packed rows equal the carbon model's scalar estimates
+        bit for bit: the same IEEE expression, location by location."""
+        fcv = FunctionCostVectors
+        packed = builder.costs.vectors(bfs).packed
+        at_250, at_100 = price(packed, 250.0), price(packed, 100.0)
         for i, g in enumerate(builder.config.locations):
-            assert v.s_warm[i] == pytest.approx(
-                builder.costs.service_time(bfs, g, cold=False)
+            assert packed[fcv.S_WARM, i] == builder.costs.service_time(
+                bfs, g, cold=False
             )
-            assert v.s_cold[i] == pytest.approx(
-                builder.costs.service_time(bfs, g, cold=True)
+            assert packed[fcv.S_COLD, i] == builder.costs.service_time(
+                bfs, g, cold=True
             )
-            assert v.sc_warm(250.0)[i] == pytest.approx(
-                oracle.service_carbon(builder.costs, bfs, g, cold=False, ci=250.0)
+            assert at_250[fcv.WARM, i] == oracle.service_carbon(
+                builder.costs, bfs, g, cold=False, ci=250.0
             )
-            assert v.sc_cold(100.0)[i] == pytest.approx(
-                oracle.service_carbon(builder.costs, bfs, g, cold=True, ci=100.0)
+            assert at_100[fcv.COLD, i] == oracle.service_carbon(
+                builder.costs, bfs, g, cold=True, ci=100.0
             )
-            assert v.ka_rate(250.0)[i] == pytest.approx(
-                oracle.keepalive_rate(builder.costs, bfs, g, ci=250.0)
+            assert at_250[fcv.KA, i] == oracle.keepalive_rate(
+                builder.costs, bfs, g, ci=250.0
             )
+            for row in (fcv.WARM, fcv.COLD, fcv.KA):
+                assert price(packed, 250.0, row)[i] == at_250[row, i]
 
     def test_vectors_memoised_by_name(self, builder, bfs):
         assert builder.costs.vectors(bfs) is builder.costs.vectors(bfs)
@@ -141,14 +153,15 @@ class TestCostCache:
         a = builder.costs.normalisers(bfs, 250.0)
         assert builder.costs.normalisers(bfs, 250.0) is a
 
-    def test_best_cold_matches_fscore_argmin(self, builder, bfs):
-        gen, s, sc = builder.costs.best_cold(bfs, 250.0)
+    def test_cold_choice_matches_fscore_argmin(self, builder, bfs):
+        packed = builder.costs.vectors(bfs).packed
+        sc_cold = price(packed, 250.0, FunctionCostVectors.COLD)
+        best, _ = cold_choice(builder.config, packed, 250.0, sc_cold)
         by_score = min(
             builder.config.locations,
             key=lambda g: oracle.fscore(builder.costs, bfs, g, cold=True, ci=250.0),
         )
-        assert gen is by_score
-        assert s == pytest.approx(builder.costs.service_time(bfs, gen, cold=True))
+        assert builder.config.locations[best] is by_score
 
 
 class TestFscoreGuards:
@@ -253,24 +266,20 @@ class TestCurrentIntensityClamp:
         return est
 
     def test_current_normalisers(self, env0):
+        """Stacked or one by one, with one intensity or a column, the
+        normalisers price the cold row at the clamp: they equal the
+        scalar oracle's, though the row handed in is priced at ``ci``."""
         costs = CostModel(env0, EcoLifeConfig())
         ci = env0.ci_at(0.0)
-        want = [costs.normalisers(f, max(ci, 1e-12))[:2] for f in _CLAMP_FUNCS]
+        want = [oracle.normalisers(costs, f, max(ci, 1e-12))[:2] for f in _CLAMP_FUNCS]
         stack = np.array([costs.vectors(f).packed for f in _CLAMP_FUNCS])
-        clamped = np.array([costs.vectors(f).sc_cold(1e-12) for f in _CLAMP_FUNCS])
-        fcv = type(costs.vectors(_CLAMP_FUNCS[0]))
-        for priced in (
-            clamped,
-            fcv.cold_carbon(stack, max(ci, 1e-12)),
-            fcv.cold_carbon(stack, np.maximum([ci] * 3, 1e-12)[:, None]),
-        ):
-            assert _hex(priced) == _hex(clamped)
-            got = current_normalisers(stack, priced)
+        cold = FunctionCostVectors.COLD
+        for at in (ci, np.full((3, 1), ci)):
+            got = current_normalisers(stack, at, price(stack, at, cold))
             assert _hex(np.column_stack(got)) == _hex(want)
         for f, w in zip(_CLAMP_FUNCS, want):
-            v = costs.vectors(f)
-            assert _hex(v.current_normalisers(ci, v.sc_cold(ci))) == _hex(w)
-            assert _hex(v.current_normalisers(ci)) == _hex(w)
+            packed = costs.vectors(f).packed
+            assert _hex(current_normalisers(packed, ci, price(packed, ci, cold))) == _hex(w)
 
     def test_objective_table(self, env0):
         builder = ObjectiveBuilder(env0, EcoLifeConfig())
@@ -287,15 +296,23 @@ class TestCurrentIntensityClamp:
             got = builder.fitness(funcs[i], ts[i], arrivals[i])(x[i])
             assert _hex(got) == _hex(solo(x[i]))
 
-    def test_best_cold(self, env0):
+    def test_cold_choice(self, env0):
+        """One function or the stack, the cold choice is the oracle's
+        ``min`` over ``fscore`` and its ``s_max`` the oracle's."""
         costs = CostModel(env0, EcoLifeConfig())
         ci = env0.ci_at(0.0)
-        for f in _CLAMP_FUNCS:
-            gen, s, sc = costs.best_cold(f, ci)
-            assert gen is oracle.choose(costs, f, 0.0, ())
-            v = costs.vectors(f)
-            i = costs.config.locations.index(gen)
-            assert (s, sc) == (v.s_cold[i], v.sc_cold(ci)[i])
+        cold = FunctionCostVectors.COLD
+        stack = np.array([costs.vectors(f).packed for f in _CLAMP_FUNCS])
+        column = np.full((3, 1), ci)
+        stacked = cold_choice(costs.config, stack, column, price(stack, column, cold))
+        for i, f in enumerate(_CLAMP_FUNCS):
+            packed = costs.vectors(f).packed
+            best, s_max = cold_choice(costs.config, packed, ci, price(packed, ci, cold))
+            assert costs.config.locations[best] is oracle.choose(costs, f, 0.0, ())
+            want = oracle.normalisers(costs, f, max(ci, 1e-12))[0]
+            assert _hex(s_max) == _hex([want])
+            assert stacked[0][i] == best
+            assert _hex(stacked[1][i]) == _hex([want])
 
     def test_epdm_choose(self, env0):
         both = (Generation.OLD, Generation.NEW)

@@ -10,14 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.optimizers import (
-    DPSOParams,
-    GeneticOptimizer,
-    SimulatedAnnealing,
-    cartesian_grid,
-    grid_best,
-)
+from repro.optimizers import DPSOParams, GeneticOptimizer, SimulatedAnnealing
 from tests.oracles import DynamicPSO, ParticleSwarm
+from tests.oracles.gridsearch import cartesian_grid, grid_best
 
 
 def sphere(target):

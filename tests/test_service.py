@@ -466,8 +466,14 @@ class TestHTTPServer:
 
     @pytest.mark.parametrize(
         "length, status",
-        [("abc", 400), ("-5", 400), (str(64 * 1024 * 1024 + 1), 413)],
-        ids=["non-numeric", "negative", "oversized"],
+        [
+            ("abc", 400),
+            ("-5", 400),
+            (str(64 * 1024 * 1024 + 1), 413),
+            ("+5", 400),
+            ("1_0", 400),
+        ],
+        ids=["non-numeric", "negative", "oversized", "plus-sign", "underscore"],
     )
     def test_bad_content_length_fails_closed(self, length, status):
         """A Content-Length that cannot frame a body gets its status with
@@ -498,7 +504,10 @@ class TestHTTPServer:
                     ).encode("latin-1")
                 )
                 await writer.drain()
-                head, _, body = (await reader.read()).partition(b"\r\n\r\n")
+                # A header that frames a body would leave the server
+                # waiting for it: fail instead of hanging.
+                reply = await asyncio.wait_for(reader.read(), timeout=10.0)
+                head, _, body = reply.partition(b"\r\n\r\n")
                 writer.close()
                 lines = head.decode("latin-1").split("\r\n")
                 assert int(lines[0].split()[1]) == status
